@@ -42,8 +42,8 @@ from .solver import (
     GridSpec,
     envelope_propagate,
     pde_residual,
+    require_admissible,
     solve_canonical,
-    _admissible,
 )
 
 DATUM_GRAMMAR = (
@@ -105,13 +105,11 @@ def _build_config(raw: dict) -> RunConfig:
 
     datum = str(raw.get("datum", "cosine:1"))
     try:
-        u0 = fam.parse_spec(datum)
-        if u0.dim != dim:
-            u0 = fam.parse_spec(datum, dim=dim)
+        u0 = _datum(datum, dim)
     except (ValueError, TypeError) as e:
         raise ValueError(f"config field datum: {e}") from None
     try:
-        _admissible(u0, s)
+        require_admissible(u0, s)
     except ValueError as e:
         raise ValueError(f"config field datum: {e}") from None
 
@@ -182,13 +180,13 @@ def _cell(v) -> str:
     return str(v)
 
 
-def emit_table(data, path: str, format: str = "csv") -> None:
+def emit_table(data, path: Optional[str], format: str = "csv") -> None:
     """Write one artifact: CSV as (headers, rows), JSON as a mapping.
 
     CSV carries a header row, decimals with 17 significant digits, and
     a newline after every row including the last; JSON is sorted-key,
     two-space indented, newline-terminated.  Either way identical data
-    produces identical bytes.
+    produces identical bytes.  A path of None writes to stdout.
     """
     if format == "csv":
         headers, rows = data
@@ -202,24 +200,15 @@ def emit_table(data, path: str, format: str = "csv") -> None:
         payload = json.dumps(data, sort_keys=True, indent=2) + "\n"
     else:
         raise ValueError("format must be csv or json")
+    if path is None:
+        sys.stdout.write(payload)
+        return
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(payload)
     except OSError as e:
         raise OSError(f"{path}: {e}") from None
-
-
-def _write_or_print(payload: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(payload)
-        return
-    try:
-        os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    except OSError as e:
-        raise OSError(f"{out}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -304,25 +293,16 @@ def _cmd_kernel(args) -> int:
                 rows.append(
                     [args.dim, args.s, *x, t, p, *grad, pt, lo_seen, hi_seen]
                 )
-        _emit_csv_cmd(headers, rows, args.out)
+        emit_table((headers, rows), args.out)
         return 0
     if args.action == "table":
         table = profile_table(args.dim, args.s)
         rows = [[r, v] for r, v in zip(table.nodes, table.values)]
-        _emit_csv_cmd(["r", "value"], rows, args.out)
+        emit_table((["r", "value"], rows), args.out)
         return 0
     report = verify_kernel_bounds(params)
-    _write_or_print(report.to_json(), args.out)
+    emit_table(report.to_dict(), args.out, "json")
     return 0 if report.overall_pass else 1
-
-
-def _emit_csv_cmd(headers, rows, out: Optional[str]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    _write_or_print(buf.getvalue(), out)
 
 
 def _cmd_fraclap(args) -> int:
@@ -337,7 +317,7 @@ def _cmd_fraclap(args) -> int:
             "tail_part": res.tail_part,
             "value": res.value,
         }
-        _write_or_print(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        emit_table(payload, args.out, "json")
         return 0
     if args.action == "classify":
         res = classify_definiteness(u0, args.s)
@@ -346,11 +326,11 @@ def _cmd_fraclap(args) -> int:
             "outcome": res.outcome.value,
             "reason": res.reason,
         }
-        _write_or_print(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+        emit_table(payload, args.out, "json")
         return 0
     radii = tuple(_floats(args.radii))
     report = vanish_at_infinity_check(u0, args.s, radii=radii)
-    _write_or_print(report.to_json(), args.out)
+    emit_table(report.to_dict(), args.out, "json")
     return 0 if report.overall_pass else 1
 
 
@@ -436,7 +416,7 @@ def _cmd_verify(args) -> int:
     for name in cfg.suites:
         report = SUITES[name](cfg)
         all_pass = all_pass and report.overall_pass
-        _write_or_print(report.to_json(), os.path.join(cfg.out, f"{name}.json"))
+        emit_table(report.to_dict(), os.path.join(cfg.out, f"{name}.json"), "json")
         headers = ["name", "measured", "bound", "tolerance", "passed", "worst_point"]
         rows = [
             [
@@ -478,7 +458,7 @@ def _cmd_bench(args) -> int:
         ["frac_laplacian", 5, clock(lambda: frac_laplacian(u0, [0.3], 0.75), 5)],
         ["solution_at", 5, clock(lambda: solution_at(u0, [0.3], 0.5, params), 5)],
     ]
-    _emit_csv_cmd(["operation", "repetitions", "seconds_per_call"], rows, args.out)
+    emit_table((["operation", "repetitions", "seconds_per_call"], rows), args.out)
     return 0
 
 

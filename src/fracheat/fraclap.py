@@ -34,14 +34,14 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import roots_jacobi
 
 from .families import FunctionSpec
 from .report import VerificationReport
-from .specfun import QuadratureConfig, gamma
+from .specfun import QuadratureConfig, averaged_limit, gamma, panel_rule, sphere_rule
 
 __all__ = [
     "Definiteness",
@@ -128,44 +128,10 @@ class FracLapResult:
 
 
 # ---------------------------------------------------------------------------
-# Sphere rules and second differences
+# Angular refinement and second differences
 
 
 _MAX_LEVEL = {1: 0, 2: 6, 3: 4}
-
-
-@lru_cache(maxsize=32)
-def _sphere_rule(dim: int, level: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    # half-sphere directions with doubled weights; second differences are
-    # even in the direction, so the half rule integrates the full sphere.
-    # Each refinement level doubles the angular resolution.
-    if dim == 1:
-        return np.array([[1.0]]), np.array([2.0])
-    if dim == 2:
-        m = 24 << level
-        th = (np.arange(m) + 0.5) * math.pi / m
-        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-        return dirs, np.full(m, 2.0 * math.pi / m)
-    if dim == 3:
-        p, m = 6 << level, 12 << level
-        nodes, wts = np.polynomial.legendre.leggauss(p)
-        mu = 0.5 * (nodes + 1.0)
-        wmu = 0.5 * wts
-        th = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
-        st = np.sqrt(1.0 - mu * mu)
-        dirs = np.stack(
-            [
-                (st[:, None] * np.cos(th)[None, :]).ravel(),
-                (st[:, None] * np.sin(th)[None, :]).ravel(),
-                np.broadcast_to(mu[:, None], (p, m)).ravel(),
-            ],
-            axis=1,
-        )
-        w = np.broadcast_to(
-            (2.0 * 2.0 * math.pi / m) * wmu[:, None], (p, m)
-        ).ravel()
-        return dirs, w.copy()
-    raise ValueError("sphere rules are implemented for dim <= 3")
 
 
 _CHUNK_ENTRIES = 4_000_000
@@ -204,20 +170,20 @@ def _angular_rule(
     under tol or the level cap is hit.  Returns the finer rule and the last
     measured angular defect, which the caller folds into its error budget.
     """
+    dirs, dwts = sphere_rule(u.dim, 0)  # refuses dim > 3 before the cap lookup
     cap = _MAX_LEVEL[u.dim]
     if cap == 0:
-        dirs, dwts = _sphere_rule(u.dim, 0)
         return dirs, dwts, 0.0
     probes = np.geomspace(r0, max(r_active, 2.0 * r0), 24)
     dlog = math.log(probes[-1] / probes[0]) / (probes.size - 1)
-    coarse = _pair_sum(u, x, probes, *_sphere_rule(u.dim, 0))
+    coarse = _pair_sum(u, x, probes, dirs, dwts)
     level = 0
     defect = math.inf
     while True:
-        fine = _pair_sum(u, x, probes, *_sphere_rule(u.dim, level + 1))
+        fine = _pair_sum(u, x, probes, *sphere_rule(u.dim, level + 1))
         defect = float(np.sum(np.abs(fine - coarse) * probes ** (-2.0 * s)) * dlog)
         if defect <= tol or level + 1 >= cap:
-            dirs, dwts = _sphere_rule(u.dim, level + 1)
+            dirs, dwts = sphere_rule(u.dim, level + 1)
             return dirs, dwts, defect
         coarse = fine
         level += 1
@@ -239,24 +205,10 @@ def _second_diff_sum(
 # Panel plumbing
 
 
-@lru_cache(maxsize=32)
-def _leg_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
-
-
 @lru_cache(maxsize=64)
 def _jacobi_rule(order: int, weight_exp: float) -> tuple[np.ndarray, np.ndarray]:
     x, w = roots_jacobi(order, 0.0, weight_exp)
     return np.asarray(x), np.asarray(w)
-
-
-def _panel_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _leg_rule(order)
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return mid + half * x[None, :], half * w[None, :]
 
 
 def _geometric_edges(a: float, b: float, ratio: float) -> np.ndarray:
@@ -277,15 +229,17 @@ def _kink_radii(u: FunctionSpec, x: np.ndarray) -> list[float]:
     return [abs(float(x[0]) - k) for k in u.kink_points]
 
 
-def _averaged_limit(partials: np.ndarray, rounds: int = 10) -> tuple[float, float]:
-    # repeated pairwise averaging of the partial sums; for alternating panel
-    # series each round knocks out one order of the oscillatory remainder
-    a = np.asarray(partials, dtype=float)
-    for _ in range(min(rounds, a.size - 1)):
-        a = 0.5 * (a[1:] + a[:-1])
-    if a.size >= 2:
-        return float(a[-1]), float(abs(a[-1] - a[-2]))
-    return float(a[-1]), 0.0
+def _geometric_panels(
+    values: Callable[[np.ndarray], np.ndarray], edges: np.ndarray, s: float
+) -> tuple[float, float]:
+    """Integral of t^{-1-2s} values(t) over the panels, with the order-pair difference."""
+    out = []
+    for order in (_GEO_ORDER, _GEO_CHECK):
+        ts, ws = panel_rule(edges, order)
+        flat = ts.ravel()
+        integ = (flat ** (-1.0 - 2.0 * s) * values(flat)).reshape(ts.shape)
+        out.append(float(np.sum(ws * integ)))
+    return out[0], abs(out[0] - out[1])
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +278,9 @@ def _band_panels(
     """Integral over a strictly positive band [a, b], for truncated variants."""
     edges = _insert_breaks(_geometric_edges(a, b, 1.5), _kink_radii(u, x))
     edges[-1] = b
-    out = []
-    for order in (_GEO_ORDER, _GEO_CHECK):
-        ts, ws = _panel_nodes(edges, order)
-        flat = ts.ravel()
-        sd = _second_diff_sum(u, x, ux, flat, dirs, dwts).reshape(ts.shape)
-        out.append(float(np.sum(ws * flat.reshape(ts.shape) ** (-1.0 - 2.0 * s) * sd)))
-    return out[0], abs(out[0] - out[1])
+    return _geometric_panels(
+        lambda ts: _second_diff_sum(u, x, ux, ts, dirs, dwts), edges, s
+    )
 
 
 def _tail_bounded(
@@ -357,13 +307,13 @@ def _tail_bounded(
         fine = r0 + (h / 4.0) * np.arange(9)
         coarse = fine[-1] + h * np.arange(_OSC_PANELS + 1)
         edges = np.concatenate([fine, coarse[1:]])
-        ts, ws = _panel_nodes(edges, _OSC_ORDER)
+        ts, ws = panel_rule(edges, _OSC_ORDER)
         flat = ts.ravel()
         integ = (flat ** (-1.0 - 2.0 * s) * rest_values(flat)).reshape(ts.shape)
         panel_ints = np.sum(ws * integ, axis=1)
         prefix = float(np.sum(panel_ints[:8]))
         partials = prefix + np.cumsum(panel_ints[8:])
-        rest, rest_err = _averaged_limit(partials)
+        rest, rest_err = map(float, averaged_limit(partials))
         return dc + rest, rest_err + 1e-16 * abs(dc)
 
     # no oscillation: geometric panels out to where the sup bound on the
@@ -375,14 +325,9 @@ def _tail_bounded(
         r_stop = 10.0 * r0
     r_stop = min(max(r_stop, 4.0 * r0), _RADIUS_CAP)
     edges = _insert_breaks(_geometric_edges(r0, r_stop, 1.4), _kink_radii(u, x))
-    out = []
-    for order in (_GEO_ORDER, _GEO_CHECK):
-        ts, ws = _panel_nodes(edges, order)
-        flat = ts.ravel()
-        integ = (flat ** (-1.0 - 2.0 * s) * rest_values(flat)).reshape(ts.shape)
-        out.append(float(np.sum(ws * integ)))
+    rest, rest_err = _geometric_panels(rest_values, edges, s)
     leftover = c_rest * float(edges[-1]) ** (-2.0 * s) / (2.0 * s)
-    return dc + out[0], abs(out[0] - out[1]) + leftover
+    return dc + rest, rest_err + leftover
 
 
 def _tail_growing(
@@ -413,16 +358,12 @@ def _tail_growing(
     r_stop = min(math.exp(min(log_r, math.log(_RADIUS_CAP))), _RADIUS_CAP)
 
     edges = _insert_breaks(_geometric_edges(r0, r_stop, 1.7), _kink_radii(u, x))
-    out = []
-    for order in (_GEO_ORDER, _GEO_CHECK):
-        ts, ws = _panel_nodes(edges, order)
-        flat = ts.ravel()
-        sd = _second_diff_sum(u, x, ux, flat, dirs, dwts).reshape(ts.shape)
-        integ = flat.reshape(ts.shape) ** (-1.0 - 2.0 * s) * sd
-        out.append(float(np.sum(ws * integ)))
+    value, err = _geometric_panels(
+        lambda ts: _second_diff_sum(u, x, ux, ts, dirs, dwts), edges, s
+    )
     r_end = float(edges[-1])
     leftover = c0 * r_end ** (-2.0 * s) / (2.0 * s) + c1 * r_end ** (-gap) / gap
-    return out[0], abs(out[0] - out[1]) + leftover
+    return value, err + leftover
 
 
 def _tail_from(

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 from scipy.special import jn_zeros, jv
@@ -31,6 +30,7 @@ from .specfun import (
     QuadratureConfig,
     QuadratureError,
     gamma,
+    gauss_legendre,
     integrate_semi_infinite,
 )
 
@@ -86,9 +86,9 @@ def _profile_zero(dim: int, s: float) -> float:
 
 
 def _profile_quad(dim: int, s: float, r: float, cfg: QuadratureConfig) -> float:
-    # direct quadrature of the oscillatory half-line integral; scipy's jv is
-    # used here rather than specfun.bessel_j because the panel integrator
-    # feeds whole node arrays and the tight corners need full double accuracy
+    # direct quadrature of the oscillatory half-line integral; scipy's jv
+    # takes the whole node arrays the panel integrator feeds and holds full
+    # double accuracy in the tight corners
     nu = 0.5 * (dim - 2)
     two_s = 2.0 * s
     res = integrate_semi_infinite(
@@ -102,11 +102,13 @@ def _profile_quad(dim: int, s: float, r: float, cfg: QuadratureConfig) -> float:
 
 
 @functools.lru_cache(maxsize=512)
-def _tail_coefficients(dim: int, s: float, count: int = 14) -> tuple[float, ...]:
-    # coefficients a_k of the large-r expansion F(r) ~ sum a_k r^(-dim-2sk),
-    # one per Mellin pole of the transform; when s*k hits an integer the
-    # sine factor kills the term exactly, so snap near-zero sines to zero
-    # rather than keeping roundoff-sized coefficients
+def tail_coefficients(dim: int, s: float, count: int = 14) -> tuple[float, ...]:
+    """Coefficients a_k of the large-r expansion F(r) ~ sum a_k r^(-dim-2sk).
+
+    One coefficient per Mellin pole of the transform.  When s*k hits an
+    integer the sine factor kills the term exactly, so near-zero sines
+    snap to zero rather than keeping roundoff-sized coefficients.
+    """
     out = []
     fact = 1.0
     for k in range(1, count + 1):
@@ -131,7 +133,7 @@ def _tail_series_value(dim: int, s: float, r: float) -> float:
     # asymptotic sum, cut at the smallest surviving term
     total = 0.0
     prev = math.inf
-    for k, a in enumerate(_tail_coefficients(dim, s), start=1):
+    for k, a in enumerate(tail_coefficients(dim, s), start=1):
         if a == 0.0:
             continue
         term = a * r ** (-dim - 2.0 * s * k)
@@ -408,7 +410,6 @@ class RadialProfileTable:
         params: KernelParams,
         nodes: np.ndarray,
         values: np.ndarray,
-        interpolation_order: int = 3,
     ):
         nodes = np.asarray(nodes, dtype=float)
         values = np.asarray(values, dtype=float)
@@ -425,9 +426,8 @@ class RadialProfileTable:
         self.params = params
         self.nodes = nodes
         self.values = values
-        self.interpolation_order = interpolation_order
         self._interp = PchipInterpolator(np.log(nodes[1:]), np.log(values[1:]), extrapolate=False)
-        dim, s, cfg = params.dim, params.s, params.quad
+        dim, s = params.dim, params.s
         # quartic Taylor at the origin through shifted-dimension curvatures
         self._taylor = (
             _profile_zero(dim, s),
@@ -456,7 +456,7 @@ class RadialProfileTable:
             out[mid] = np.exp(self._interp(np.log(r[mid])))
         if np.any(big):
             dim, s = self.params.dim, self.params.s
-            coeffs = _tail_coefficients(dim, s)
+            coeffs = tail_coefficients(dim, s)
             rb = r[big]
             acc = np.zeros_like(rb)
             for k, a in enumerate(coeffs, start=1):
@@ -483,7 +483,7 @@ def build_profile_table(
     # the table constructor insists the last node sits where the leading
     # power law dominates; small s decays slowly there, so push the
     # boundary until the first surviving correction term drops below 4%
-    coeffs = _tail_coefficients(params.dim, params.s)
+    coeffs = tail_coefficients(params.dim, params.s)
     for j, a in enumerate(coeffs[1:], start=2):
         if a != 0.0:
             ratio = abs(a) / (0.04 * abs(coeffs[0]))
@@ -529,7 +529,7 @@ def kernel_mass(params: KernelParams, t: float, scaled_cut: float = 30.0) -> flo
     scale = t**sp
     # physical-variable panels whose images are fixed in the scaled variable
     redges = np.concatenate([np.linspace(0.0, 2.0, 17), np.geomspace(2.25, scaled_cut, 32)])
-    nodes, weights = leggauss(24)
+    nodes, weights = gauss_legendre(24)
     total = 0.0
     kernel_pref = t ** (-dim * sp) * _TWO_PI ** (-0.5 * dim)
     for a, b in zip(redges[:-1], redges[1:]):
@@ -541,7 +541,7 @@ def kernel_mass(params: KernelParams, t: float, scaled_cut: float = 30.0) -> flo
     bulk = sphere * total
     # analytic tail of the scaled profile integral beyond the cut
     tail_terms = []
-    for k, a in enumerate(_tail_coefficients(dim, s), start=1):
+    for k, a in enumerate(tail_coefficients(dim, s), start=1):
         if a != 0.0:
             tail_terms.append(a * scaled_cut ** (-2.0 * s * k) / (2.0 * s * k))
     tail = sphere * _TWO_PI ** (-0.5 * dim) * math.fsum(tail_terms)

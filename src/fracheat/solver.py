@@ -31,17 +31,16 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from numpy.polynomial.legendre import leggauss
 
 from .families import FunctionSpec
-from .fraclap import _sphere_rule, riesz_constant
-from .kernel import KernelParams, _tail_coefficients, profile_table
+from .fraclap import riesz_constant
+from .kernel import KernelParams, profile_table, tail_coefficients
 from .report import VerificationReport
+from .specfun import averaged_limit, panel_rule, sphere_rule
 
 _TWO_PI = 2.0 * math.pi
 _CUT = 30.0  # scaled radius where the profile's power series takes over
 _OSC_PANELS = 88
-_AVG_ROUNDS = 10
 _RADIUS_CAP = 1e35
 _CHUNK = 1_500_000
 _NODE_BLOCK = 512
@@ -167,21 +166,6 @@ class EnvelopeTrace:
 # radial machinery
 
 
-@lru_cache(maxsize=32)
-def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return leggauss(n)
-
-
-def _panelize(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights for every interval of an edge array."""
-    nodes, wts = _gl(order)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    rs = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    ws = (half[:, None] * wts[None, :]).ravel()
-    return rs, ws
-
-
 def _cap_widths(edges: np.ndarray, cap: float) -> np.ndarray:
     if not math.isfinite(cap):
         return edges
@@ -216,7 +200,7 @@ def _factor_tables(dim: int, s: float, kind: str):
 
 @lru_cache(maxsize=32)
 def _series(dim: int, s: float, kind: str) -> tuple[float, ...]:
-    base = _tail_coefficients(dim, s)
+    base = tail_coefficients(dim, s)
     if kind == "mass":
         return base
     return tuple(k * a for k, a in enumerate(base, start=1))
@@ -270,16 +254,6 @@ def _pair_many(
     return out
 
 
-def _avg_rows(partials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Repeated averaging of a row-wise sequence of partial sums."""
-    acc = partials
-    for _ in range(_AVG_ROUNDS):
-        if acc.shape[1] < 3:
-            break
-        acc = 0.5 * (acc[:, :-1] + acc[:, 1:])
-    return acc[:, -1], np.abs(acc[:, -1] - acc[:, -2])
-
-
 def _radial_convolve(
     u0: FunctionSpec,
     pts: np.ndarray,
@@ -292,7 +266,7 @@ def _radial_convolve(
     dim, s = params.dim, params.s
     cfg = params.quad
     tsc = t ** (1.0 / (2.0 * s))
-    dirs, dwts = _sphere_rule(dim, level)
+    dirs, dwts = sphere_rule(dim, level)
     area = float(np.sum(dwts))
     factor, amp = _factor_tables(dim, s, kind)
     pref = _TWO_PI ** (-0.5 * dim)
@@ -302,7 +276,7 @@ def _radial_convolve(
     osc = (u0.osc_scale or 0.0) * tsc
     cap = 2.2 * math.pi / osc if osc > 0.0 else math.inf
     edges = np.concatenate([np.linspace(0.0, 2.0, 17), np.geomspace(2.25, _CUT, 33)])
-    rs, ws = _panelize(_cap_widths(edges, cap), 24)
+    rs, ws = map(np.ravel, panel_rule(_cap_widths(edges, cap), 24))
     fac = factor(rs) * ws
     surf = _pair_many(u0, pts, tsc * rs, dirs, dwts)
     vals = pref * surf @ fac
@@ -315,6 +289,18 @@ def _radial_convolve(
 
     if mean != 0.0:
         vals += area * mean * _mean_tail(dim, s, kind, _CUT)
+
+    if env.slope == 0.0 and osc > 0.0 and math.pi / osc <= 0.5 * _CUT:
+        # oscillation fast on the profile scale: half-period panels keep
+        # the envelope slowly varying per panel, then sequence averaging
+        h = math.pi / osc
+        edges_t = _CUT + h * np.arange(_OSC_PANELS + 1)
+        rs_t, ws_t = map(np.ravel, panel_rule(edges_t, 12))
+        fac_t = factor(rs_t) * ws_t
+        surf_t = _pair_many(u0, pts, tsc * rs_t, dirs, dwts) - area * mean
+        chunks = (surf_t * fac_t[None, :]).reshape(len(pts), _OSC_PANELS, 12).sum(axis=2)
+        tail_vals, tail_errs = averaged_limit(np.cumsum(chunks, axis=1))
+        return vals + pref * tail_vals, errs + pref * tail_errs
 
     if env.slope > 0.0:
         # growth certified by the envelope; push the cutoff until the
@@ -335,27 +321,10 @@ def _radial_convolve(
             if left <= target:
                 break
             radius *= 4.0
-        left_vec = c0_vec * _abs_tail(dim, s, kind, radius) + c1 * _abs_tail(
+        left = c0_vec * _abs_tail(dim, s, kind, radius) + c1 * _abs_tail(
             dim, s, kind, radius, beta
         )
-        n = max(4, int(math.ceil(math.log(radius / _CUT) / math.log(1.7))))
-        rs_t, ws_t = _panelize(_cap_widths(np.geomspace(_CUT, radius, n + 1), cap), 16)
-        fac_t = factor(rs_t) * ws_t
-        surf_t = _pair_many(u0, pts, tsc * rs_t, dirs, dwts) - area * mean
-        vals += pref * surf_t @ fac_t
-        errs += left_vec + _TABLE_REL * amp * pref * np.abs(surf_t) @ np.abs(fac_t)
-    elif osc > 0.0 and math.pi / osc <= 0.5 * _CUT:
-        # oscillation fast on the profile scale: half-period panels keep
-        # the envelope slowly varying per panel, then sequence averaging
-        h = math.pi / osc
-        edges_t = _CUT + h * np.arange(_OSC_PANELS + 1)
-        rs_t, ws_t = _panelize(edges_t, 12)
-        fac_t = factor(rs_t) * ws_t
-        surf_t = _pair_many(u0, pts, tsc * rs_t, dirs, dwts) - area * mean
-        chunks = (surf_t * fac_t[None, :]).reshape(len(pts), _OSC_PANELS, 12).sum(axis=2)
-        tail_vals, tail_errs = _avg_rows(np.cumsum(chunks, axis=1))
-        vals += pref * tail_vals
-        errs += pref * tail_errs
+        ratio = 1.7
     else:
         # slow or absent oscillation: geometric panels, widths still
         # capped so any residual oscillation stays resolved
@@ -364,17 +333,19 @@ def _radial_convolve(
         while radius < _RADIUS_CAP and c_rest * _abs_tail(dim, s, kind, radius) > target:
             radius *= 4.0
         left = c_rest * _abs_tail(dim, s, kind, radius)
-        n = max(4, int(math.ceil(math.log(radius / _CUT) / math.log(1.4))))
-        rs_t, ws_t = _panelize(_cap_widths(np.geomspace(_CUT, radius, n + 1), cap), 16)
-        fac_t = factor(rs_t) * ws_t
-        surf_t = _pair_many(u0, pts, tsc * rs_t, dirs, dwts) - area * mean
-        vals += pref * surf_t @ fac_t
-        errs += left + _TABLE_REL * amp * pref * np.abs(surf_t) @ np.abs(fac_t)
-
+        ratio = 1.4
+    n = max(4, int(math.ceil(math.log(radius / _CUT) / math.log(ratio))))
+    edges_t = _cap_widths(np.geomspace(_CUT, radius, n + 1), cap)
+    rs_t, ws_t = map(np.ravel, panel_rule(edges_t, 16))
+    fac_t = factor(rs_t) * ws_t
+    surf_t = _pair_many(u0, pts, tsc * rs_t, dirs, dwts) - area * mean
+    vals += pref * surf_t @ fac_t
+    errs += left + _TABLE_REL * amp * pref * np.abs(surf_t) @ np.abs(fac_t)
     return vals, errs
 
 
-def _admissible(u0: FunctionSpec, s: float) -> None:
+def require_admissible(u0: FunctionSpec, s: float) -> None:
+    """Refuse a datum whose growth envelope is not integrable against order s."""
     if not u0.envelope.admissible_for(s):
         raise ValueError(
             f"growth envelope of {u0.label} needs power < 2s = {2 * s}; "
@@ -390,15 +361,16 @@ def _solve_batch(
     kind: str = "mass",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Convolution values at one positive time, with angular refinement."""
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("convolution requires t > 0")
     if params.dim == 1:
         vals, errs = _radial_convolve(u0, pts, t, params, kind, 0)
     else:
         cfg = params.quad
         lvl = 2 if params.dim == 2 else 1
-        top = _MAX_ANGULAR[params.dim]
+        # the sphere rule refuses dim > 3 before the cap lookup
         vals, errs = _radial_convolve(u0, pts, t, params, kind, lvl)
+        top = _MAX_ANGULAR[params.dim]
         while True:
             nxt_v, nxt_e = _radial_convolve(u0, pts, t, params, kind, lvl + 1)
             drift = float(np.max(np.abs(nxt_v - vals)))
@@ -440,7 +412,7 @@ def solve_canonical(
     """
     if grid.dim != params.dim or u0.dim != params.dim:
         raise ValueError("datum, grid, and kernel parameters disagree on dimension")
-    _admissible(u0, params.s)
+    require_admissible(u0, params.s)
     pts = grid.nodes()
     vals = np.empty((len(grid.times), len(pts)))
     errs = np.zeros_like(vals)
@@ -474,7 +446,7 @@ def solution_at(
     u0: FunctionSpec, x, t: float, params: KernelParams
 ) -> tuple[float, float]:
     """Single-point solution value with its error estimate."""
-    _admissible(u0, params.s)
+    require_admissible(u0, params.s)
     pt = np.atleast_1d(np.asarray(x, dtype=float))
     if pt.shape != (params.dim,):
         raise ValueError(f"point must have shape ({params.dim},)")
@@ -495,7 +467,7 @@ def _time_derivative_impl(
 ) -> tuple[float, float]:
     if t <= 0.0:
         raise ValueError("the time derivative needs t > 0")
-    _admissible(u0, params.s)
+    require_admissible(u0, params.s)
     pt = np.atleast_1d(np.asarray(x, dtype=float))
     if pt.shape != (params.dim,):
         raise ValueError(f"point must have shape ({params.dim},)")
@@ -524,7 +496,7 @@ def residual_with_estimate(
     """The residual together with its accumulated error estimate."""
     if t <= 0.0:
         raise ValueError("the residual needs t > 0")
-    _admissible(u0, params.s)
+    require_admissible(u0, params.s)
     dim, s = params.dim, params.s
     pt = np.atleast_1d(np.asarray(x, dtype=float))
     if pt.shape != (dim,):
@@ -532,7 +504,7 @@ def residual_with_estimate(
     ut, ut_err = _time_derivative_impl(u0, pt, t, params)
 
     level = 0 if dim == 1 else (3 if dim == 2 else 2)
-    dirs, dwts = _sphere_rule(dim, level)
+    dirs, dwts = sphere_rule(dim, level)
     area = float(np.sum(dwts))
     pref = 0.5 * riesz_constant(dim, s)
     r_near = 0.5
@@ -578,7 +550,7 @@ def residual_with_estimate(
     cap = 4.4 * math.pi / osc if osc > 0.0 else math.inf
     n = max(4, int(math.ceil(math.log(r_far / r_near) / math.log(1.5))))
     mid_edges = _cap_widths(np.geomspace(r_near, r_far, n + 1), cap)
-    mid_rs, mid_ws = _panelize(mid_edges, 16)
+    mid_rs, mid_ws = map(np.ravel, panel_rule(mid_edges, 16))
 
     stencil_pts = np.concatenate(
         [pt[None, :]] + [pt[None, :] + tau * dirs for tau in stencil_taus if tau != 0.0]
@@ -654,7 +626,7 @@ def envelope_propagate(
     for constants the theory leaves implicit, so the trace measures
     rather than asserts.
     """
-    _admissible(u0, params.s)
+    require_admissible(u0, params.s)
     ts = tuple(float(t) for t in times)
     if len(ts) < 3:
         raise ValueError("need at least three times to fit an exponent")
@@ -706,7 +678,7 @@ def initial_continuity_check(
     tolerance allows for the spatial term |grad u0| * 2^-n, which
     dominates the final gap for any datum with a nonzero gradient.
     """
-    _admissible(u0, params.s)
+    require_admissible(u0, params.s)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.shape != (params.dim,):
         raise ValueError(f"point must have shape ({params.dim},)")

@@ -1,9 +1,12 @@
-"""Special functions and semi-infinite quadrature.
+"""Special functions, shared quadrature rules, and semi-infinite quadrature.
 
-Primitives shared by the kernel and operator layers: Euler Gamma, Bessel
-J_nu of real order nu >= -1/2, a recurrence self-test for the Bessel
-implementation, and an integrator for semi-infinite integrands whose decay
-is controlled by an envelope rho^p * exp(-rho^d).
+Primitives shared by the kernel, operator and solver layers: Euler Gamma;
+the quadrature rules every radial integral here is built from (a cached
+Gauss-Legendre rule, its per-panel copy over an edge array, repeated
+pairwise averaging of partial sums, and half-sphere direction rules); and
+an integrator for semi-infinite integrands whose decay is controlled by an
+envelope rho^p * exp(-rho^d).  Each caller keeps its own reduction of the
+panel values.
 
 The integrator has two regimes.  Mildly oscillatory or smooth integrands go
 through adaptive Gauss-Kronrod on the truncated interval.  Heavily
@@ -20,7 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from scipy import integrate as _sint
@@ -31,8 +35,10 @@ __all__ = [
     "IntegralResult",
     "QuadratureError",
     "gamma",
-    "bessel_j",
-    "check_bessel_recurrence",
+    "gauss_legendre",
+    "panel_rule",
+    "averaged_limit",
+    "sphere_rule",
     "integrate_semi_infinite",
 ]
 
@@ -106,134 +112,83 @@ def gamma(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bessel J of real order >= -1/2
+# Shared quadrature rules
 
-_SERIES_CUTOFF = 12.0
+_AVERAGING_ROUNDS = 10
 
 
-def bessel_j(nu: float, z: float) -> float:
-    """Bessel function of the first kind, real order nu >= -1/2, z >= 0.
+@lru_cache(maxsize=32)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], cached per order.
 
-    Uses the ascending power series for z <= max(12, 2*nu) and the large
-    argument (Hankel) expansion seeded at the reduced order mu in
-    [-1/2, 1/2) followed by upward recurrence otherwise.  The recurrence is
-    run only while the order stays below z/2, which keeps it stable.
-
-    Near a zero of J_nu the relative error is unbounded, as for any fixed
-    precision implementation; accuracy should be read against the envelope
-    sqrt(2 / (pi z)).
+    The arrays are shared between callers and must not be modified.
     """
-    if nu < -0.5:
-        raise ValueError("order must satisfy nu >= -1/2")
-    if z < 0.0:
-        raise ValueError("argument must be non-negative")
-    if z == 0.0:
-        if nu == 0.0:
-            return 1.0
-        if nu > 0.0:
-            return 0.0
-        return math.inf
-    if z <= max(_SERIES_CUTOFF, 2.0 * nu):
-        return _bessel_series(nu, z)
-    return _bessel_large_z(nu, z)
+    return np.polynomial.legendre.leggauss(order)
 
 
-def _bessel_series(nu: float, z: float) -> float:
-    # sum_k (-1)^k (z/2)^{nu+2k} / (k! Gamma(nu+k+1)); terms by recurrence,
-    # exact accumulation with fsum to tame the alternating cancellation.
-    q = 0.25 * z * z
-    term = (0.5 * z) ** nu / math.gamma(nu + 1.0)
-    terms = [term]
-    peak = abs(term)
-    for k in range(1, 400):
-        term *= -q / (k * (nu + k))
-        terms.append(term)
-        peak = max(peak, abs(term))
-        if abs(term) < 1e-18 * peak and k > 4:
-            break
-    return math.fsum(terms)
+def panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on every interval of an edge array.
 
-
-def _bessel_series_deriv(nu: float, z: float) -> float:
-    # term-wise derivative of the power series: each term picks up a factor
-    # (nu + 2k)/z, which stays exact through the same recurrence.
-    q = 0.25 * z * z
-    term = (0.5 * z) ** nu / math.gamma(nu + 1.0)
-    terms = [term * nu / z]
-    peak = abs(term)
-    for k in range(1, 400):
-        term *= -q / (k * (nu + k))
-        terms.append(term * (nu + 2.0 * k) / z)
-        peak = max(peak, abs(term))
-        if abs(term) < 1e-18 * peak and k > 4:
-            break
-    return math.fsum(terms)
-
-
-def _hankel_pq(mu: float, z: float) -> tuple[float, float]:
-    # P and Q factors of the large-z expansion for small order mu.
-    # Truncated at the smallest term, the standard optimal cut.
-    mu4 = 4.0 * mu * mu
-    p_acc = 1.0
-    q_acc = 0.0
-    c = 1.0
-    prev = math.inf
-    for k in range(1, 60):
-        c *= (mu4 - (2 * k - 1) ** 2) / (8.0 * k * z)
-        if abs(c) >= prev:
-            break
-        prev = abs(c)
-        if k % 2 == 1:
-            q_acc += c if k % 4 == 1 else -c
-        else:
-            p_acc += c if k % 4 == 0 else -c
-        if abs(c) < 1e-18:
-            break
-    return p_acc, q_acc
-
-
-def _bessel_large_z(nu: float, z: float) -> float:
-    n = math.floor(nu + 0.5)
-    mu = nu - n  # reduced order in [-1/2, 1/2)
-    vals = []
-    for order in (mu, mu + 1.0):
-        p, q = _hankel_pq(order, z)
-        w = z - order * (0.5 * math.pi) - 0.25 * math.pi
-        vals.append(math.sqrt(2.0 / (math.pi * z)) * (p * math.cos(w) - q * math.sin(w)))
-    if n == 0:
-        return vals[0]
-    if n == 1:
-        return vals[1]
-    j_prev, j_cur = vals
-    for i in range(1, n):
-        order = mu + i
-        j_prev, j_cur = j_cur, (2.0 * order / z) * j_cur - j_prev
-    return j_cur
-
-
-def check_bessel_recurrence(nu: float, z: float) -> float:
-    """Residual of z J'_nu(z) - nu J_nu(z) + z J_{nu+1}(z), ideally zero.
-
-    In the power-series regime J' comes from the term-wise derivative of
-    the series, which tracks the z^nu singularity of negative orders that
-    no finite difference could.  In the asymptotic regime a five-point
-    stencil with a deliberately large step is used instead: there the
-    evaluation error of bessel_j, not rounding, is what the division by h
-    amplifies, and the fourth-order stencil keeps truncation negligible.
+    Both arrays have shape (panels, order), one row per interval; the rule
+    is exact for polynomials of degree 2 * order - 1 on each interval.
     """
-    if z <= 0.0:
-        raise ValueError("recurrence check needs z > 0")
-    if z <= max(_SERIES_CUTOFF, 2.0 * nu):
-        deriv = _bessel_series_deriv(nu, z)
-    else:
-        h = 1e-2
-        deriv = (
-            bessel_j(nu, z - 2.0 * h)
-            - 8.0 * bessel_j(nu, z - h)
-            + 8.0 * bessel_j(nu, z + h)
-            - bessel_j(nu, z + 2.0 * h)
-        ) / (12.0 * h)
-    return abs(z * deriv - nu * bessel_j(nu, z) + z * bessel_j(nu + 1.0, z))
+    x, w = gauss_legendre(order)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return mid[:, None] + half[:, None] * x[None, :], half[:, None] * w[None, :]
+
+
+def averaged_limit(partials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Limit of partial sums along the last axis, by repeated pairwise averaging.
+
+    For alternating panel series each round knocks out one order of the
+    oscillatory remainder.  Runs ten rounds, fewer when the sequence is
+    too short to keep two entries, and returns the last entry together
+    with its distance to the one before as the error estimate.  Needs at
+    least two partial sums.
+    """
+    a = np.asarray(partials, dtype=float)
+    for _ in range(min(_AVERAGING_ROUNDS, a.shape[-1] - 2)):
+        a = 0.5 * (a[..., 1:] + a[..., :-1])
+    return a[..., -1], np.abs(a[..., -1] - a[..., -2])
+
+
+@lru_cache(maxsize=32)
+def sphere_rule(dim: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half-sphere directions in dimension dim <= 3 with doubled weights.
+
+    Second differences are even in the direction, so the half rule
+    integrates the full sphere: the weights sum to the sphere's area.
+    Each refinement level doubles the angular resolution.  The arrays are
+    shared between callers and must not be modified.
+    """
+    if dim == 1:
+        return np.array([[1.0]]), np.array([2.0])
+    if dim == 2:
+        m = 24 << level
+        th = (np.arange(m) + 0.5) * math.pi / m
+        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
+        return dirs, np.full(m, 2.0 * math.pi / m)
+    if dim == 3:
+        p, m = 6 << level, 12 << level
+        nodes, wts = gauss_legendre(p)
+        mu = 0.5 * (nodes + 1.0)
+        wmu = 0.5 * wts
+        th = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
+        st = np.sqrt(1.0 - mu * mu)
+        dirs = np.stack(
+            [
+                (st[:, None] * np.cos(th)[None, :]).ravel(),
+                (st[:, None] * np.sin(th)[None, :]).ravel(),
+                np.broadcast_to(mu[:, None], (p, m)).ravel(),
+            ],
+            axis=1,
+        )
+        w = np.broadcast_to(
+            (2.0 * 2.0 * math.pi / m) * wmu[:, None], (p, m)
+        ).ravel()
+        return dirs, w.copy()
+    raise ValueError("sphere rules are implemented for dim <= 3")
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +200,6 @@ _GL_NODES_MAIN = 16
 _GL_NODES_CHECK = 12
 _GRADE_LEVELS = 30  # dyadic refinement toward rho=0; the envelope exponent
                     # d < 2 makes exp(-rho^d) only C^1 at the origin
-
-
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
 
 
 def _truncation_radius(decay_exponent: float, poly_power: float, target: float) -> float:
@@ -292,11 +243,7 @@ def _panel_edges(radius: float, osc_scale: float | None) -> np.ndarray:
 
 
 def _panel_sum(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray, n: int) -> tuple[float, int]:
-    xg, wg = _leggauss(n)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = mid[:, None] + half[:, None] * xg[None, :]
-    w = half[:, None] * wg[None, :]
+    x, w = panel_rule(edges, n)
     vals = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
     per_panel = np.einsum("ij,ij->i", vals, w)
     return math.fsum(per_panel.tolist()), x.size

@@ -277,6 +277,13 @@ class TestSolveCommand:
         assert code == 2
         assert "lo:hi:count" in capsys.readouterr().err
 
+    def test_four_dimensional_grid_exits_two(self, tmp_path, capsys):
+        code = main(["solve", "--datum", "gaussian:1", "--s", "0.75",
+                     "--grid=0:1:2,0:1:2,0:1:2,0:1:2", "--times", "0.5",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "dim <= 3" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_bench_reports_positive_timings(self, capsys):

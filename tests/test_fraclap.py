@@ -375,6 +375,10 @@ class TestRejection:
         with pytest.raises(ValueError):
             frac_laplacian(fam.gaussian(1.0), [0.0, 0.0], 0.5)
 
+    def test_dimension_above_three(self):
+        with pytest.raises(ValueError, match="dim <= 3"):
+            frac_laplacian(fam.gaussian(1.0, dim=4), np.zeros(4), 0.75)
+
 
 class TestTranslation:
     def test_shifted_gaussian(self):

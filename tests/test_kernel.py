@@ -424,7 +424,6 @@ def test_table_nodes_shape():
     table = profile_table(1, 0.75)
     assert table.nodes[0] == 0.0
     assert np.all(np.diff(table.nodes) > 0.0)
-    assert table.interpolation_order == 3
     # tail invariant: last node already behaves like the power law
     tail = table.values[-1] * table.nodes[-1] ** (1 + 2 * 0.75)
     assert tail == pytest.approx(ell_limit(KernelParams(dim=1, s=0.75), 0), rel=0.05)

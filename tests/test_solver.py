@@ -330,6 +330,18 @@ class TestTimeDerivative:
             time_derivative(fam.cosine(1.0), np.array([0.0]), 0.0, PAR_06)
 
 
+@pytest.mark.parametrize("entry", [solution_at, time_derivative, pde_residual])
+def test_nan_time_is_refused(entry):
+    with pytest.raises(ValueError, match="t > 0"):
+        entry(fam.cosine(1.0), np.array([0.3]), math.nan, PAR_06)
+
+
+def test_dimension_above_three_is_refused():
+    grid = GridSpec(dim=4, box=((0.0, 1.0),) * 4, counts=(2,) * 4, times=(0.5,))
+    with pytest.raises(ValueError, match="dim <= 3"):
+        solve_canonical(fam.gaussian(1.0, dim=4), grid, KernelParams(dim=4, s=0.75))
+
+
 class TestResidual:
     @pytest.mark.parametrize(
         "u0, x, t, params, tol",

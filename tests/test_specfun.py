@@ -1,4 +1,4 @@
-"""Tests for the scalar special-function layer: gamma, Bessel J, quadrature."""
+"""Tests for the special-function layer: gamma, shared quadrature rules, quadrature."""
 
 import math
 
@@ -12,10 +12,12 @@ from fracheat.specfun import (
     IntegralResult,
     QuadratureConfig,
     QuadratureError,
-    bessel_j,
-    check_bessel_recurrence,
+    averaged_limit,
     gamma,
+    gauss_legendre,
     integrate_semi_infinite,
+    panel_rule,
+    sphere_rule,
 )
 
 
@@ -49,81 +51,81 @@ def test_gamma_functional_equation(x):
 
 
 # ---------------------------------------------------------------------------
-# bessel_j
+# shared quadrature rules
 
 
-def test_bessel_at_zero():
-    assert bessel_j(0.0, 0.0) == 1.0
-    assert bessel_j(1.0, 0.0) == 0.0
-    assert bessel_j(2.5, 0.0) == 0.0
-    assert bessel_j(-0.5, 0.0) == math.inf
+@pytest.mark.parametrize("order", [1, 4, 12, 16, 24])
+def test_panel_rule_exact_for_polynomials(order):
+    # degree 2n-1 is the exactness limit of an n-point Gauss rule, on
+    # every panel of an uneven edge array
+    edges = np.array([-1.3, -0.2, 0.05, 0.9, 3.7, 11.0])
+    ts, ws = panel_rule(edges, order)
+    assert ts.shape == ws.shape == (edges.size - 1, order)
+    deg = 2 * order - 1
+    coeffs = np.random.default_rng(order).normal(size=deg + 1)
+    poly = np.polynomial.Polynomial(coeffs)
+    anti = poly.integ()
+    per_panel = np.sum(ws * poly(ts), axis=1)
+    exact = anti(edges[1:]) - anti(edges[:-1])
+    assert np.allclose(per_panel, exact, rtol=1e-11, atol=1e-11 * np.max(np.abs(exact)))
 
 
-def test_bessel_rejects_bad_order():
-    with pytest.raises(ValueError):
-        bessel_j(-0.75, 1.0)
+def test_gauss_legendre_is_shared_and_normalized():
+    x, w = gauss_legendre(16)
+    assert gauss_legendre(16)[0] is x
+    assert w.sum() == pytest.approx(2.0, rel=1e-15)
+    assert np.all(np.abs(x) < 1.0)
 
 
-def test_bessel_rejects_negative_argument():
-    with pytest.raises(ValueError):
-        bessel_j(0.0, -1.0)
+@pytest.mark.parametrize("count", [8, 12, 16, 24, 30, 40])
+def test_averaged_limit_alternating_harmonic(count):
+    # partial sums of 1 - 1/2 + 1/3 - ... converge to ln 2 like 1/n; the
+    # averaged limit must be far closer, and its reported error must bound
+    # the true one (past ~40 sums both sit at rounding level)
+    k = np.arange(1, count + 1)
+    partials = np.cumsum((-1.0) ** (k + 1) / k)
+    value, err = averaged_limit(partials)
+    true_err = abs(float(value) - math.log(2.0))
+    assert true_err < 1e-3 * abs(partials[-1] - math.log(2.0))
+    assert float(err) >= true_err
 
 
-@pytest.mark.parametrize("z", [0.1, 1.0, math.pi, 7.0, 40.0, 300.0])
-def test_bessel_half_integer_closed_forms(z):
-    # J_{1/2} and J_{-1/2} reduce to sine and cosine
-    amp = math.sqrt(2.0 / (math.pi * z))
-    assert bessel_j(0.5, z) == pytest.approx(amp * math.sin(z), abs=1e-12)
-    assert bessel_j(-0.5, z) == pytest.approx(amp * math.cos(z), abs=1e-12)
+@pytest.mark.parametrize("count", [72, 88])
+def test_averaged_limit_reaches_rounding_at_panel_counts(count):
+    # the sizes the operator and the solver use
+    k = np.arange(1, count + 1)
+    value, err = averaged_limit(np.cumsum((-1.0) ** (k + 1) / k))
+    assert float(value) == pytest.approx(math.log(2.0), abs=1e-15)
+    assert float(err) <= 1e-15
 
 
-def test_bessel_minus_half_at_pi():
-    # closed form gives exactly -sqrt(2)/pi there
-    assert bessel_j(-0.5, math.pi) == pytest.approx(-math.sqrt(2.0) / math.pi, rel=1e-12)
+def test_averaged_limit_works_row_wise():
+    k = np.arange(1, 73)
+    row = np.cumsum((-1.0) ** (k + 1) / k)
+    value, err = averaged_limit(np.stack([row, 2.0 * row]))
+    single, single_err = averaged_limit(row)
+    assert value.shape == err.shape == (2,)
+    assert value[0] == single and err[0] == single_err
+    assert value[1] == pytest.approx(2.0 * math.log(2.0), abs=1e-9)
 
 
-@pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0, 1.5, 2.5, 4.0, 6.0])
-def test_bessel_matches_scipy(nu):
-    zs = np.concatenate(
-        [np.linspace(1e-3, 30.0, 157), np.geomspace(30.0, 1e4, 80)]
-    )
-    ours = np.array([bessel_j(nu, float(z)) for z in zs])
-    ref = jv(nu, zs)
-    # ten significant digits, with an absolute floor near the zeros of J
-    assert np.all(np.abs(ours - ref) <= 1e-10 + 1e-10 * np.abs(ref))
+_SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
-def test_bessel_series_asymptotic_seam():
-    # accuracy must not degrade where the evaluation strategy switches
-    for nu in (0.0, 0.5, 2.0):
-        cutoff = max(12.0, 2.0 * nu)
-        for dz in (-1e-9, -1e-3, 1e-3, 1e-9):
-            z = cutoff + dz
-            assert bessel_j(nu, z) == pytest.approx(float(jv(nu, z)), abs=1e-10)
+@pytest.mark.parametrize(
+    "dim, level", [(1, 0)] + [(2, lv) for lv in range(7)] + [(3, lv) for lv in range(5)]
+)
+def test_sphere_rule_area_and_unit_directions(dim, level):
+    dirs, wts = sphere_rule(dim, level)
+    assert dirs.shape == (wts.size, dim)
+    assert wts.sum() == pytest.approx(_SPHERE_AREA[dim], rel=1e-13)
+    assert np.all(wts > 0.0)
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0.0, atol=1e-14)
 
 
-# ---------------------------------------------------------------------------
-# derivative identity self-check
-
-
-@pytest.mark.parametrize("nu, z", [(0.0, 1.0), (0.5, 2.0), (3.0, 10.0)])
-def test_recurrence_residual_small(nu, z):
-    assert check_bessel_recurrence(nu, z) <= 1e-8
-
-
-def test_recurrence_residual_grid():
-    orders = [-0.5, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-    zs = np.concatenate([[1e-3, 1e-2], np.linspace(0.05, 100.0, 200)])
-    for nu in orders:
-        for z in zs:
-            z = float(z)
-            residual = check_bessel_recurrence(nu, z)
-            assert residual <= 1e-8 * (1.0 + z * abs(bessel_j(nu, z))), (nu, z)
-
-
-def test_recurrence_rejects_nonpositive_z():
-    with pytest.raises(ValueError):
-        check_bessel_recurrence(0.0, 0.0)
+def test_sphere_rule_refuses_dim_above_three():
+    with pytest.raises(ValueError, match="dim <= 3"):
+        sphere_rule(4, 0)
 
 
 # ---------------------------------------------------------------------------
