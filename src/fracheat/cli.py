@@ -366,7 +366,15 @@ def _cmd_solve(args) -> int:
         envelope = {"unavailable": str(e)}
     mid = nodes[len(nodes) // 2]
     t_res = next((t for t in grid.times if t > 0.0), trace_times[0])
-    residual = pde_residual(u0, mid, t_res, params)
+    try:
+        value = pde_residual(u0, mid, t_res, params)
+    except ValueError as e:
+        residual = {"unavailable": str(e)}
+    else:
+        residual = {
+            "max_abs": abs(value),
+            "samples": [{"residual": value, "t": t_res, "x": list(mid)}],
+        }
     manifest = {
         "datum": args.datum,
         "envelope": envelope,
@@ -376,10 +384,7 @@ def _cmd_solve(args) -> int:
             "times": list(grid.times),
         },
         "params": {"dim": grid.dim, "s": args.s},
-        "residual": {
-            "max_abs": abs(residual),
-            "samples": [{"residual": residual, "t": t_res, "x": list(mid)}],
-        },
+        "residual": residual,
     }
     emit_table(manifest, os.path.join(args.out, "manifest.json"), "json")
     return 0

@@ -169,6 +169,8 @@ def _angular_rule(
     rules on a log grid of probe radii and refines until the difference is
     under tol or the level cap is hit.  Returns the finer rule and the last
     measured angular defect, which the caller folds into its error budget.
+    The 2-D rules nest, so a finer probe sum reuses the coarser one and
+    evaluates only the new, odd-indexed directions.
     """
     dirs, dwts = sphere_rule(u.dim, 0)  # refuses dim > 3 before the cap lookup
     cap = _MAX_LEVEL[u.dim]
@@ -180,10 +182,13 @@ def _angular_rule(
     level = 0
     defect = math.inf
     while True:
-        fine = _pair_sum(u, x, probes, *sphere_rule(u.dim, level + 1))
+        dirs, dwts = sphere_rule(u.dim, level + 1)
+        if u.dim == 2:
+            fine = 0.5 * coarse + _pair_sum(u, x, probes, dirs[1::2], dwts[1::2])
+        else:
+            fine = _pair_sum(u, x, probes, dirs, dwts)
         defect = float(np.sum(np.abs(fine - coarse) * probes ** (-2.0 * s)) * dlog)
         if defect <= tol or level + 1 >= cap:
-            dirs, dwts = sphere_rule(u.dim, level + 1)
             return dirs, dwts, defect
         coarse = fine
         level += 1

@@ -19,6 +19,16 @@ power series, averaged half-period panels for oscillatory data, and
 geometric panels out to an envelope-certified cutoff for everything
 else.  What the datum declares about itself (mean, oscillation scale,
 growth envelope) decides the route.
+
+In 2-D and 3-D the sphere integral P comes from a direction rule that is
+refined level by level, separately in two radial bands: the body
+r <= _CUT and the tail beyond it.  Each band refines until its own
+drift between consecutive levels falls under half the accuracy budget,
+or the level cap is reached, and the error estimate adds each band's
+last drift per point.  The radial nodes do not depend on the level, and
+the 2-D rule nests, so a 2-D band keeps its sphere sums and evaluates
+only the directions new to each finer level.  The 3-D product rule does
+not nest and is evaluated whole at every level.
 """
 
 from __future__ import annotations
@@ -254,6 +264,154 @@ def _pair_many(
     return out
 
 
+class _RadialBands:
+    """Scaled radial integral pref * int factor(r) P(x, t^(1/2s) r) dr.
+
+    The radial line splits at _CUT into a body band, tabulated profile
+    panels, and a tail band, whose route the datum's declarations pick.
+    Both bands start at the given angular level and keep their sphere
+    sums, so each can be refined on its own; the radial nodes never
+    depend on the level.
+    """
+
+    def __init__(
+        self,
+        u0: FunctionSpec,
+        pts: np.ndarray,
+        t: float,
+        params: KernelParams,
+        kind: str,
+        level: int,
+    ) -> None:
+        dim, s = params.dim, params.s
+        cfg = params.quad
+        tsc = t ** (1.0 / (2.0 * s))
+        area = float(np.sum(sphere_rule(dim, level)[1]))
+        factor, amp = _factor_tables(dim, s, kind)
+        pref = _TWO_PI ** (-0.5 * dim)
+        env = u0.envelope
+        mean = u0.tail_mean
+
+        osc = (u0.osc_scale or 0.0) * tsc
+        cap = 2.2 * math.pi / osc if osc > 0.0 else math.inf
+        edges = np.concatenate([np.linspace(0.0, 2.0, 17), np.geomspace(2.25, _CUT, 33)])
+        rs, ws = map(np.ravel, panel_rule(_cap_widths(edges, cap), 24))
+        fac = factor(rs) * ws
+
+        def body(surf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return pref * surf @ fac, _TABLE_REL * amp * pref * np.abs(surf) @ np.abs(fac)
+
+        surf = _pair_many(u0, pts, tsc * rs, *sphere_rule(dim, level))
+        body_part = body(surf)
+
+        # truncation must serve the least forgiving point of the batch, so
+        # the accuracy target follows the smallest value scale present
+        scale = 1.0 + float(np.min(np.abs(body_part[0])))
+        target = 0.25 * (cfg.abs_tol + cfg.rel_tol * scale)
+        self._const = area * mean * _mean_tail(dim, s, kind, _CUT) if mean != 0.0 else 0.0
+
+        if env.slope == 0.0 and osc > 0.0 and math.pi / osc <= 0.5 * _CUT:
+            # oscillation fast on the profile scale: half-period panels keep
+            # the envelope slowly varying per panel, then sequence averaging
+            h = math.pi / osc
+            edges_t = _CUT + h * np.arange(_OSC_PANELS + 1)
+            rs_t, ws_t = map(np.ravel, panel_rule(edges_t, 12))
+            fac_t = factor(rs_t) * ws_t
+
+            def tail(surf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                # one scratch array, worked in place and freed before the
+                # averaging: the band keeps its sums, and a 1-D residual
+                # batch reaches 2e4 points
+                work = surf - area * mean
+                work *= fac_t[None, :]
+                chunks = work.reshape(len(pts), _OSC_PANELS, 12).sum(axis=2)
+                del work
+                tail_vals, tail_errs = averaged_limit(np.cumsum(chunks, axis=1))
+                return pref * tail_vals, pref * tail_errs
+
+        else:
+            if env.slope > 0.0:
+                # growth certified by the envelope; push the cutoff until the
+                # analytic leftover drops under target, then integrate to it.
+                # Points share the panels but keep their own leftover bounds,
+                # so a batch mixing near and far points stays honest everywhere.
+                beta = env.power
+                bump = max(1.0, 2.0 ** (beta - 1.0))
+                xnorm = np.linalg.norm(pts, axis=1)
+                c0_vec = area * (env.amplitude + env.slope * bump * xnorm**beta + abs(mean))
+                c0 = float(np.max(c0_vec))
+                c1 = area * env.slope * bump * tsc**beta
+                radius = 4.0 * _CUT
+                while radius < _RADIUS_CAP:
+                    left = c0 * _abs_tail(dim, s, kind, radius) + c1 * _abs_tail(
+                        dim, s, kind, radius, beta
+                    )
+                    if left <= target:
+                        break
+                    radius *= 4.0
+                left = c0_vec * _abs_tail(dim, s, kind, radius) + c1 * _abs_tail(
+                    dim, s, kind, radius, beta
+                )
+                ratio = 1.7
+            else:
+                # slow or absent oscillation: geometric panels, widths still
+                # capped so any residual oscillation stays resolved
+                c_rest = area * (env.amplitude + abs(mean))
+                radius = 4.0 * _CUT
+                while radius < _RADIUS_CAP and c_rest * _abs_tail(dim, s, kind, radius) > target:
+                    radius *= 4.0
+                left = c_rest * _abs_tail(dim, s, kind, radius)
+                ratio = 1.4
+            n = max(4, int(math.ceil(math.log(radius / _CUT) / math.log(ratio))))
+            edges_t = _cap_widths(np.geomspace(_CUT, radius, n + 1), cap)
+            rs_t, ws_t = map(np.ravel, panel_rule(edges_t, 16))
+            fac_t = factor(rs_t) * ws_t
+
+            def tail(surf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                # one scratch array, worked in place, as on the other route
+                work = surf - area * mean
+                work *= pref
+                vals = work @ fac_t
+                np.subtract(surf, area * mean, out=work)
+                np.abs(work, out=work)
+                work *= _TABLE_REL * amp * pref
+                return vals, left + work @ np.abs(fac_t)
+
+        self._u0, self._pts, self._dim = u0, pts, dim
+        self._rhos = [tsc * rs, tsc * rs_t]
+        self._reduce = [body, tail]
+        self._sums = [surf, _pair_many(u0, pts, tsc * rs_t, *sphere_rule(dim, level))]
+        self._parts = [body_part, tail(self._sums[1])]
+        self.levels = [level, level]
+        # each band's last refinement step, per point
+        self.drifts = [0.0, 0.0]
+
+    def refine(self, band: int) -> None:
+        """Move one band to the next angular level and record its drift.
+
+        The 2-D rule nests, so its sums at the finer level are half the
+        kept ones plus the sums over the new, odd-indexed directions.
+        """
+        self.levels[band] += 1
+        dirs, dwts = sphere_rule(self._dim, self.levels[band])
+        if self._dim == 2:
+            fresh = _pair_many(self._u0, self._pts, self._rhos[band], dirs[1::2], dwts[1::2])
+            self._sums[band] = 0.5 * self._sums[band] + fresh
+        else:
+            self._sums[band] = _pair_many(self._u0, self._pts, self._rhos[band], dirs, dwts)
+        new = self._reduce[band](self._sums[band])
+        self.drifts[band] = np.abs(new[0] - self._parts[band][0])
+        self._parts[band] = new
+
+    def values(self) -> tuple[np.ndarray, np.ndarray]:
+        """Values and error estimates, the bands' last drifts included."""
+        (body_v, body_e), (tail_v, tail_e) = self._parts
+        if self._const != 0.0:
+            body_v = body_v + self._const
+        errs = body_e + tail_e + self.drifts[0] + self.drifts[1]
+        return body_v + tail_v, errs
+
+
 def _radial_convolve(
     u0: FunctionSpec,
     pts: np.ndarray,
@@ -262,86 +420,8 @@ def _radial_convolve(
     kind: str,
     level: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled radial integral pref * int factor(r) P(x, t^(1/2s) r) dr."""
-    dim, s = params.dim, params.s
-    cfg = params.quad
-    tsc = t ** (1.0 / (2.0 * s))
-    dirs, dwts = sphere_rule(dim, level)
-    area = float(np.sum(dwts))
-    factor, amp = _factor_tables(dim, s, kind)
-    pref = _TWO_PI ** (-0.5 * dim)
-    env = u0.envelope
-    mean = u0.tail_mean
-
-    osc = (u0.osc_scale or 0.0) * tsc
-    cap = 2.2 * math.pi / osc if osc > 0.0 else math.inf
-    edges = np.concatenate([np.linspace(0.0, 2.0, 17), np.geomspace(2.25, _CUT, 33)])
-    rs, ws = map(np.ravel, panel_rule(_cap_widths(edges, cap), 24))
-    fac = factor(rs) * ws
-    surf = _pair_many(u0, pts, tsc * rs, dirs, dwts)
-    vals = pref * surf @ fac
-    errs = _TABLE_REL * amp * pref * np.abs(surf) @ np.abs(fac)
-
-    # truncation must serve the least forgiving point of the batch, so
-    # the accuracy target follows the smallest value scale present
-    scale = 1.0 + float(np.min(np.abs(vals)))
-    target = 0.25 * (cfg.abs_tol + cfg.rel_tol * scale)
-
-    if mean != 0.0:
-        vals += area * mean * _mean_tail(dim, s, kind, _CUT)
-
-    if env.slope == 0.0 and osc > 0.0 and math.pi / osc <= 0.5 * _CUT:
-        # oscillation fast on the profile scale: half-period panels keep
-        # the envelope slowly varying per panel, then sequence averaging
-        h = math.pi / osc
-        edges_t = _CUT + h * np.arange(_OSC_PANELS + 1)
-        rs_t, ws_t = map(np.ravel, panel_rule(edges_t, 12))
-        fac_t = factor(rs_t) * ws_t
-        surf_t = _pair_many(u0, pts, tsc * rs_t, dirs, dwts) - area * mean
-        chunks = (surf_t * fac_t[None, :]).reshape(len(pts), _OSC_PANELS, 12).sum(axis=2)
-        tail_vals, tail_errs = averaged_limit(np.cumsum(chunks, axis=1))
-        return vals + pref * tail_vals, errs + pref * tail_errs
-
-    if env.slope > 0.0:
-        # growth certified by the envelope; push the cutoff until the
-        # analytic leftover drops under target, then integrate to it.
-        # Points share the panels but keep their own leftover bounds, so
-        # a batch mixing near and far points stays honest everywhere.
-        beta = env.power
-        bump = max(1.0, 2.0 ** (beta - 1.0))
-        xnorm = np.linalg.norm(pts, axis=1)
-        c0_vec = area * (env.amplitude + env.slope * bump * xnorm**beta + abs(mean))
-        c0 = float(np.max(c0_vec))
-        c1 = area * env.slope * bump * tsc**beta
-        radius = 4.0 * _CUT
-        while radius < _RADIUS_CAP:
-            left = c0 * _abs_tail(dim, s, kind, radius) + c1 * _abs_tail(
-                dim, s, kind, radius, beta
-            )
-            if left <= target:
-                break
-            radius *= 4.0
-        left = c0_vec * _abs_tail(dim, s, kind, radius) + c1 * _abs_tail(
-            dim, s, kind, radius, beta
-        )
-        ratio = 1.7
-    else:
-        # slow or absent oscillation: geometric panels, widths still
-        # capped so any residual oscillation stays resolved
-        c_rest = area * (env.amplitude + abs(mean))
-        radius = 4.0 * _CUT
-        while radius < _RADIUS_CAP and c_rest * _abs_tail(dim, s, kind, radius) > target:
-            radius *= 4.0
-        left = c_rest * _abs_tail(dim, s, kind, radius)
-        ratio = 1.4
-    n = max(4, int(math.ceil(math.log(radius / _CUT) / math.log(ratio))))
-    edges_t = _cap_widths(np.geomspace(_CUT, radius, n + 1), cap)
-    rs_t, ws_t = map(np.ravel, panel_rule(edges_t, 16))
-    fac_t = factor(rs_t) * ws_t
-    surf_t = _pair_many(u0, pts, tsc * rs_t, dirs, dwts) - area * mean
-    vals += pref * surf_t @ fac_t
-    errs += left + _TABLE_REL * amp * pref * np.abs(surf_t) @ np.abs(fac_t)
-    return vals, errs
+    """The scaled radial integral with both bands at one angular level."""
+    return _RadialBands(u0, pts, t, params, kind, level).values()
 
 
 def require_admissible(u0: FunctionSpec, s: float) -> None:
@@ -367,18 +447,21 @@ def _solve_batch(
         vals, errs = _radial_convolve(u0, pts, t, params, kind, 0)
     else:
         cfg = params.quad
-        lvl = 2 if params.dim == 2 else 1
         # the sphere rule refuses dim > 3 before the cap lookup
-        vals, errs = _radial_convolve(u0, pts, t, params, kind, lvl)
+        bands = _RadialBands(u0, pts, t, params, kind, 2 if params.dim == 2 else 1)
         top = _MAX_ANGULAR[params.dim]
-        while True:
-            nxt_v, nxt_e = _radial_convolve(u0, pts, t, params, kind, lvl + 1)
-            drift = float(np.max(np.abs(nxt_v - vals)))
-            scale = 1.0 + float(np.max(np.abs(nxt_v)))
-            vals, errs = nxt_v, nxt_e + drift
-            lvl += 1
-            if drift <= 0.5 * (cfg.abs_tol + cfg.rel_tol * scale) or lvl >= top:
-                break
+        active = [0, 1]
+        while active:
+            for band in active:
+                bands.refine(band)
+            vals, _ = bands.values()
+            half_budget = 0.5 * (cfg.abs_tol + cfg.rel_tol * (1.0 + float(np.max(np.abs(vals)))))
+            active = [
+                band
+                for band in active
+                if bands.levels[band] < top and float(np.max(bands.drifts[band])) > half_budget
+            ]
+        vals, errs = bands.values()
     if kind == "rate":
         return vals / t, errs / t
     return vals, errs
@@ -493,18 +576,32 @@ def pde_residual(u0: FunctionSpec, x, t: float, params: KernelParams) -> float:
 def residual_with_estimate(
     u0: FunctionSpec, x, t: float, params: KernelParams
 ) -> tuple[float, float]:
-    """The residual together with its accumulated error estimate."""
+    """The residual together with its accumulated error estimate.
+
+    Only 1-D is supported.  In 2-D and 3-D the operator term would solve
+    one batch of every stencil and mid-range point in each direction
+    (7.4e6 points for cosine:1 in 2-D and 1.0e6 for gaussian:1 in 3-D,
+    both at s = 0.6), and
+    that solve allocates a points x radii array, so those dimensions are
+    refused before any work starts.
+    """
     if t <= 0.0:
         raise ValueError("the residual needs t > 0")
-    require_admissible(u0, params.s)
     dim, s = params.dim, params.s
+    if dim > 1:
+        m = len(sphere_rule(dim, 3 if dim == 2 else 2)[0])
+        raise ValueError(
+            f"the residual is implemented for dim 1 only; in dim {dim} its operator "
+            f"term needs 2 x {m} solution values per mid-range radius, one batch of "
+            "millions of points whose solve allocates a points x radii array"
+        )
+    require_admissible(u0, params.s)
     pt = np.atleast_1d(np.asarray(x, dtype=float))
     if pt.shape != (dim,):
         raise ValueError(f"point must have shape ({dim},)")
     ut, ut_err = _time_derivative_impl(u0, pt, t, params)
 
-    level = 0 if dim == 1 else (3 if dim == 2 else 2)
-    dirs, dwts = sphere_rule(dim, level)
+    dirs, dwts = sphere_rule(dim, 0)
     area = float(np.sum(dwts))
     pref = 0.5 * riesz_constant(dim, s)
     r_near = 0.5

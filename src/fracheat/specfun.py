@@ -161,12 +161,19 @@ def sphere_rule(dim: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     integrates the full sphere: the weights sum to the sphere's area.
     Each refinement level doubles the angular resolution.  The arrays are
     shared between callers and must not be modified.
+
+    In 2-D the rule is the periodic trapezoid rule at angles j * pi / m,
+    which nests: the directions of level L are the even-indexed
+    directions of level L + 1, each with twice the weight, so the sums
+    of level L + 1 are half those of level L plus the sums over its
+    odd-indexed directions.  The 3-D product rule (Gauss-Legendre in the
+    polar cosine, midpoint in the azimuth) does not nest.
     """
     if dim == 1:
         return np.array([[1.0]]), np.array([2.0])
     if dim == 2:
         m = 24 << level
-        th = (np.arange(m) + 0.5) * math.pi / m
+        th = np.arange(m) * math.pi / m
         dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
         return dirs, np.full(m, 2.0 * math.pi / m)
     if dim == 3:

@@ -277,6 +277,17 @@ class TestSolveCommand:
         assert code == 2
         assert "lo:hi:count" in capsys.readouterr().err
 
+    def test_refused_residual_still_writes_the_manifest(self, tmp_path):
+        # the ruled family declares no curvature decay, and the residual
+        # covers 1-D only; either refusal is recorded, not fatal
+        code = main(["solve", "--datum", "ruled:1.2", "--s", "0.75",
+                     "--grid=-1:1:3,-1:1:3", "--times", "0.5",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert "dim 1 only" in manifest["residual"]["unavailable"]
+        assert (tmp_path / "solution.csv").is_file()
+
     def test_four_dimensional_grid_exits_two(self, tmp_path, capsys):
         code = main(["solve", "--datum", "gaussian:1", "--s", "0.75",
                      "--grid=0:1:2,0:1:2,0:1:2,0:1:2", "--times", "0.5",

@@ -1,5 +1,6 @@
 """Solver tests: grids, the canonical flow, diagnostics, classical comparison."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from fracheat import families as fam
 from fracheat.kernel import KernelParams
 from fracheat.solver import (
+    _MAX_ANGULAR,
+    _radial_convolve,
     EnvelopeTrace,
     GridSpec,
     SolutionField,
@@ -342,6 +345,57 @@ def test_dimension_above_three_is_refused():
         solve_canonical(fam.gaussian(1.0, dim=4), grid, KernelParams(dim=4, s=0.75))
 
 
+class TestAngularRefinement:
+    PAR_2D = KernelParams(dim=2, s=0.75)
+
+    @pytest.mark.parametrize(
+        "u0, grid",
+        [
+            # the geosol ruled grid
+            (
+                fam.ruled(1.2, dim=2),
+                GridSpec(2, ((-2.0, 2.0), (-2.0, 2.0)), (9, 5), (0.5, 1.0, 2.0)),
+            ),
+            (
+                fam.cosine(1.0, dim=2),
+                GridSpec(2, ((-1.7, 2.3), (-2.2, 1.8)), (5, 5), (0.5, 1.0)),
+            ),
+        ],
+        ids=["ruled", "cosine"],
+    )
+    def test_error_estimate_bounds_gap_to_finest_rule(self, u0, grid):
+        sol = solve_canonical(u0, grid, self.PAR_2D)
+        pts = grid.nodes()
+        for ti, t in enumerate(grid.times):
+            ref, _ = _radial_convolve(u0, pts, t, self.PAR_2D, "mass", _MAX_ANGULAR[2])
+            gap = np.abs(sol.values[ti] - ref)
+            assert np.all(gap <= sol.error_estimates[ti])
+
+    def test_each_direction_is_evaluated_once_per_batch(self):
+        # a point seen twice in one batch means a refinement level redid
+        # the directions its nested coarser rule had already evaluated.
+        # Points are sampled by a hash of their bits, so repeats of a
+        # point are always kept or dropped together.  Distinct (node,
+        # radius, direction) triples must not share a point either: the
+        # grid spacings are no sum of two radial nodes, and far out, where
+        # the node offsets drown in rounding, points are not compared.
+        u0 = fam.ruled(1.2, dim=2)
+        sampled, total = [], [0]
+
+        def counting(pts):
+            bits = np.ascontiguousarray(pts).view(np.uint64)
+            near = np.max(np.abs(pts), axis=1) < 1e6
+            sampled.append(pts[near & ((bits[:, 0] ^ bits[:, 1]) % 64 == 0)])
+            total[0] += int(np.count_nonzero(near))
+            return u0.value(pts)
+
+        grid = GridSpec(2, ((-1.3, 1.8), (-1.1, 2.1)), (3, 3), (1.0,))
+        solve_canonical(dataclasses.replace(u0, value=counting), grid, self.PAR_2D)
+        rows = np.concatenate(sampled)
+        assert len(rows) > total[0] // 100
+        assert len(np.unique(rows, axis=0)) == len(rows)
+
+
 class TestResidual:
     @pytest.mark.parametrize(
         "u0, x, t, params, tol",
@@ -369,6 +423,25 @@ class TestResidual:
         )
         assert abs(val) <= 1e-3
         assert est <= 1e-3
+
+    @pytest.mark.parametrize(
+        "u0, dim", [(fam.cosine(1.0, dim=2), 2), (fam.gaussian(1.0, dim=3), 3)]
+    )
+    def test_multi_dim_is_refused_before_any_work(self, u0, dim):
+        calls = []
+
+        def counting(pts):
+            calls.append(len(pts))
+            return u0.value(pts)
+
+        with pytest.raises(ValueError, match=f"in dim {dim}"):
+            residual_with_estimate(
+                dataclasses.replace(u0, value=counting),
+                np.zeros(dim),
+                0.5,
+                KernelParams(dim=dim, s=0.6),
+            )
+        assert calls == []
 
     def test_plain_and_estimated_forms_agree(self):
         args = (fam.cosine(1.0), np.array([0.3]), 0.8, PAR_06)

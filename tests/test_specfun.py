@@ -123,6 +123,15 @@ def test_sphere_rule_area_and_unit_directions(dim, level):
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("level", range(6))
+def test_two_dim_sphere_rule_nests(level):
+    # the solver and the operator reuse level L's sums at level L + 1
+    coarse, coarse_w = sphere_rule(2, level)
+    fine, fine_w = sphere_rule(2, level + 1)
+    assert np.array_equal(fine[::2], coarse)
+    assert np.array_equal(2.0 * fine_w[::2], coarse_w)
+
+
 def test_sphere_rule_refuses_dim_above_three():
     with pytest.raises(ValueError, match="dim <= 3"):
         sphere_rule(4, 0)
