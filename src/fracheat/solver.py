@@ -589,11 +589,10 @@ def residual_with_estimate(
         raise ValueError("the residual needs t > 0")
     dim, s = params.dim, params.s
     if dim > 1:
-        m = len(sphere_rule(dim, 3 if dim == 2 else 2)[0])
         raise ValueError(
             f"the residual is implemented for dim 1 only; in dim {dim} its operator "
-            f"term needs 2 x {m} solution values per mid-range radius, one batch of "
-            "millions of points whose solve allocates a points x radii array"
+            "term needs one solve of millions of stencil and mid-range points, "
+            "which allocates a points x radii array"
         )
     require_admissible(u0, params.s)
     pt = np.atleast_1d(np.asarray(x, dtype=float))
