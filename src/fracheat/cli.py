@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -185,8 +186,10 @@ def emit_table(data, path: Optional[str], format: str = "csv") -> None:
 
     CSV carries a header row, decimals with 17 significant digits, and
     a newline after every row including the last; JSON is sorted-key,
-    two-space indented, newline-terminated.  Either way identical data
-    produces identical bytes.  A path of None writes to stdout.
+    two-space indented, newline-terminated, and a non-finite number in
+    it is refused with a ValueError, since JSON has no NaN or infinity.
+    Either way identical data produces identical bytes.  A path of None
+    writes to stdout.
     """
     if format == "csv":
         headers, rows = data
@@ -197,7 +200,7 @@ def emit_table(data, path: Optional[str], format: str = "csv") -> None:
             writer.writerow([_cell(v) for v in row])
         payload = buf.getvalue()
     elif format == "json":
-        payload = json.dumps(data, sort_keys=True, indent=2) + "\n"
+        payload = json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
     else:
         raise ValueError("format must be csv or json")
     if path is None:
@@ -584,6 +587,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return handlers[args.command](args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:  # an unforeseen failure: keep its traceback, exit 2
+        traceback.print_exc()
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
 

@@ -401,6 +401,8 @@ def _prepare(
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if xa.shape != (u.dim,):
         raise ValueError(f"point shape {xa.shape} does not match dim={u.dim}")
+    if not np.all(np.isfinite(xa)):
+        raise ValueError(f"point x must be finite, got {xa.tolist()}")
     if not u.envelope.admissible_for(s):
         raise ValueError(
             f"growth envelope |u| <= {u.envelope.amplitude:g} + "

@@ -72,6 +72,8 @@ def _as_point(x, dim: int) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.shape != (dim,):
         raise ValueError(f"point must have exactly {dim} coordinates, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"point x must be finite, got {arr.tolist()}")
     return arr
 
 

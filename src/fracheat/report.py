@@ -81,7 +81,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     @classmethod
     def from_dict(cls, d: dict) -> "VerificationReport":

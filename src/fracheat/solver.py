@@ -29,6 +29,15 @@ last drift per point.  The radial nodes do not depend on the level, and
 the 2-D rule nests, so a 2-D band keeps its sphere sums and evaluates
 only the directions new to each finer level.  The 3-D product rule does
 not nest and is evaluated whole at every level.
+
+Each band works through a batch in blocks of _NODE_BLOCK points: a
+block's sphere sums are evaluated and reduced to values and estimates
+before the next block's are formed, so the points x radii sums never
+exist for the whole batch at once.  1-D never refines and keeps no sums;
+a 2-D or 3-D band keeps each block's sums for the next level.  What
+serves the whole batch (the accuracy target from its smallest body
+value, the growth constant of its farthest point) is still decided over
+the whole batch, so the block size changes no number.
 """
 
 from __future__ import annotations
@@ -53,6 +62,9 @@ _CUT = 30.0  # scaled radius where the profile's power series takes over
 _OSC_PANELS = 88
 _RADIUS_CAP = 1e35
 _CHUNK = 1_500_000
+# points per block, in solve jobs and in a band's sweep; a power of two,
+# so block edges fall on the row groups of the matrix-vector kernels and
+# each row's reduction is bit for bit the one of the unblocked product
 _NODE_BLOCK = 512
 _MAX_ANGULAR = {2: 6, 3: 3}
 # relative accuracy envelope of the tabulated profiles
@@ -269,8 +281,9 @@ class _RadialBands:
 
     The radial line splits at _CUT into a body band, tabulated profile
     panels, and a tail band, whose route the datum's declarations pick.
-    Both bands start at the given angular level and keep their sphere
-    sums, so each can be refined on its own; the radial nodes never
+    Both bands start at the given angular level and sweep the points in
+    blocks of _NODE_BLOCK.  In 2-D and 3-D they keep each block's sphere
+    sums, so each band can be refined on its own; the radial nodes never
     depend on the level.
     """
 
@@ -298,11 +311,16 @@ class _RadialBands:
         rs, ws = map(np.ravel, panel_rule(_cap_widths(edges, cap), 24))
         fac = factor(rs) * ws
 
-        def body(surf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        def body(surf: np.ndarray, sl: slice) -> tuple[np.ndarray, np.ndarray]:
             return pref * surf @ fac, _TABLE_REL * amp * pref * np.abs(surf) @ np.abs(fac)
 
-        surf = _pair_many(u0, pts, tsc * rs, *sphere_rule(dim, level))
-        body_part = body(surf)
+        self._u0, self._pts, self._dim, self._start = u0, pts, dim, level
+        self._blocks = [slice(lo, lo + _NODE_BLOCK) for lo in range(0, len(pts), _NODE_BLOCK)]
+        self._sums = [[None] * len(self._blocks) for _ in range(2)] if dim > 1 else None
+        self._rhos = [tsc * rs]
+        self._reduce = [body]
+        self.levels = [level, level]
+        body_part = self._sweep(0)
 
         # truncation must serve the least forgiving point of the batch, so
         # the accuracy target follows the smallest value scale present
@@ -318,15 +336,9 @@ class _RadialBands:
             rs_t, ws_t = map(np.ravel, panel_rule(edges_t, 12))
             fac_t = factor(rs_t) * ws_t
 
-            def tail(surf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                # one scratch array, worked in place and freed before the
-                # averaging: the band keeps its sums, and a 1-D residual
-                # batch reaches 2e4 points
-                work = surf - area * mean
-                work *= fac_t[None, :]
-                chunks = work.reshape(len(pts), _OSC_PANELS, 12).sum(axis=2)
-                del work
-                tail_vals, tail_errs = averaged_limit(np.cumsum(chunks, axis=1))
+            def tail(surf: np.ndarray, sl: slice) -> tuple[np.ndarray, np.ndarray]:
+                chunks = ((surf - area * mean) * fac_t).reshape(len(surf), _OSC_PANELS, 12)
+                tail_vals, tail_errs = averaged_limit(np.cumsum(chunks.sum(axis=2), axis=1))
                 return pref * tail_vals, pref * tail_errs
 
         else:
@@ -360,46 +372,52 @@ class _RadialBands:
                 radius = 4.0 * _CUT
                 while radius < _RADIUS_CAP and c_rest * _abs_tail(dim, s, kind, radius) > target:
                     radius *= 4.0
-                left = c_rest * _abs_tail(dim, s, kind, radius)
+                left = np.full(len(pts), c_rest * _abs_tail(dim, s, kind, radius))
                 ratio = 1.4
             n = max(4, int(math.ceil(math.log(radius / _CUT) / math.log(ratio))))
             edges_t = _cap_widths(np.geomspace(_CUT, radius, n + 1), cap)
             rs_t, ws_t = map(np.ravel, panel_rule(edges_t, 16))
             fac_t = factor(rs_t) * ws_t
 
-            def tail(surf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                # one scratch array, worked in place, as on the other route
-                work = surf - area * mean
-                work *= pref
-                vals = work @ fac_t
-                np.subtract(surf, area * mean, out=work)
-                np.abs(work, out=work)
-                work *= _TABLE_REL * amp * pref
-                return vals, left + work @ np.abs(fac_t)
+            def tail(surf: np.ndarray, sl: slice) -> tuple[np.ndarray, np.ndarray]:
+                rest = surf - area * mean
+                errs = _TABLE_REL * amp * pref * np.abs(rest) @ np.abs(fac_t)
+                return pref * rest @ fac_t, left[sl] + errs
 
-        self._u0, self._pts, self._dim = u0, pts, dim
-        self._rhos = [tsc * rs, tsc * rs_t]
-        self._reduce = [body, tail]
-        self._sums = [surf, _pair_many(u0, pts, tsc * rs_t, *sphere_rule(dim, level))]
-        self._parts = [body_part, tail(self._sums[1])]
-        self.levels = [level, level]
+        self._rhos.append(tsc * rs_t)
+        self._reduce.append(tail)
+        self._parts = [body_part, self._sweep(1)]
         # each band's last refinement step, per point
         self.drifts = [0.0, 0.0]
 
-    def refine(self, band: int) -> None:
-        """Move one band to the next angular level and record its drift.
+    def _sweep(self, band: int) -> tuple[np.ndarray, np.ndarray]:
+        """One band's values and estimates at its level, block by block.
 
-        The 2-D rule nests, so its sums at the finer level are half the
-        kept ones plus the sums over the new, odd-indexed directions.
+        The 2-D rule nests, so past the starting level a block's sums are
+        half the kept ones plus the sums over the new, odd-indexed
+        directions.
         """
+        level = self.levels[band]
+        dirs, dwts = sphere_rule(self._dim, level)
+        nested = self._dim == 2 and level > self._start
+        vals, errs = [], []
+        for i, sl in enumerate(self._blocks):
+            if nested:
+                fresh = _pair_many(self._u0, self._pts[sl], self._rhos[band], dirs[1::2], dwts[1::2])
+                surf = 0.5 * self._sums[band][i] + fresh
+            else:
+                surf = _pair_many(self._u0, self._pts[sl], self._rhos[band], dirs, dwts)
+            if self._sums is not None:
+                self._sums[band][i] = surf
+            v, e = self._reduce[band](surf, sl)
+            vals.append(v)
+            errs.append(e)
+        return np.concatenate(vals), np.concatenate(errs)
+
+    def refine(self, band: int) -> None:
+        """Move one band to the next angular level and record its drift."""
         self.levels[band] += 1
-        dirs, dwts = sphere_rule(self._dim, self.levels[band])
-        if self._dim == 2:
-            fresh = _pair_many(self._u0, self._pts, self._rhos[band], dirs[1::2], dwts[1::2])
-            self._sums[band] = 0.5 * self._sums[band] + fresh
-        else:
-            self._sums[band] = _pair_many(self._u0, self._pts, self._rhos[band], dirs, dwts)
-        new = self._reduce[band](self._sums[band])
+        new = self._sweep(band)
         self.drifts[band] = np.abs(new[0] - self._parts[band][0])
         self._parts[band] = new
 
@@ -467,6 +485,15 @@ def _solve_batch(
     return vals, errs
 
 
+def _as_point(x, dim: int) -> np.ndarray:
+    pt = np.atleast_1d(np.asarray(x, dtype=float))
+    if pt.shape != (dim,):
+        raise ValueError(f"point must have shape ({dim},)")
+    if not np.all(np.isfinite(pt)):
+        raise ValueError(f"point x must be finite, got {pt.tolist()}")
+    return pt
+
+
 def _resolve_workers(workers: int | None) -> int:
     if workers is not None:
         return max(1, int(workers))
@@ -530,9 +557,7 @@ def solution_at(
 ) -> tuple[float, float]:
     """Single-point solution value with its error estimate."""
     require_admissible(u0, params.s)
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if pt.shape != (params.dim,):
-        raise ValueError(f"point must have shape ({params.dim},)")
+    pt = _as_point(x, params.dim)
     if t == 0.0:
         return float(u0.at(pt)), 0.0
     vals, errs = _solve_batch(u0, pt[None, :], t, params)
@@ -551,9 +576,7 @@ def _time_derivative_impl(
     if t <= 0.0:
         raise ValueError("the time derivative needs t > 0")
     require_admissible(u0, params.s)
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if pt.shape != (params.dim,):
-        raise ValueError(f"point must have shape ({params.dim},)")
+    pt = _as_point(x, params.dim)
     vals, errs = _solve_batch(u0, pt[None, :], t, params, kind="rate")
     return float(vals[0]), float(errs[0])
 
@@ -578,12 +601,14 @@ def residual_with_estimate(
 ) -> tuple[float, float]:
     """The residual together with its accumulated error estimate.
 
-    Only 1-D is supported.  In 2-D and 3-D the operator term would solve
-    one batch of every stencil and mid-range point in each direction
-    (7.4e6 points for cosine:1 in 2-D and 1.0e6 for gaussian:1 in 3-D,
-    both at s = 0.6), and
-    that solve allocates a points x radii array, so those dimensions are
-    refused before any work starts.
+    Only 1-D is supported.  There the operator term is one batch of every
+    stencil and mid-range point (19,495 for cosine:1 at s = 0.6), which
+    the convolution works through in blocks of _NODE_BLOCK points, so its
+    memory does not grow with the batch.  In 2-D and 3-D that batch has
+    7.4e6 points (cosine:1) and 1.0e6 points (gaussian:1), both at
+    s = 0.6, and its sphere sums need over 1e12 datum evaluations at the
+    starting angular level, so those dimensions are refused before any
+    work starts.
     """
     if t <= 0.0:
         raise ValueError("the residual needs t > 0")
@@ -592,12 +617,10 @@ def residual_with_estimate(
         raise ValueError(
             f"the residual is implemented for dim 1 only; in dim {dim} its operator "
             "term needs one solve of millions of stencil and mid-range points, "
-            "which allocates a points x radii array"
+            "over 1e12 datum evaluations"
         )
     require_admissible(u0, params.s)
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if pt.shape != (dim,):
-        raise ValueError(f"point must have shape ({dim},)")
+    pt = _as_point(x, dim)
     ut, ut_err = _time_derivative_impl(u0, pt, t, params)
 
     dirs, dwts = sphere_rule(dim, 0)
@@ -775,9 +798,7 @@ def initial_continuity_check(
     dominates the final gap for any datum with a nonzero gradient.
     """
     require_admissible(u0, params.s)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (params.dim,):
-        raise ValueError(f"point must have shape ({params.dim},)")
+    x0 = _as_point(x0, params.dim)
     if steps < 3:
         raise ValueError("need at least three steps")
     target = float(u0.at(x0))

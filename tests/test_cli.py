@@ -104,6 +104,16 @@ class TestEmitTable:
         with pytest.raises(OSError, match="t.csv"):
             emit_table((["x"], []), target)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_json_refuses_non_finite_numbers(self, value, capsys):
+        with pytest.raises(ValueError):
+            emit_table({"v": value}, None, format="json")
+        rep = VerificationReport(suite="s")
+        rep.add(name="c", measured=value, bound=0.0, tolerance=0.0, passed=False)
+        with pytest.raises(ValueError):
+            rep.to_json()
+        assert capsys.readouterr().out == ""
+
     @settings(max_examples=200, deadline=None)
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_float_cells_round_trip_exactly(self, value):
@@ -235,6 +245,23 @@ class TestFraclapCommand:
                      "--s", "0.6"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["outcome"] == "identically-zero"
+
+    @pytest.mark.parametrize("x", ["nan", "inf"])
+    def test_non_finite_point_exits_two_without_output(self, x, capsys):
+        code = main(["fraclap", "eval", "--function", "cosine:1", "--s", "0.6", "--x", x])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "NaN" not in captured.out and "Infinity" not in captured.out
+        assert "finite" in captured.err
+
+    def test_unexpected_error_exits_two_with_a_message(self, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("fracheat.cli.frac_laplacian", boom)
+        code = main(["fraclap", "eval", "--function", "cosine:1", "--s", "0.6"])
+        assert code == 2
+        assert "RuntimeError: boom" in capsys.readouterr().err
 
     def test_vanish_check_control_fails(self, capsys):
         code = main(["fraclap", "vanish-check", "--function", "cosine:1",

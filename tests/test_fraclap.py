@@ -379,6 +379,11 @@ class TestRejection:
         with pytest.raises(ValueError, match="dim <= 3"):
             frac_laplacian(fam.gaussian(1.0, dim=4), np.zeros(4), 0.75)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point(self, x):
+        with pytest.raises(ValueError, match="point x must be finite"):
+            frac_laplacian(fam.cosine(1.0), [x], 0.6)
+
 
 class TestTranslation:
     def test_shifted_gaussian(self):

@@ -128,6 +128,12 @@ def test_kernel_rejects_wrong_point_shape():
         heat_kernel(KernelParams(dim=2, s=0.6), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_kernel_rejects_non_finite_point(x):
+    with pytest.raises(ValueError, match="point x must be finite"):
+        heat_kernel(KernelParams(dim=1, s=0.6), [x], 1.0)
+
+
 def test_scaling_identity():
     rng = np.random.default_rng(11)
     for dim, s in [(1, 0.3), (1, 0.9), (2, 0.6), (3, 0.75)]:

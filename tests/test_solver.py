@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracheat import families as fam
-from fracheat.kernel import KernelParams
+from fracheat import solver
+from fracheat.kernel import KernelParams, profile_table
 from fracheat.solver import (
     _MAX_ANGULAR,
     _radial_convolve,
+    _solve_batch,
     EnvelopeTrace,
     GridSpec,
     SolutionField,
@@ -339,6 +342,17 @@ def test_nan_time_is_refused(entry):
         entry(fam.cosine(1.0), np.array([0.3]), math.nan, PAR_06)
 
 
+@pytest.mark.parametrize("entry", [solution_at, time_derivative, pde_residual])
+def test_non_finite_point_is_refused(entry):
+    with pytest.raises(ValueError, match="point x must be finite"):
+        entry(fam.cosine(1.0), np.array([math.nan]), 1.0, PAR_06)
+
+
+def test_non_finite_start_point_is_refused():
+    with pytest.raises(ValueError, match="point x must be finite"):
+        initial_continuity_check(fam.cosine(1.0), [math.inf], PAR_06)
+
+
 def test_dimension_above_three_is_refused():
     grid = GridSpec(dim=4, box=((0.0, 1.0),) * 4, counts=(2,) * 4, times=(0.5,))
     with pytest.raises(ValueError, match="dim <= 3"):
@@ -446,6 +460,52 @@ class TestResidual:
     def test_plain_and_estimated_forms_agree(self):
         args = (fam.cosine(1.0), np.array([0.3]), 0.8, PAR_06)
         assert pde_residual(*args) == residual_with_estimate(*args)[0]
+
+
+class TestPointBlocks:
+    # blocks of 32 points: a power of two like _NODE_BLOCK, so a block
+    # boundary never splits the row groups of the matrix-vector products
+    @pytest.mark.parametrize("kind", ["mass", "rate"])
+    @pytest.mark.parametrize(
+        "u0",
+        [fam.cosine(1.0), fam.abs_power(1.2), fam.gaussian(1.0)],
+        ids=["oscillatory-route", "growth-route", "slow-route"],
+    )
+    def test_blocking_changes_no_bit(self, u0, kind, monkeypatch):
+        pts = np.linspace(-40.0, 40.0, 101)[:, None]
+        monkeypatch.setattr(solver, "_NODE_BLOCK", len(pts) + 1)
+        whole = _solve_batch(u0, pts, 0.7, PAR_075, kind)
+        monkeypatch.setattr(solver, "_NODE_BLOCK", 32)
+        blocked = _solve_batch(u0, pts, 0.7, PAR_075, kind)
+        assert np.array_equal(whole[0], blocked[0])
+        assert np.array_equal(whole[1], blocked[1])
+
+    def test_refined_bands_agree_across_blocks(self, monkeypatch):
+        # 2-D sphere sums are formed in radius chunks whose size follows
+        # the block's point count, so their last bits may move; each
+        # block's refinement must still build on its own kept sums
+        u0, params = fam.cosine(1.0, dim=2), KernelParams(dim=2, s=0.75)
+        pts = np.linspace(-40.0, 40.0, 24).reshape(12, 2)
+        monkeypatch.setattr(solver, "_NODE_BLOCK", len(pts) + 1)
+        whole = _solve_batch(u0, pts, 0.7, params)
+        monkeypatch.setattr(solver, "_NODE_BLOCK", 4)
+        blocked = _solve_batch(u0, pts, 0.7, params)
+        scale = float(np.max(np.abs(whole[0])))
+        assert np.allclose(whole[0], blocked[0], rtol=0.0, atol=1e-14 * scale)
+        assert np.allclose(whole[1], blocked[1], rtol=0.0, atol=1e-14 * scale)
+
+    def test_residual_memory_stays_bounded(self):
+        # its operator term is one batch of 19,495 points; held whole, its
+        # sphere sums peaked at 503 MiB
+        profile_table(1, 0.6)
+        profile_table(3, 0.6)
+        tracemalloc.start()
+        try:
+            residual_with_estimate(fam.cosine(1.0), np.array([0.7]), 0.8, PAR_06)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
 
 
 class TestEnvelopePropagation:
