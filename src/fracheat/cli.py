@@ -156,6 +156,10 @@ def parse_config(text: str) -> RunConfig:
     outside (0, 1), or a datum growing too fast for that order is
     rejected with the offending field named.
     """
+    return _build_config(_decode_config(text))
+
+
+def _decode_config(text: str) -> dict:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -164,7 +168,7 @@ def parse_config(text: str) -> RunConfig:
         ) from None
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
-    return _build_config(raw)
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +404,11 @@ def _cmd_verify(args) -> int:
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
+                raw = _decode_config(fh.read())
         except OSError as e:
             raise OSError(f"{args.config}: {e}") from None
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ValueError("config must be a JSON object")
+        except ValueError as e:
+            raise ValueError(f"{args.config}: {e}") from None
     # flags override file values
     for key, val in (
         ("dim", args.dim),

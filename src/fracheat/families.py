@@ -21,6 +21,8 @@ import numpy as np
 __all__ = [
     "GrowthEnvelope",
     "FunctionSpec",
+    "as_point",
+    "require_admissible",
     "constant",
     "affine",
     "cosine",
@@ -114,10 +116,36 @@ class FunctionSpec:
 
     def at(self, point: Sequence[float] | float) -> float:
         """Value at a single point given as a scalar (1-D) or coordinate sequence."""
-        p = np.atleast_1d(np.asarray(point, dtype=float))
-        if p.shape != (self.dim,):
-            raise ValueError(f"point shape {p.shape} does not match dim={self.dim}")
-        return float(self.value(p[np.newaxis, :])[0])
+        return float(self.value(as_point(point, self.dim)[np.newaxis, :])[0])
+
+
+def as_point(x, dim: int) -> np.ndarray:
+    """One point of R^dim as a float array of shape (dim,), refusing non-finite input.
+
+    The shared check of every public entry point that takes a single point;
+    a scalar is accepted in 1-D.
+    """
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if arr.shape != (dim,):
+        raise ValueError(f"point must have exactly {dim} coordinates, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"point x must be finite, got {arr.tolist()}")
+    return arr
+
+
+def require_admissible(u: FunctionSpec, s: float) -> None:
+    """Refuse data whose growth envelope is not integrable against order s.
+
+    The shared growth check of the operator and the solver: both integrate
+    the data against a weight decaying like |x|^{-dim-2s}.
+    """
+    env = u.envelope
+    if not env.admissible_for(s):
+        raise ValueError(
+            f"growth envelope |u| <= {env.amplitude:g} + {env.slope:g}|x|^{env.power:g} "
+            f"of {u.label} is not integrable against order s={s:g}; the integral "
+            f"does not converge unless power < 2s = {2 * s:g}"
+        )
 
 
 def _point_array(pts: np.ndarray, dim: int) -> np.ndarray:

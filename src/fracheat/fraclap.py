@@ -39,9 +39,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .families import FunctionSpec
+from .families import FunctionSpec, as_point, require_admissible
 from .report import VerificationReport
-from .specfun import QuadratureConfig, averaged_limit, gamma, panel_rule, sphere_rule
+from .specfun import QuadratureConfig, averaged_limit, gamma, pair_sums, panel_rule, sphere_rule
 
 __all__ = [
     "Definiteness",
@@ -51,6 +51,7 @@ __all__ = [
     "riesz_constant",
     "frac_laplacian",
     "frac_laplacian_pv",
+    "second_difference_constants",
     "second_difference_tail_bound",
     "classify_definiteness",
     "vanish_at_infinity_check",
@@ -134,27 +135,6 @@ class FracLapResult:
 _MAX_LEVEL = {1: 0, 2: 6, 3: 4}
 
 
-_CHUNK_ENTRIES = 4_000_000
-
-
-def _pair_sum(
-    u: FunctionSpec, x: np.ndarray, ts: np.ndarray, dirs: np.ndarray, dwts: np.ndarray
-) -> np.ndarray:
-    """Weighted sum of u(x + t d) + u(x - t d) over the direction rule, per radius."""
-    w2 = np.concatenate([dwts, dwts])
-    out = np.empty(ts.size)
-    block = max(1, _CHUNK_ENTRIES // (2 * len(dirs)))
-    for lo in range(0, ts.size, block):
-        sub = ts[lo : lo + block]
-        offs = sub[:, None, None] * dirs[None, :, :]
-        pts = np.concatenate(
-            [x[None, None, :] + offs, x[None, None, :] - offs], axis=1
-        )
-        vals = u.value(pts.reshape(-1, x.size)).reshape(sub.size, -1)
-        out[lo : lo + block] = vals @ w2
-    return out
-
-
 def _angular_rule(
     u: FunctionSpec,
     x: np.ndarray,
@@ -178,15 +158,15 @@ def _angular_rule(
         return dirs, dwts, 0.0
     probes = np.geomspace(r0, max(r_active, 2.0 * r0), 24)
     dlog = math.log(probes[-1] / probes[0]) / (probes.size - 1)
-    coarse = _pair_sum(u, x, probes, dirs, dwts)
+    coarse = pair_sums(u.value, x[None, :], probes, dirs, dwts)[0]
     level = 0
     defect = math.inf
     while True:
         dirs, dwts = sphere_rule(u.dim, level + 1)
         if u.dim == 2:
-            fine = 0.5 * coarse + _pair_sum(u, x, probes, dirs[1::2], dwts[1::2])
+            fine = 0.5 * coarse + pair_sums(u.value, x[None, :], probes, dirs[1::2], dwts[1::2])[0]
         else:
-            fine = _pair_sum(u, x, probes, dirs, dwts)
+            fine = pair_sums(u.value, x[None, :], probes, dirs, dwts)[0]
         defect = float(np.sum(np.abs(fine - coarse) * probes ** (-2.0 * s)) * dlog)
         if defect <= tol or level + 1 >= cap:
             return dirs, dwts, defect
@@ -203,7 +183,7 @@ def _second_diff_sum(
     dwts: np.ndarray,
 ) -> np.ndarray:
     area = 2.0 * float(dwts.sum())
-    return area * ux - _pair_sum(u, x, ts, dirs, dwts)
+    return area * ux - pair_sums(u.value, x[None, :], ts, dirs, dwts)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +283,7 @@ def _tail_bounded(
     dc = area * (ux - mean) * r0 ** (-2.0 * s) / (2.0 * s)
 
     def rest_values(ts: np.ndarray) -> np.ndarray:
-        return area * mean - _pair_sum(u, x, ts, dirs, dwts)
+        return area * mean - pair_sums(u.value, x[None, :], ts, dirs, dwts)[0]
 
     if u.osc_scale is not None:
         # half-period panels; a short quarter-period prefix resolves the
@@ -398,17 +378,8 @@ def _prepare(
 ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, float, float, float]:
     if not 0.0 < s < 1.0:
         raise ValueError("order s must lie in (0, 1)")
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if xa.shape != (u.dim,):
-        raise ValueError(f"point shape {xa.shape} does not match dim={u.dim}")
-    if not np.all(np.isfinite(xa)):
-        raise ValueError(f"point x must be finite, got {xa.tolist()}")
-    if not u.envelope.admissible_for(s):
-        raise ValueError(
-            f"growth envelope |u| <= {u.envelope.amplitude:g} + "
-            f"{u.envelope.slope:g}|x|^{u.envelope.power:g} is not integrable "
-            f"against order s={s:g}; need power < {2 * s:g}"
-        )
+    xa = as_point(x, u.dim)
+    require_admissible(u, s)
     kinks = _kink_radii(u, xa)
     if kinks and min(kinks) < 1e-12:
         raise ValueError(
@@ -491,22 +462,42 @@ def frac_laplacian_pv(
     return out
 
 
+def second_difference_constants(u: FunctionSpec) -> tuple[float, float, float]:
+    """Constants (a, b, rate) of the bound |2u(x) - u(x+z) - u(x-z)| <= a + b |z|^(2-rate).
+
+    The bound holds uniformly in x.  From a declared curvature decay
+    ||D^2 u(x)|| <= coeff |x|^{-rate}, it splits at |x| = 2|z| into a
+    Taylor case and a raw growth case, which is where the odd-looking
+    3^{2-rate} comes from.  Bounded data
+    declaring no decay get the plain a = 4 sup|u| and b = 0.  Convolution
+    with a probability kernel keeps the bound, so it holds for the solution
+    at every time too.
+    """
+    env = u.envelope
+    if u.hessian_decay is not None:
+        coeff, rate = u.hessian_decay
+        if rate <= 0:
+            raise ValueError("curvature decay rate must be positive")
+        return 4.0 * env.amplitude, max(coeff, 4.0 * env.slope * 3.0 ** (2.0 - rate)), rate
+    if env.slope == 0.0:
+        return 4.0 * env.amplitude, 0.0, 2.0
+    raise ValueError(
+        f"{u.label} declares neither curvature decay nor boundedness; "
+        "its second differences have no uniform bound"
+    )
+
+
 def second_difference_tail_bound(u: FunctionSpec, offset_norm: float) -> float:
     """Uniform-in-x bound on |2u(x) - u(x+z) - u(x-z)| for |z| = offset_norm.
 
-    Needs a declared curvature decay ||D^2 u(x)|| <= coeff |x|^{-rate}; the
-    bound splits at |x| = 2|z| into a Taylor case and a raw growth case,
-    which is where the odd-looking 3^{2-rate} comes from.
+    Needs a declared curvature decay; the constants come from
+    :func:`second_difference_constants`.
     """
     if offset_norm < 0:
         raise ValueError("offset_norm must be non-negative")
     if u.hessian_decay is None:
         raise ValueError(f"{u.label} declares no curvature decay; the bound needs one")
-    coeff, rate = u.hessian_decay
-    if rate <= 0:
-        raise ValueError("curvature decay rate must be positive")
-    amp = 4.0 * u.envelope.amplitude
-    slope = max(coeff, 4.0 * u.envelope.slope * 3.0 ** (2.0 - rate))
+    amp, slope, rate = second_difference_constants(u)
     return amp + slope * offset_norm ** (2.0 - rate)
 
 

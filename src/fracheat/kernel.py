@@ -24,6 +24,7 @@ from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 from scipy.special import jn_zeros, jv
 
+from .families import as_point
 from .report import VerificationReport
 from .specfun import (
     IntegralResult,
@@ -66,15 +67,6 @@ def _check_time(t: float) -> float:
     if not t > 0.0:
         raise ValueError("time must be positive")
     return t
-
-
-def _as_point(x, dim: int) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.shape != (dim,):
-        raise ValueError(f"point must have exactly {dim} coordinates, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"point x must be finite, got {arr.tolist()}")
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +249,7 @@ def ell_limit(params: KernelParams, k: int = 0) -> float:
 def heat_kernel(params: KernelParams, x, t: float) -> float:
     """Kernel value p(x, t) > 0 for t > 0."""
     t = _check_time(t)
-    x = _as_point(x, params.dim)
+    x = as_point(x, params.dim)
     sp = params.scaling_power
     r = float(np.linalg.norm(x)) * t ** (-sp)
     return t ** (-params.dim * sp) * _TWO_PI ** (-0.5 * params.dim) * f_radial(params, r)
@@ -266,7 +258,7 @@ def heat_kernel(params: KernelParams, x, t: float) -> float:
 def kernel_gradient(params: KernelParams, x, t: float) -> np.ndarray:
     """Spatial gradient of the kernel; zero at the origin by symmetry."""
     t = _check_time(t)
-    x = _as_point(x, params.dim)
+    x = as_point(x, params.dim)
     nx = float(np.linalg.norm(x))
     if nx == 0.0:
         return np.zeros(params.dim)
@@ -281,7 +273,7 @@ def kernel_time_derivative(params: KernelParams, x, t: float) -> float:
     """Time derivative of the kernel, through the scaling identity
     p_t = -(d p + x . grad p) / (2 s t)."""
     t = _check_time(t)
-    x = _as_point(x, params.dim)
+    x = as_point(x, params.dim)
     p = heat_kernel(params, x, t)
     g = kernel_gradient(params, x, t)
     return -(params.dim * p + float(np.dot(x, g))) / (2.0 * params.s * t)
@@ -290,7 +282,7 @@ def kernel_time_derivative(params: KernelParams, x, t: float) -> float:
 def _kernel_hessian(params: KernelParams, x, t: float) -> np.ndarray:
     # radial Hessian: D2F on the x-direction, DF/r on its complement
     t = _check_time(t)
-    x = _as_point(x, params.dim)
+    x = as_point(x, params.dim)
     sp = params.scaling_power
     pref = t ** (-(params.dim + 2) * sp) * _TWO_PI ** (-0.5 * params.dim)
     nx = float(np.linalg.norm(x))
@@ -349,7 +341,7 @@ def heat_kernel_fourier(params: KernelParams, x, t: float) -> float:
     if params.dim > 3:
         raise ValueError("Fourier oracle supports dim <= 3 only")
     t = _check_time(t)
-    x = _as_point(x, params.dim)
+    x = as_point(x, params.dim)
     w = float(np.linalg.norm(x))
     two_s = 2.0 * params.s
 
@@ -590,7 +582,7 @@ def verify_kernel_bounds(
     t_hi = (-math.inf, None)
     for t in times:
         for x in points:
-            x = _as_point(x, dim)
+            x = as_point(x, dim)
             nx = float(np.linalg.norm(x))
             where = (*x, t)
             ratio = heat_kernel(params, x, t) / envelope(nx, t, 0)

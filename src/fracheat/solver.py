@@ -33,8 +33,9 @@ not nest and is evaluated whole at every level.
 Each band works through a batch in blocks of _NODE_BLOCK points: a
 block's sphere sums are evaluated and reduced to values and estimates
 before the next block's are formed, so the points x radii sums never
-exist for the whole batch at once.  1-D never refines and keeps no sums;
-a 2-D or 3-D band keeps each block's sums for the next level.  What
+exist for the whole batch at once.  Only a 2-D band keeps each block's
+sums for the next level: 1-D never refines, and the 3-D rule does not
+nest.  What
 serves the whole batch (the accuracy target from its smallest body
 value, the growth constant of its farthest point) is still decided over
 the whole batch, so the block size changes no number.
@@ -51,11 +52,11 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .families import FunctionSpec
-from .fraclap import riesz_constant
+from .families import FunctionSpec, as_point, require_admissible
+from .fraclap import riesz_constant, second_difference_constants
 from .kernel import KernelParams, profile_table, tail_coefficients
 from .report import VerificationReport
-from .specfun import averaged_limit, panel_rule, sphere_rule
+from .specfun import averaged_limit, pair_sums, panel_rule, sphere_rule
 
 _TWO_PI = 2.0 * math.pi
 _CUT = 30.0  # scaled radius where the profile's power series takes over
@@ -249,41 +250,14 @@ def _abs_tail(dim: int, s: float, kind: str, radius: float, shift: float = 0.0) 
     return pref * total
 
 
-def _pair_many(
-    u0: FunctionSpec,
-    pts: np.ndarray,
-    rhos: np.ndarray,
-    dirs: np.ndarray,
-    dwts: np.ndarray,
-) -> np.ndarray:
-    """Sphere averages P(x, rho) for a batch of points x and radii rho."""
-    count, dim = pts.shape
-    w2 = 0.5 * np.concatenate([dwts, dwts])
-    out = np.empty((count, rhos.size))
-    block = max(1, _CHUNK // (2 * len(dirs) * count))
-    for lo in range(0, rhos.size, block):
-        sub = rhos[lo : lo + block]
-        offs = sub[:, None, None] * dirs[None, :, :]
-        cloud = np.concatenate(
-            [
-                pts[:, None, None, :] + offs[None, :, :, :],
-                pts[:, None, None, :] - offs[None, :, :, :],
-            ],
-            axis=2,
-        )
-        vals = u0.value(cloud.reshape(-1, dim)).reshape(count, sub.size, -1)
-        out[:, lo : lo + block] = vals @ w2
-    return out
-
-
 class _RadialBands:
     """Scaled radial integral pref * int factor(r) P(x, t^(1/2s) r) dr.
 
     The radial line splits at _CUT into a body band, tabulated profile
     panels, and a tail band, whose route the datum's declarations pick.
     Both bands start at the given angular level and sweep the points in
-    blocks of _NODE_BLOCK.  In 2-D and 3-D they keep each block's sphere
-    sums, so each band can be refined on its own; the radial nodes never
+    blocks of _NODE_BLOCK.  In 2-D they keep each block's sphere sums, so
+    a refinement evaluates only the new directions; the radial nodes never
     depend on the level.
     """
 
@@ -316,7 +290,7 @@ class _RadialBands:
 
         self._u0, self._pts, self._dim, self._start = u0, pts, dim, level
         self._blocks = [slice(lo, lo + _NODE_BLOCK) for lo in range(0, len(pts), _NODE_BLOCK)]
-        self._sums = [[None] * len(self._blocks) for _ in range(2)] if dim > 1 else None
+        self._sums = [[None] * len(self._blocks) for _ in range(2)] if dim == 2 else None
         self._rhos = [tsc * rs]
         self._reduce = [body]
         self.levels = [level, level]
@@ -399,14 +373,18 @@ class _RadialBands:
         """
         level = self.levels[band]
         dirs, dwts = sphere_rule(self._dim, level)
-        nested = self._dim == 2 and level > self._start
+        # halved weights make the pair sums sphere averages; the scaling is
+        # exact, so it commutes with every rounding
+        half = 0.5 * dwts
+        nested = self._sums is not None and level > self._start
+        value, rhos = self._u0.value, self._rhos[band]
         vals, errs = [], []
         for i, sl in enumerate(self._blocks):
             if nested:
-                fresh = _pair_many(self._u0, self._pts[sl], self._rhos[band], dirs[1::2], dwts[1::2])
+                fresh = pair_sums(value, self._pts[sl], rhos, dirs[1::2], half[1::2])
                 surf = 0.5 * self._sums[band][i] + fresh
             else:
-                surf = _pair_many(self._u0, self._pts[sl], self._rhos[band], dirs, dwts)
+                surf = pair_sums(value, self._pts[sl], rhos, dirs, half)
             if self._sums is not None:
                 self._sums[band][i] = surf
             v, e = self._reduce[band](surf, sl)
@@ -442,15 +420,6 @@ def _radial_convolve(
     return _RadialBands(u0, pts, t, params, kind, level).values()
 
 
-def require_admissible(u0: FunctionSpec, s: float) -> None:
-    """Refuse a datum whose growth envelope is not integrable against order s."""
-    if not u0.envelope.admissible_for(s):
-        raise ValueError(
-            f"growth envelope of {u0.label} needs power < 2s = {2 * s}; "
-            "the convolution does not converge"
-        )
-
-
 def _solve_batch(
     u0: FunctionSpec,
     pts: np.ndarray,
@@ -483,15 +452,6 @@ def _solve_batch(
     if kind == "rate":
         return vals / t, errs / t
     return vals, errs
-
-
-def _as_point(x, dim: int) -> np.ndarray:
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if pt.shape != (dim,):
-        raise ValueError(f"point must have shape ({dim},)")
-    if not np.all(np.isfinite(pt)):
-        raise ValueError(f"point x must be finite, got {pt.tolist()}")
-    return pt
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -557,7 +517,7 @@ def solution_at(
 ) -> tuple[float, float]:
     """Single-point solution value with its error estimate."""
     require_admissible(u0, params.s)
-    pt = _as_point(x, params.dim)
+    pt = as_point(x, params.dim)
     if t == 0.0:
         return float(u0.at(pt)), 0.0
     vals, errs = _solve_batch(u0, pt[None, :], t, params)
@@ -576,7 +536,7 @@ def _time_derivative_impl(
     if t <= 0.0:
         raise ValueError("the time derivative needs t > 0")
     require_admissible(u0, params.s)
-    pt = _as_point(x, params.dim)
+    pt = as_point(x, params.dim)
     vals, errs = _solve_batch(u0, pt[None, :], t, params, kind="rate")
     return float(vals[0]), float(errs[0])
 
@@ -586,11 +546,11 @@ def pde_residual(u0: FunctionSpec, x, t: float, params: KernelParams) -> float:
 
     The operator term re-evaluates the fractional Laplacian on the
     solution itself: near second differences come from a quintic fit on
-    a seven-point stencil per direction (raw differences of quadrature
-    values would drown in cancellation noise under the t^(-1-2s)
-    weight), mid-range differences from direct convolution values, and
-    the far field from the datum's uniform second-difference bound,
-    which convolution preserves.
+    a seven-point stencil (raw differences of quadrature values would
+    drown in cancellation noise under the t^(-1-2s) weight), mid-range
+    differences from direct convolution values, and the far field from
+    the datum's uniform second-difference bound, which convolution
+    preserves.
     """
     value, _ = residual_with_estimate(u0, x, t, params)
     return value
@@ -609,6 +569,12 @@ def residual_with_estimate(
     s = 0.6, and its sphere sums need over 1e12 datum evaluations at the
     starting angular level, so those dimensions are refused before any
     work starts.
+
+    The estimate adds the time derivative's estimate, the value noise
+    carried through the near fit and the mid-range sum, twice the gap
+    between the quintic fit's near part and that of the degree-6
+    interpolant of the same stencil (the fit's truncation error), and
+    the far-field bound.
     """
     if t <= 0.0:
         raise ValueError("the residual needs t > 0")
@@ -619,12 +585,10 @@ def residual_with_estimate(
             "term needs one solve of millions of stencil and mid-range points, "
             "over 1e12 datum evaluations"
         )
-    require_admissible(u0, params.s)
-    pt = _as_point(x, dim)
+    require_admissible(u0, s)
+    pt = as_point(x, dim)
     ut, ut_err = _time_derivative_impl(u0, pt, t, params)
 
-    dirs, dwts = sphere_rule(dim, 0)
-    area = float(np.sum(dwts))
     pref = 0.5 * riesz_constant(dim, s)
     r_near = 0.5
     h = r_near / 3.0
@@ -632,102 +596,60 @@ def residual_with_estimate(
     # far-field cutoff from a bound that survives convolution: the
     # second differences of u(., t) obey the datum's own uniform bound
     target = 3e-5
-    if u0.hessian_decay is not None:
-        coeff, rate = u0.hessian_decay
-        if not rate > 2.0 * s - 2.0:
-            raise ValueError("declared curvature decay too weak for this order")
-        a1 = 4.0 * u0.envelope.amplitude + 4.0 * abs(u0.tail_mean)
-        b1 = max(coeff, 4.0 * u0.envelope.slope * 3.0 ** (2.0 - rate))
+    a, b, rate = second_difference_constants(u0)
+    p = 2.0 * s - 2.0 + rate
+    if b > 0.0 and not p > 0.0:
+        raise ValueError("declared curvature decay too weak for this order")
 
-        def far_bound(radius: float) -> float:
-            out = a1 * radius ** (-2.0 * s) / (2.0 * s)
-            if b1 > 0.0:
-                p = 2.0 * s - 2.0 + rate
-                out += b1 * radius**-p / p
-            return pref * area * out
-
-    elif u0.envelope.slope == 0.0:
-        sup = u0.envelope.amplitude
-
-        def far_bound(radius: float) -> float:
-            return pref * area * 4.0 * sup * radius ** (-2.0 * s) / (2.0 * s)
-
-    else:
-        raise ValueError(
-            f"{u0.label} declares neither curvature decay nor boundedness; "
-            "the residual's far field cannot be certified"
-        )
+    def far_bound(radius: float) -> float:
+        out = a * radius ** (-2.0 * s) / (2.0 * s)
+        if b > 0.0:
+            out += b * radius**-p / p
+        return 2.0 * pref * out
 
     r_far = 4.0
     while r_far < 1e30 and far_bound(r_far) > target:
         r_far *= 2.0
 
-    # one batch for everything the operator term needs: the stencils and
-    # the mid-range pair points
-    stencil_taus = h * np.arange(-3, 4)
+    # one batch for everything the operator term needs: x, the rest of
+    # its stencil, then the mid-range pair points x + r and x - r
+    taus = h * np.arange(-3, 4)
     osc = u0.osc_scale or 0.0
     cap = 4.4 * math.pi / osc if osc > 0.0 else math.inf
     n = max(4, int(math.ceil(math.log(r_far / r_near) / math.log(1.5))))
     mid_edges = _cap_widths(np.geomspace(r_near, r_far, n + 1), cap)
     mid_rs, mid_ws = map(np.ravel, panel_rule(mid_edges, 16))
 
-    stencil_pts = np.concatenate(
-        [pt[None, :]] + [pt[None, :] + tau * dirs for tau in stencil_taus if tau != 0.0]
-    )
-    mid_pts = np.concatenate(
-        [
-            (pt[None, None, :] + mid_rs[:, None, None] * dirs[None, :, :]).reshape(-1, dim),
-            (pt[None, None, :] - mid_rs[:, None, None] * dirs[None, :, :]).reshape(-1, dim),
-        ]
-    )
-    batch = np.concatenate([stencil_pts, mid_pts])
-    values, value_errs = _solve_batch(u0, batch, t, params)
+    x0 = pt[0]
+    batch = np.concatenate([[x0], x0 + np.delete(taus, 3), x0 + mid_rs, x0 - mid_rs])
+    values, value_errs = _solve_batch(u0, batch[:, None], t, params)
     u_here = values[0]
+    noise = float(np.max(value_errs[:7]))
+    stencil_vals = np.insert(values[1:7], 3, u_here)
+    plus, minus = np.split(values[7:], 2)
+    plus_err, minus_err = np.split(value_errs[7:], 2)
+    pair_mid = 2.0 * (plus + minus)
+    pair_mid_err = 2.0 * (plus_err + minus_err) + 4.0 * value_errs[0]
 
-    m = len(dirs)
-    noise = float(np.max(value_errs[: 1 + 6 * m]))
-    stencil_vals = np.empty((7, m))
-    stencil_vals[3] = u_here
-    # rows follow the tau ordering used to build the batch
-    row = 1
-    for j, tau in enumerate(stencil_taus):
-        if tau == 0.0:
-            continue
-        stencil_vals[j] = values[row : row + m]
-        row += m
-    mid_flat = values[row:]
-    half = mid_flat.size // 2
-    pair_mid = (
-        mid_flat[:half].reshape(mid_rs.size, m) + mid_flat[half:].reshape(mid_rs.size, m)
-    ) @ dwts
-    mid_errs = value_errs[row:]
-    pair_mid_err = (
-        mid_errs[:half].reshape(mid_rs.size, m) + mid_errs[half:].reshape(mid_rs.size, m)
-    ) @ dwts + 2.0 * area * value_errs[0]
+    def near_part(degree: int) -> float:
+        # only the even part of the fit survives in the second difference,
+        # and it integrates in closed form against t^(-1-2s)
+        coeffs = np.polyfit(taus, stencil_vals, degree)[::-1]
+        even = (coeffs[k] * r_near ** (k - 2.0 * s) / (k - 2.0 * s) for k in range(2, degree + 1, 2))
+        return -4.0 * float(sum(even))
 
-    # near part: quintic fit per direction line; only the even part
-    # survives in the second difference, and it integrates in closed form
-    coeffs = np.polyfit(stencil_taus, stencil_vals, 5)
-    c2, c4 = coeffs[3], coeffs[1]
-    near_dir = -2.0 * (
-        c2 * r_near ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-        + c4 * r_near ** (4.0 - 2.0 * s) / (4.0 - 2.0 * s)
-    )
-    near = float(np.dot(dwts, near_dir))
-    fit_noise = (
-        4.0
-        * area
-        * noise
-        * ((r_near / h) ** 2 * r_near ** (-2.0 * s))
-        / (2.0 - 2.0 * s)
-    )
+    # near part from a quintic fit; its truncation error is bounded by
+    # twice its gap to the degree-6 interpolant of the same seven values
+    near = near_part(5)
+    fit_gap = 2.0 * abs(near - near_part(6))
+    fit_noise = 8.0 * noise * ((r_near / h) ** 2 * r_near ** (-2.0 * s)) / (2.0 - 2.0 * s)
 
-    second = 2.0 * area * u_here - pair_mid
+    second = 4.0 * u_here - pair_mid
     mid = float(np.dot(second * mid_rs ** (-1.0 - 2.0 * s), mid_ws))
     mid_noise = float(np.dot(pair_mid_err * mid_rs ** (-1.0 - 2.0 * s), np.abs(mid_ws)))
 
     flap = pref * (near + mid)
-    estimate = ut_err + pref * (fit_noise + mid_noise) + far_bound(r_far)
+    estimate = ut_err + pref * (fit_noise + fit_gap + mid_noise) + far_bound(r_far)
     return ut + flap, estimate
 
 
@@ -798,7 +720,7 @@ def initial_continuity_check(
     dominates the final gap for any datum with a nonzero gradient.
     """
     require_admissible(u0, params.s)
-    x0 = _as_point(x0, params.dim)
+    x0 = as_point(x0, params.dim)
     if steps < 3:
         raise ValueError("need at least three steps")
     target = float(u0.at(x0))

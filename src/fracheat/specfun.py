@@ -3,10 +3,11 @@
 Primitives shared by the kernel, operator and solver layers: Euler Gamma;
 the quadrature rules every radial integral here is built from (a cached
 Gauss-Legendre rule, its per-panel copy over an edge array, repeated
-pairwise averaging of partial sums, and half-sphere direction rules); and
-an integrator for semi-infinite integrands whose decay is controlled by an
-envelope rho^p * exp(-rho^d).  Each caller keeps its own reduction of the
-panel values.
+pairwise averaging of partial sums, half-sphere direction rules, and the
+sums of point pairs x +- rho d over such a rule); and an integrator for
+semi-infinite integrands whose decay is controlled by an envelope
+rho^p * exp(-rho^d).  Each caller keeps its own reduction of the panel
+values.
 
 The integrator has two regimes.  Mildly oscillatory or smooth integrands go
 through adaptive Gauss-Kronrod on the truncated interval.  Heavily
@@ -39,6 +40,7 @@ __all__ = [
     "panel_rule",
     "averaged_limit",
     "sphere_rule",
+    "pair_sums",
     "integrate_semi_infinite",
 ]
 
@@ -115,6 +117,8 @@ def gamma(x: float) -> float:
 # Shared quadrature rules
 
 _AVERAGING_ROUNDS = 10
+# datum evaluations per chunk of pair_sums
+_PAIR_CHUNK = 1_500_000
 
 
 @lru_cache(maxsize=32)
@@ -196,6 +200,38 @@ def sphere_rule(dim: int, level: int) -> tuple[np.ndarray, np.ndarray]:
         ).ravel()
         return dirs, w.copy()
     raise ValueError("sphere rules are implemented for dim <= 3")
+
+
+def pair_sums(
+    value: Callable[[np.ndarray], np.ndarray],
+    pts: np.ndarray,
+    rhos: np.ndarray,
+    dirs: np.ndarray,
+    dwts: np.ndarray,
+) -> np.ndarray:
+    """Weighted sums of value(x + rho d) + value(x - rho d) over a direction rule.
+
+    One row per point x of the (count, dim) array pts, one column per
+    radius rho.  The datum is evaluated in chunks of radii holding about
+    _PAIR_CHUNK points each, so memory stays bounded for long radius lists.
+    """
+    count, dim = pts.shape
+    w2 = np.concatenate([dwts, dwts])
+    out = np.empty((count, rhos.size))
+    block = max(1, _PAIR_CHUNK // (2 * len(dirs) * count))
+    for lo in range(0, rhos.size, block):
+        sub = rhos[lo : lo + block]
+        offs = sub[:, None, None] * dirs[None, :, :]
+        cloud = np.concatenate(
+            [
+                pts[:, None, None, :] + offs[None, :, :, :],
+                pts[:, None, None, :] - offs[None, :, :, :],
+            ],
+            axis=2,
+        )
+        vals = value(cloud.reshape(-1, dim)).reshape(count, sub.size, -1)
+        out[:, lo : lo + block] = vals @ w2
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,20 @@ class TestVerifyCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [('{"s": 0.6,,}', "config is not valid JSON: line 1 column 11"), ("[1]", "JSON object")],
+        ids=["malformed", "not-an-object"],
+    )
+    def test_bad_config_file_is_named(self, tmp_path, capsys, text, reason):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(text)
+        code = main(["verify", "definiteness", "--config", str(cfg_file), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {cfg_file}: " in err
+        assert reason in err
+
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -457,6 +457,17 @@ class TestResidual:
             )
         assert calls == []
 
+    @pytest.mark.parametrize("x", [0.0, 1.0])
+    @pytest.mark.parametrize("t", [0.25, 0.5])
+    @pytest.mark.parametrize("s", [0.55, 0.75, 0.9])
+    def test_estimate_covers_the_fit_truncation(self, s, t, x):
+        # smooth data at small times: the residual is then mostly the
+        # truncation error of the quintic fit on the near stencil
+        val, est = residual_with_estimate(
+            fam.gaussian(1.0), np.array([x]), t, KernelParams(dim=1, s=s)
+        )
+        assert abs(val) <= est
+
     def test_plain_and_estimated_forms_agree(self):
         args = (fam.cosine(1.0), np.array([0.3]), 0.8, PAR_06)
         assert pde_residual(*args) == residual_with_estimate(*args)[0]
