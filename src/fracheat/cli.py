@@ -419,6 +419,8 @@ def _cmd_verify(args) -> int:
     ):
         if val is not None:
             raw[key] = val
+    if args.dim is not None:
+        raw.pop("N", None)  # the flag overrides the file's N as well as its dim
     if args.suites:
         raw["suites"] = list(args.suites)
     cfg = _build_config(raw)

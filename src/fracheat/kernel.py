@@ -11,6 +11,19 @@ from profiles in shifted dimensions (d_f_radial), large-radius limits
 (RadialProfileTable), and the two-sided envelope check
 (verify_kernel_bounds).  heat_kernel_fourier is a deliberately separate
 slow path through the Fourier representation, used as an oracle.
+
+Every value of F between r = 0 and the large-radius series comes from one
+route, _profile_values, which takes a whole array of radii.  It truncates
+the half-line integral once per call and sums Gauss panels: radii up to
+2 pi share one layout with steps of 0.5, and each larger radius sums its
+own half-period panels.  The products of radii and abscissae are formed
+in blocks of at most _PROFILE_BLOCK entries, and no block size moves a
+bit.  The Bessel factors of dims 1 and 3 are their exact cos and sin
+forms, and those of dims 2 and 4 scipy's j0 and j1.  Each radius carries
+the estimate |16-point - 12-point| + tail, and a radius whose estimate
+exceeds max(abs_tol, rel_tol |F|) is refused with QuadratureError.
+f_radial, d_f_radial and the table build all use it, so a table node
+equals f_radial there bit for bit.
 """
 
 from __future__ import annotations
@@ -22,24 +35,36 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 from scipy.interpolate import PchipInterpolator
-from scipy.special import jn_zeros, jv
+from scipy.special import j0, j1, jn_zeros, jv
 
 from .families import as_point
 from .report import VerificationReport
 from .specfun import (
+    GL_NODES_CHECK,
+    GL_NODES_MAIN,
     IntegralResult,
     QuadratureConfig,
     QuadratureError,
     gamma,
     gauss_legendre,
-    integrate_semi_infinite,
+    panel_edges,
+    panel_rule,
+    shared_cache,
+    tail_bound,
+    truncation_radius,
 )
 
 _TWO_PI = 2.0 * math.pi
+_ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 # beyond this scaled radius direct quadrature needs ~r/pi oscillation
 # panels, so the large-radius series takes over instead
 _SERIES_RADIUS = 1000.0
+# up to this radius the half-period pi / r exceeds the 0.5 panel cap, so
+# these radii share one panel layout
+_SHARED_RADIUS = 2.0 * math.pi
+# entries of each block of the radii x abscissae products in the profile sums
+_PROFILE_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -79,20 +104,79 @@ def _profile_zero(dim: int, s: float) -> float:
     return 2.0 ** (0.5 * (2 - dim)) * gamma(dim / (2.0 * s)) / (2.0 * s * gamma(0.5 * dim))
 
 
-def _profile_quad(dim: int, s: float, r: float, cfg: QuadratureConfig) -> float:
-    # direct quadrature of the oscillatory half-line integral; scipy's jv
-    # takes the whole node arrays the panel integrator feeds and holds full
-    # double accuracy in the tight corners
-    nu = 0.5 * (dim - 2)
+def _profile_parts(dim: int, s: float):
+    # F(r) = scale(r) * int_0^inf env(rho) osc(r rho) drho.  The Bessel
+    # factor rho^(d/2) J_nu(r rho) of orders -1/2 and 1/2 (dims 1 and 3)
+    # is exact in cos and sin.  Orders 0 and 1 (dims 2 and 4) go through
+    # scipy's j0 and j1, several times faster than jv, and every other
+    # order through jv
     two_s = 2.0 * s
-    res = integrate_semi_infinite(
-        lambda rho: np.exp(-(rho**two_s)) * rho ** (0.5 * dim) * jv(nu, r * rho),
-        cfg,
-        decay_exponent=two_s,
-        poly_power=0.5 * dim,
-        osc_scale=r,
+    if dim == 1:
+        return (lambda rho: np.exp(-(rho**two_s)), np.cos, lambda r: np.full_like(r, _ROOT_2_OVER_PI))
+    if dim == 3:
+        return (lambda rho: rho * np.exp(-(rho**two_s)), np.sin, lambda r: _ROOT_2_OVER_PI / r)
+    nu = 0.5 * (dim - 2)
+    return (
+        lambda rho: np.exp(-(rho**two_s)) * rho ** (0.5 * dim),
+        {2: j0, 4: j1}.get(dim, lambda z: jv(nu, z)),
+        lambda r: r ** (-nu),
     )
-    return r ** (0.5 * (2 - dim)) * res.value
+
+
+def _panel_totals(env, osc, radii: np.ndarray, edges: np.ndarray, order: int) -> np.ndarray:
+    # sum over the panels of the order-point Gauss sums of env(rho) osc(r rho),
+    # one total per radius, formed in blocks of at most _PROFILE_BLOCK entries.
+    # Each panel sum adds its node terms one by one in a fixed order and
+    # math.fsum rounds the panel sums exactly, so no block size or batch
+    # composition moves a bit
+    x, w = panel_rule(edges, order)
+    weighted = w * env(x)
+    panels = x.shape[0]
+    rows = max(1, _PROFILE_BLOCK // x.size)
+    cols = max(1, _PROFILE_BLOCK // order)
+    sums = np.empty((radii.size, panels))
+    for lo in range(0, radii.size, rows):
+        r = radii[lo : lo + rows, None, None]
+        for plo in range(0, panels, cols):
+            terms = osc(r * x[plo : plo + cols]) * weighted[plo : plo + cols]
+            acc = terms[..., 0]
+            for j in range(1, order):
+                acc = acc + terms[..., j]
+            sums[lo : lo + rows, plo : plo + cols] = acc
+    return np.array([math.fsum(row.tolist()) for row in sums])
+
+
+def _profile_values(dim: int, s: float, radii: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
+    # F at every positive radius of a 1-D array, by half-period Gauss panel
+    # sums of the half-line integral truncated once for all radii.  Radii up
+    # to _SHARED_RADIUS share the layout with the step capped at 0.5; each
+    # larger radius gets its own half-period layout.  A radius whose
+    # estimate |main - check| + tail exceeds max(abs_tol, rel_tol * |F|)
+    # is refused
+    radii = np.asarray(radii, dtype=float)
+    two_s, power = 2.0 * s, 0.5 * dim
+    radius = truncation_radius(cfg, two_s, power)
+    env, osc, scale = _profile_parts(dim, s)
+    shared = np.flatnonzero(radii <= _SHARED_RADIUS)
+    layouts = [(shared, panel_edges(radius, None))] if shared.size else []
+    layouts += [(np.array([i]), panel_edges(radius, radii[i])) for i in np.flatnonzero(radii > _SHARED_RADIUS)]
+    main, check = np.empty_like(radii), np.empty_like(radii)
+    evaluations = 0
+    for idx, edges in layouts:
+        main[idx] = _panel_totals(env, osc, radii[idx], edges, GL_NODES_MAIN)
+        check[idx] = _panel_totals(env, osc, radii[idx], edges, GL_NODES_CHECK)
+        evaluations += idx.size * (edges.size - 1) * (GL_NODES_MAIN + GL_NODES_CHECK)
+    factor = scale(radii)
+    values = factor * main
+    errs = np.abs(factor * (main - check)) + radii ** (1.0 - power) * tail_bound(two_s, power, radius)
+    bad = np.flatnonzero(errs > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(values)))
+    if bad.size:
+        i = bad[0]
+        raise QuadratureError(
+            f"profile quadrature at r={radii[i]:.6g} misses its tolerance: estimate {errs[i]:.3g}",
+            IntegralResult(value=float(values[i]), error_estimate=float(errs[i]), evaluations=evaluations),
+        )
+    return values
 
 
 @functools.lru_cache(maxsize=512)
@@ -138,20 +222,32 @@ def _tail_series_value(dim: int, s: float, r: float) -> float:
     return total
 
 
+def _profile_array(dim: int, s: float, radii: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
+    # the removable limit at 0, the large-radius series past _SERIES_RADIUS,
+    # and one batch of panel sums for every radius between
+    out = np.empty_like(radii)
+    far = radii > _SERIES_RADIUS
+    mid = (radii > 0.0) & ~far
+    out[radii == 0.0] = _profile_zero(dim, s)
+    out[far] = [_tail_series_value(dim, s, r) for r in radii[far].tolist()]
+    if mid.any():
+        out[mid] = _profile_values(dim, s, radii[mid], cfg)
+    return out
+
+
 def _profile_value(dim: int, s: float, r: float, cfg: QuadratureConfig) -> float:
-    if r == 0.0:
-        return _profile_zero(dim, s)
-    if r > _SERIES_RADIUS:
-        return _tail_series_value(dim, s, r)
-    return _profile_quad(dim, s, r, cfg)
+    return float(_profile_array(dim, s, np.array([r]), cfg)[0])
 
 
 def f_radial(params: KernelParams, r: float) -> float:
     """Radial kernel profile at scaled radius r >= 0.
 
     The value is the half-line Bessel-weighted integral of exp(-rho^(2s))
-    with the r^((2-d)/2) prefactor; at r=0 the removable limit is taken.
-    Always positive.
+    with the r^((2-d)/2) prefactor, summed over Gauss panels by the same
+    batched route that builds the tables; at r=0 the removable limit is
+    taken, and past r = 1000 the large-radius series.  Raises
+    QuadratureError when the 16- and 12-point panel sums disagree by more
+    than the configured tolerance.  Always positive.
     """
     r = float(r)
     if r < 0.0:
@@ -472,34 +568,38 @@ def build_profile_table(
 
     The last node must sit in the power-law tail; construction verifies
     that the series continuation agrees with direct quadrature there to
-    1e-7 relative, pushing the boundary outward if it does not.
+    1e-7 relative, pushing the boundary outward if it does not.  All
+    positive nodes are then evaluated in one batch of the panel sums
+    behind f_radial, so every node value equals f_radial there bit for
+    bit.
     """
     # the table constructor insists the last node sits where the leading
     # power law dominates; small s decays slowly there, so push the
     # boundary until the first surviving correction term drops below 4%
-    coeffs = tail_coefficients(params.dim, params.s)
+    dim, s, cfg = params.dim, params.s, params.quad
+    coeffs = tail_coefficients(dim, s)
     for j, a in enumerate(coeffs[1:], start=2):
         if a != 0.0:
             ratio = abs(a) / (0.04 * abs(coeffs[0]))
             if ratio > 1.0:
-                r_last = max(r_last, ratio ** (1.0 / (2.0 * params.s * (j - 1))))
+                r_last = max(r_last, ratio ** (1.0 / (2.0 * s * (j - 1))))
             break
     for last in (r_last, 1.5 * r_last, 2.25 * r_last):
-        grid = np.concatenate([[0.0], np.geomspace(r_first, last, num)])
-        series = _tail_series_value(params.dim, params.s, last)
-        direct = _profile_quad(params.dim, params.s, last, params.quad)
+        series = _tail_series_value(dim, s, last)
+        direct = float(_profile_values(dim, s, np.array([last]), cfg)[0])
         if abs(series / direct - 1.0) <= 1e-7:
-            values = np.array([_profile_value(params.dim, params.s, float(r), params.quad) for r in grid])
-            return RadialProfileTable(params, grid, values)
+            grid = np.concatenate([[0.0], np.geomspace(r_first, last, num)])
+            return RadialProfileTable(params, grid, _profile_array(dim, s, grid, cfg))
     raise QuadratureError(
         "series continuation never matched direct quadrature",
         IntegralResult(value=direct, error_estimate=abs(series - direct), evaluations=0),
     )
 
 
-@functools.lru_cache(maxsize=32)
+@shared_cache(maxsize=32)
 def profile_table(dim: int, s: float) -> RadialProfileTable:
-    """Shared default-configuration table for (dim, s)."""
+    """Shared default-configuration table for (dim, s); concurrent misses
+    for one key build it once."""
     return build_profile_table(KernelParams(dim=dim, s=s))
 
 

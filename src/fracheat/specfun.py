@@ -15,16 +15,21 @@ oscillatory integrands (Bessel factors with large argument scale) are summed
 over half-period panels with a fixed Gauss rule per panel; the panel sums
 are accumulated with compensated summation so the cancellation between
 half-waves does not eat the result.  Both regimes report an error estimate
-that includes the analytic bound on the truncated tail.
+that includes the analytic bound on the truncated tail.  The truncation
+radius, the tail bound and the panel edges are public, so the kernel's
+batched profile sums use the same single copy.  shared_cache is the
+lru_cache the kernel and solver tables are kept in.
 
-All functions here are pure and safe to call from multiple threads.
+All functions here are safe to call from multiple threads, and all but
+shared_cache are pure.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable
 
 import numpy as np
@@ -41,6 +46,12 @@ __all__ = [
     "averaged_limit",
     "sphere_rule",
     "pair_sums",
+    "shared_cache",
+    "GL_NODES_MAIN",
+    "GL_NODES_CHECK",
+    "truncation_radius",
+    "tail_bound",
+    "panel_edges",
     "integrate_semi_infinite",
 ]
 
@@ -235,18 +246,50 @@ def pair_sums(
 
 
 # ---------------------------------------------------------------------------
+# Caching
+
+def shared_cache(maxsize: int):
+    """functools.lru_cache whose concurrent misses for one key compute once.
+
+    lru_cache alone lets threads that miss the same key together each run
+    the function.  Here one lock per cache serializes the calls, so a
+    later caller waits until the first has stored its result and then
+    hits the cache.  The cached functions are table builds, called once
+    per batch, so the serialized hits cost nothing measurable.
+    cache_info and cache_clear are those of the underlying lru_cache.
+    """
+
+    def wrap(fn):
+        cached = lru_cache(maxsize=maxsize)(fn)
+        lock = threading.Lock()
+
+        @wraps(fn)
+        def call(*args, **kwargs):
+            with lock:
+                return cached(*args, **kwargs)
+
+        call.cache_info = cached.cache_info
+        call.cache_clear = cached.cache_clear
+        return call
+
+    return wrap
+
+
+# ---------------------------------------------------------------------------
 # Semi-infinite quadrature
 
 _OSC_PANEL_THRESHOLD = 40  # half-periods beyond which we leave QUADPACK
 
-_GL_NODES_MAIN = 16
-_GL_NODES_CHECK = 12
+# Gauss orders of the half-period panel rule and of its check rule
+GL_NODES_MAIN = 16
+GL_NODES_CHECK = 12
 _GRADE_LEVELS = 30  # dyadic refinement toward rho=0; the envelope exponent
                     # d < 2 makes exp(-rho^d) only C^1 at the origin
 
 
-def _truncation_radius(decay_exponent: float, poly_power: float, target: float) -> float:
-    """Smallest rho with rho^p e^{-rho^d} < target, then doubled."""
+def truncation_radius(cfg: QuadratureConfig, decay_exponent: float, poly_power: float) -> float:
+    """Smallest rho with rho^p e^{-rho^d} < tail_cut_epsilon * abs_tol, then doubled."""
+    target = cfg.tail_cut_epsilon * max(cfg.abs_tol, 1e-280)
 
     def log_env(r: float) -> float:
         return poly_power * math.log(r) - r ** decay_exponent
@@ -271,13 +314,15 @@ def _truncation_radius(decay_exponent: float, poly_power: float, target: float) 
     return 2.0 * hi
 
 
-def _tail_bound(decay_exponent: float, poly_power: float, radius: float) -> float:
+def tail_bound(decay_exponent: float, poly_power: float, radius: float) -> float:
     """Closed form bound on int_radius^inf rho^p e^{-rho^d} drho."""
     q = (poly_power + 1.0) / decay_exponent
     return _sps.gamma(q) * _sps.gammaincc(q, radius ** decay_exponent) / decay_exponent
 
 
-def _panel_edges(radius: float, osc_scale: float | None) -> np.ndarray:
+def panel_edges(radius: float, osc_scale: float | None) -> np.ndarray:
+    """Panel edges on [0, radius]: half-periods pi / osc_scale, at most 0.5
+    long, after dyadically graded panels toward the origin."""
     step = math.pi / osc_scale if osc_scale else 0.5
     step = min(step, 0.5)
     main = np.arange(step, radius, step)
@@ -332,15 +377,14 @@ def integrate_semi_infinite(
     """
     if decay_exponent <= 0:
         raise ValueError("decay_exponent must be positive")
-    target = cfg.tail_cut_epsilon * max(cfg.abs_tol, 1e-280)
-    radius = _truncation_radius(decay_exponent, poly_power, target)
-    tail = _tail_bound(decay_exponent, poly_power, radius)
+    radius = truncation_radius(cfg, decay_exponent, poly_power)
+    tail = tail_bound(decay_exponent, poly_power, radius)
 
     half_periods = (osc_scale or 0.0) * radius / math.pi
     if half_periods > _OSC_PANEL_THRESHOLD:
-        edges = _panel_edges(radius, osc_scale)
-        value, n_main = _panel_sum(f, edges, _GL_NODES_MAIN)
-        check, n_check = _panel_sum(f, edges, _GL_NODES_CHECK)
+        edges = panel_edges(radius, osc_scale)
+        value, n_main = _panel_sum(f, edges, GL_NODES_MAIN)
+        check, n_check = _panel_sum(f, edges, GL_NODES_CHECK)
         err = abs(value - check) + tail
         return IntegralResult(value, err, n_main + n_check)
 

@@ -165,6 +165,22 @@ class TestVerifyCommand:
         )
         assert code == 2
 
+    def test_dim_flag_overrides_config_n(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(cfg):
+            seen.append(cfg.params.dim)
+            return VerificationReport(suite="record")
+
+        monkeypatch.setitem(SUITES, "record", record)
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text('{"N": 1, "s": 0.6}')
+        code = main(
+            ["verify", "record", "--config", str(cfg_file), "--dim", "2", "--out", str(tmp_path / "o")]
+        )
+        assert code == 0
+        assert seen == [2]
+
     @pytest.mark.parametrize(
         "text, reason",
         [('{"s": 0.6,,}', "config is not valid JSON: line 1 column 11"), ("[1]", "JSON object")],

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from fracheat import kernel
 from fracheat.kernel import (
     AlphaTable,
     KernelParams,
@@ -25,6 +26,8 @@ from fracheat.kernel import (
     _kernel_hessian,
 )
 from fracheat.report import VerificationReport
+from fracheat.solver import _TABLE_REL
+from fracheat.specfun import QuadratureConfig, QuadratureError
 
 CAUCHY_1D = KernelParams(dim=1, s=0.5)
 CAUCHY_2D = KernelParams(dim=2, s=0.5)
@@ -458,6 +461,70 @@ def test_table_construction_validation():
         RadialProfileTable(par, good.nodes[:6], good.values[:6])  # too short
     with pytest.raises(ValueError):
         RadialProfileTable(par, good.nodes[:200], good.values[:200])  # tail not reached
+
+
+# every table the acceptance suites and the benchmark read, with the rate
+# companions (4, 0.75) and (5, 0.75) of 2-D and 3-D solves
+READ_TABLES = [
+    (1, 0.3), (2, 0.3), (3, 0.3),
+    (1, 0.55), (2, 0.55), (3, 0.55),
+    (1, 0.75), (2, 0.75), (3, 0.75), (4, 0.75), (5, 0.75),
+    (3, 0.4), (1, 0.5), (1, 0.6), (3, 0.6), (1, 0.7), (3, 0.7), (1, 0.8), (3, 0.8),
+]
+
+
+@pytest.mark.parametrize("dim, s", READ_TABLES)
+def test_table_error_within_solver_envelope(dim, s):
+    # the solver's error estimates charge each table value _TABLE_REL
+    table = profile_table(dim, s)
+    nodes = table.nodes[1:]
+    mids = np.sqrt(nodes[:-1] * nodes[1:])
+    direct = kernel._profile_values(dim, s, mids, table.params.quad)
+    assert mids.size == 959
+    assert np.max(np.abs(table.evaluate(mids) / direct - 1.0)) <= _TABLE_REL
+
+
+@pytest.mark.parametrize("dim, s", [(1, 0.6), (3, 0.4), (2, 0.75), (3, 0.75), (1, 0.3)])
+def test_table_nodes_match_fourier_oracle(dim, s):
+    table = profile_table(dim, s)
+    params = KernelParams(dim=dim, s=s)
+    for r, value in zip(table.nodes[1::40], table.values[1::40]):
+        x = np.zeros(dim)
+        x[0] = r
+        oracle = heat_kernel_fourier(params, x, 1.0) * (2.0 * math.pi) ** (0.5 * dim)
+        assert value == pytest.approx(oracle, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("dim, s", [(1, 0.6), (2, 0.75), (3, 0.4)])
+def test_pointwise_profile_equals_table_nodes(dim, s):
+    table = profile_table(dim, s)
+    params = KernelParams(dim=dim, s=s)
+    for i in (1, 97, 480, 800, 900, 960):
+        assert f_radial(params, table.nodes[i]) == table.values[i]
+
+
+def test_block_size_changes_no_bit(monkeypatch):
+    # radii on both sides of the shared layout, several blocks each
+    radii = np.geomspace(1e-3, 40.0, 60)
+    cfg = QuadratureConfig()
+    for dim in (1, 2, 3):
+        whole = kernel._profile_values(dim, 0.6, radii, cfg)
+        monkeypatch.setattr(kernel, "_PROFILE_BLOCK", 999)
+        blocked = kernel._profile_values(dim, 0.6, radii, cfg)
+        monkeypatch.undo()
+        assert np.array_equal(whole, blocked)
+
+
+def test_unmet_tolerance_is_refused():
+    # 1e-20 absolute on values of order 0.01 to 1 is below double rounding,
+    # so the 16- and 12-point sums cannot agree that well at every radius
+    cfg = QuadratureConfig(abs_tol=1e-20, rel_tol=0.0)
+    with pytest.raises(QuadratureError, match="misses its tolerance") as caught:
+        kernel._profile_values(1, 0.75, np.geomspace(0.1, 20.0, 16), cfg)
+    assert caught.value.best.error_estimate > 1e-20
+    assert caught.value.best.value > 0.0
+    with pytest.raises(QuadratureError):
+        build_profile_table(KernelParams(dim=1, s=0.75, quad=cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 import dataclasses
 import math
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracheat import families as fam
-from fracheat import solver
+from fracheat import kernel, solver
 from fracheat.kernel import KernelParams, profile_table
 from fracheat.solver import (
     _MAX_ANGULAR,
@@ -224,6 +228,17 @@ class TestCanonicalSolve:
         monkeypatch.setenv("FRACHEAT_THREADS", "4")
         via_env = solve_canonical(u0, g, PAR_07)
         assert np.array_equal(serial.values, via_env.values)
+
+    def test_threaded_solve_builds_each_table_once(self, monkeypatch):
+        # the solve jobs of different times miss the cold tables together
+        builds = _slow_counter(monkeypatch, kernel, "build_profile_table")
+        g = GridSpec(dim=1, box=((-2.0, 2.0),), counts=(9,), times=(0.25, 0.5, 1.0, 2.0))
+        params = KernelParams(dim=1, s=0.64)
+        threaded = solve_canonical(fam.cosine(1.0), g, params, workers=2)
+        assert [(p.dim, p.s) for p, in builds] == [(1, 0.64)]
+        serial = solve_canonical(fam.cosine(1.0), g, params, workers=1)
+        assert np.array_equal(serial.values, threaded.values)
+        assert np.array_equal(serial.error_estimates, threaded.error_estimates)
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -517,6 +532,49 @@ class TestPointBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 100 * 2**20
+
+
+def _slow_counter(monkeypatch, module, name: str) -> list:
+    # replace module.name by a slow pass-through that records its arguments
+    calls = []
+    real = getattr(module, name)
+
+    def slow(*args):
+        calls.append(args)
+        time.sleep(0.2)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, slow)
+    return calls
+
+
+def _together(fn, count: int = 4) -> list:
+    # call fn from more threads than cores, released at the same moment,
+    # with a short switch interval so that the threads interleave finely
+    start = threading.Barrier(count, timeout=30.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=count) as pool:
+            futures = [pool.submit(lambda: (start.wait(), fn())[1]) for _ in range(count)]
+            return [f.result(timeout=120.0) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestConcurrentMisses:
+    def test_profile_table_builds_once(self, monkeypatch):
+        builds = _slow_counter(monkeypatch, kernel, "build_profile_table")
+        tables = _together(lambda: kernel.profile_table(1, 0.62))
+        assert len(builds) == 1
+        assert all(table is tables[0] for table in tables)
+
+    def test_factor_tables_build_once(self, monkeypatch):
+        lookups = _slow_counter(monkeypatch, solver, "profile_table")
+        factors = _together(lambda: solver._factor_tables(1, 0.63, "rate"))
+        # one build reads the dim-1 table and its dim-3 companion
+        assert lookups == [(1, 0.63), (3, 0.63)]
+        assert all(f is factors[0] for f in factors)
 
 
 class TestEnvelopePropagation:
