@@ -2,12 +2,11 @@
 
 One binary exposes the whole package: ``kernel`` for density evaluation
 and bound ratios, ``fraclap`` for pointwise operator values and
-classification, ``solve`` for gridded solutions, ``verify`` for the
-named check suites, and ``bench`` for rough wall-clock timings.  Every
-data artifact is a header-first CSV with 17-significant-digit decimals
-and a trailing newline, or JSON with sorted keys, so reruns with the
-same configuration and seed reproduce files byte for byte (``bench``
-is the one exception: it reports wall time, which no seed controls).
+classification, ``solve`` for gridded solutions, and ``verify`` for the
+named check suites.  Every data artifact is a header-first CSV with
+17-significant-digit decimals and a trailing newline, or JSON with
+sorted keys, so reruns with the same configuration and seed reproduce
+files byte for byte.
 
 Function specs use the grammar ``family:param[,param]``; see the
 ``--help`` of any subcommand and the README for the family list.
@@ -448,33 +447,6 @@ def _cmd_verify(args) -> int:
     return 0 if all_pass else 1
 
 
-def _cmd_bench(args) -> int:
-    import time
-
-    params = KernelParams(dim=1, s=0.75)
-    u0 = fam.cosine(1.0)
-    profile_table(1, 0.75)  # cache so timings measure steady-state work
-
-    def clock(fn, reps):
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            fn()
-        return (time.perf_counter() - t0) / reps
-
-    from .solver import solution_at
-
-    table = profile_table(1, 0.75)
-    batch = np.linspace(0.0, 40.0, 10000)
-    rows = [
-        ["heat_kernel", 200, clock(lambda: heat_kernel(params, [0.7], 1.0), 200)],
-        ["profile_table_10k", 20, clock(lambda: table.evaluate(batch), 20)],
-        ["frac_laplacian", 5, clock(lambda: frac_laplacian(u0, [0.3], 0.75), 5)],
-        ["solution_at", 5, clock(lambda: solution_at(u0, [0.3], 0.5, params), 5)],
-    ]
-    emit_table((["operation", "repetitions", "seconds_per_call"], rows), args.out)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -487,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Laplacians, canonical solutions, and the verification battery."
         ),
         epilog=DATUM_GRAMMAR
-        + ". The environment variable FRACHEAT_THREADS caps solver parallelism.",
+        + ". The environment variable FRACHEAT_THREADS, a positive integer, "
+        "sets the solver's thread count.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -542,7 +515,12 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--grid", required=True, help="per-axis lo:hi:count, comma-separated")
     solve.add_argument("--times", required=True, help="comma-separated times")
     solve.add_argument("--out", required=True, help="output directory")
-    solve.add_argument("--workers", type=int, default=None)
+    solve.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="solver threads, a positive integer (default: FRACHEAT_THREADS or 1)",
+    )
 
     verify = sub.add_parser(
         "verify",
@@ -570,12 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", default=None)
     verify.add_argument("--seed", type=int, default=None)
 
-    bench = sub.add_parser(
-        "bench",
-        help="rough per-operation wall-clock timings (not reproducible)",
-    )
-    bench.add_argument("--out", default=None)
-
     return parser
 
 
@@ -586,7 +558,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "fraclap": _cmd_fraclap,
         "solve": _cmd_solve,
         "verify": _cmd_verify,
-        "bench": _cmd_bench,
     }
     try:
         return handlers[args.command](args)

@@ -75,9 +75,12 @@ class FunctionSpec:
     """A concrete function with exact evaluators and declared structure.
 
     value / gradient / hessian take arrays of shape (..., dim) and return
-    shapes (...,), (..., dim), (..., dim, dim).  The metadata fields are
-    promises the quadrature and classification code relies on; factories in
-    this module set them honestly and tests spot-check the promises.
+    shapes (...,), (..., dim), (..., dim, dim).  value may receive a view
+    that is not C-contiguous, such as the (n, dim) transpose that
+    specfun.pair_sums passes, whose coordinates are contiguous columns.
+    The metadata fields are promises the quadrature and classification
+    code relies on; factories in this module set them honestly and tests
+    spot-check the promises.
 
     hessian_decay, when present, is a pair (coeff, rate) asserting
     ||D^2 u(x)|| <= coeff * |x| ** (-rate) for |x| >= 1.  Families that are
@@ -153,6 +156,19 @@ def _point_array(pts: np.ndarray, dim: int) -> np.ndarray:
     if a.ndim == 0 or a.shape[-1] != dim:
         raise ValueError(f"expected trailing axis of length {dim}, got shape {a.shape}")
     return a
+
+
+def _sq_norm(a: np.ndarray) -> np.ndarray:
+    """|x|^2 over the trailing axis, adding a[..., k] * a[..., k] column by column.
+
+    Below 8 coordinates numpy's sum also adds in order, so the bits equal
+    those of np.sum(a * a, axis=-1) in any memory order; this form skips
+    the (..., dim) temporary and the reduction over a short axis.
+    """
+    out = a[..., 0] * a[..., 0]
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * a[..., k]
+    return out
 
 
 def _quadratic_exp_amplitude(profile: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -287,7 +303,7 @@ def gaussian(rate: float = 1.0, dim: int = 1) -> FunctionSpec:
 
     def value(pts: np.ndarray) -> np.ndarray:
         a = _point_array(pts, dim)
-        return np.exp(-rate * np.sum(a * a, axis=-1))
+        return np.exp(-rate * _sq_norm(a))
 
     def grad(pts: np.ndarray) -> np.ndarray:
         a = _point_array(pts, dim)
@@ -337,16 +353,16 @@ def abs_power(power: float, dim: int = 1) -> FunctionSpec:
 
     def value(pts: np.ndarray) -> np.ndarray:
         a = _point_array(pts, dim)
-        return (1.0 + np.sum(a * a, axis=-1)) ** (0.5 * b)
+        return (1.0 + _sq_norm(a)) ** (0.5 * b)
 
     def grad(pts: np.ndarray) -> np.ndarray:
         a = _point_array(pts, dim)
-        q = 1.0 + np.sum(a * a, axis=-1)
+        q = 1.0 + _sq_norm(a)
         return b * a * (q ** (0.5 * b - 1.0))[..., np.newaxis]
 
     def hess(pts: np.ndarray) -> np.ndarray:
         a = _point_array(pts, dim)
-        q = 1.0 + np.sum(a * a, axis=-1)
+        q = 1.0 + _sq_norm(a)
         eye = np.eye(dim).reshape((1,) * (a.ndim - 1) + (dim, dim))
         outer = a[..., :, np.newaxis] * a[..., np.newaxis, :]
         d1 = (b * q ** (0.5 * b - 1.0))[..., np.newaxis, np.newaxis]

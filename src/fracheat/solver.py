@@ -457,13 +457,20 @@ def _solve_batch(
 
 
 def _resolve_workers(workers: int | None) -> int:
+    """The thread count: workers when given, else FRACHEAT_THREADS, else 1.
+
+    Refuses anything that is not a positive integer, naming its source.
+    """
     if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("FRACHEAT_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
+        if workers < 1:
+            raise ValueError(f"workers must be a positive integer, got {workers!r}")
+        return int(workers)
+    env = os.environ.get("FRACHEAT_THREADS")
+    if env is None:
         return 1
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"FRACHEAT_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 # ---------------------------------------------------------------------------

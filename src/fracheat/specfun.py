@@ -225,22 +225,29 @@ def pair_sums(
     One row per point x of the (count, dim) array pts, one column per
     radius rho.  The datum is evaluated in chunks of radii holding about
     _PAIR_CHUNK points each, so memory stays bounded for long radius lists.
+
+    Each chunk's cloud is one (dim, count, radii, 2 * dirs) array, filled
+    one coordinate at a time: the x + rho d points take the first half of
+    the last axis and the x - rho d points the second.  The datum receives
+    it as the (points, dim) view cloud.reshape(dim, -1).T, which is not
+    C-contiguous: each coordinate is a contiguous column.  One buffer of
+    about _PAIR_CHUNK * dim floats is allocated per call and reused by
+    every chunk, so concurrent calls share nothing.
     """
     count, dim = pts.shape
+    nd = len(dirs)
     w2 = np.concatenate([dwts, dwts])
     out = np.empty((count, rhos.size))
-    block = max(1, _PAIR_CHUNK // (2 * len(dirs) * count))
+    block = max(1, _PAIR_CHUNK // (2 * nd * count))
+    buf = np.empty(dim * count * min(block, rhos.size) * 2 * nd)
     for lo in range(0, rhos.size, block):
         sub = rhos[lo : lo + block]
-        offs = sub[:, None, None] * dirs[None, :, :]
-        cloud = np.concatenate(
-            [
-                pts[:, None, None, :] + offs[None, :, :, :],
-                pts[:, None, None, :] - offs[None, :, :, :],
-            ],
-            axis=2,
-        )
-        vals = value(cloud.reshape(-1, dim)).reshape(count, sub.size, -1)
+        cloud = buf[: dim * count * sub.size * 2 * nd].reshape(dim, count, sub.size, 2 * nd)
+        for k in range(dim):
+            step = sub[:, None] * dirs[None, :, k]
+            np.add(pts[:, k, None, None], step, out=cloud[k, :, :, :nd])
+            np.subtract(pts[:, k, None, None], step, out=cloud[k, :, :, nd:])
+        vals = value(cloud.reshape(dim, -1).T).reshape(count, sub.size, -1)
         out[:, lo : lo + block] = vals @ w2
     return out
 

@@ -352,11 +352,16 @@ class TestSolveCommand:
         assert code == 2
         assert "dim <= 3" in capsys.readouterr().err
 
+    def test_zero_workers_exits_two(self, tmp_path, capsys):
+        code = main(["solve", "--datum", "cosine:1", "--s", "0.6",
+                     "--grid=-1:1:3", "--times", "0.5", "--workers", "0",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "workers must be a positive integer, got 0" in capsys.readouterr().err
 
-class TestBenchCommand:
-    def test_bench_reports_positive_timings(self, capsys):
-        assert main(["bench"]) == 0
-        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-        assert rows[0] == ["operation", "repetitions", "seconds_per_call"]
-        assert len(rows) >= 4
-        assert all(float(r[2]) > 0.0 for r in rows[1:])
+    def test_bad_thread_env_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FRACHEAT_THREADS", "many")
+        code = main(["solve", "--datum", "cosine:1", "--s", "0.6",
+                     "--grid=-1:1:3", "--times", "0.5", "--out", str(tmp_path)])
+        assert code == 2
+        assert "FRACHEAT_THREADS must be a positive integer, got 'many'" in capsys.readouterr().err

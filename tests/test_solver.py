@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 import threading
 import time
@@ -228,6 +229,21 @@ class TestCanonicalSolve:
         monkeypatch.setenv("FRACHEAT_THREADS", "4")
         via_env = solve_canonical(u0, g, PAR_07)
         assert np.array_equal(serial.values, via_env.values)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_bad_worker_count_refused(self, workers):
+        g = GridSpec(dim=1, box=((-1.0, 1.0),), counts=(3,), times=(0.3,))
+        msg = f"workers must be a positive integer, got {workers!r}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            solve_canonical(fam.gaussian(1.0), g, PAR_07, workers=workers)
+
+    @pytest.mark.parametrize("env", ["0", "-1", "+2", "two", "1.5", ""])
+    def test_bad_thread_env_refused(self, monkeypatch, env):
+        g = GridSpec(dim=1, box=((-1.0, 1.0),), counts=(3,), times=(0.3,))
+        monkeypatch.setenv("FRACHEAT_THREADS", env)
+        msg = f"FRACHEAT_THREADS must be a positive integer, got {env!r}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            solve_canonical(fam.gaussian(1.0), g, PAR_07)
 
     def test_threaded_solve_builds_each_table_once(self, monkeypatch):
         # the solve jobs of different times miss the cold tables together

@@ -1,6 +1,9 @@
 """Tests for the special-function layer: gamma, shared quadrature rules, quadrature."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
+from fracheat import families as fam
+from fracheat import specfun
+from fracheat.families import _sq_norm
 from fracheat.specfun import (
     IntegralResult,
     QuadratureConfig,
@@ -16,6 +22,7 @@ from fracheat.specfun import (
     gamma,
     gauss_legendre,
     integrate_semi_infinite,
+    pair_sums,
     panel_rule,
     sphere_rule,
 )
@@ -135,6 +142,86 @@ def test_two_dim_sphere_rule_nests(level):
 def test_sphere_rule_refuses_dim_above_three():
     with pytest.raises(ValueError, match="dim <= 3"):
         sphere_rule(4, 0)
+
+
+def _pair_sums_reference(value, pts, rhos, dirs, dwts):
+    # the (count, radii, dirs, dim) broadcasts joined by concatenate, chunked
+    # as pair_sums chunks, so each chunk's vals @ w2 has the same shape
+    count, dim = pts.shape
+    w2 = np.concatenate([dwts, dwts])
+    out = np.empty((count, rhos.size))
+    block = max(1, specfun._PAIR_CHUNK // (2 * len(dirs) * count))
+    for lo in range(0, rhos.size, block):
+        sub = rhos[lo : lo + block]
+        offs = sub[:, None, None] * dirs[None, :, :]
+        cloud = np.concatenate(
+            [
+                pts[:, None, None, :] + offs[None, :, :, :],
+                pts[:, None, None, :] - offs[None, :, :, :],
+            ],
+            axis=2,
+        )
+        vals = value(cloud.reshape(-1, dim)).reshape(count, sub.size, -1)
+        out[:, lo : lo + block] = vals @ w2
+    return out
+
+
+def _pair_case(dim, count, seed=0):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-2.0, 2.0, (count, dim))
+    rhos = np.geomspace(1e-3, 40.0, 10)
+    dirs, dwts = sphere_rule(dim, 1)
+    return pts, rhos, dirs, dwts
+
+
+@pytest.mark.parametrize("family", ["cosine", "gaussian"])
+@pytest.mark.parametrize("count", [1, 3, 9])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pair_sums_matches_concatenate_reference_bit_for_bit(monkeypatch, dim, count, family):
+    # cosine reads one column of the cloud, gaussian the norm of each row
+    u = fam.parse_spec(f"{family}:0.7", dim=dim)
+    pts, rhos, dirs, dwts = _pair_case(dim, count)
+    # blocks of 3 radii: chunks of 3, 3, 3 and a ragged 1
+    monkeypatch.setattr(specfun, "_PAIR_CHUNK", 2 * len(dirs) * count * 3 + 1)
+    got = pair_sums(u.value, pts, rhos, dirs, dwts)
+    assert got.shape == (count, rhos.size)
+    assert np.array_equal(got, _pair_sums_reference(u.value, pts, rhos, dirs, dwts))
+
+
+def test_pair_sums_concurrent_calls_match_serial(monkeypatch):
+    # each call owns its cloud buffer; many small chunks give the threads
+    # many chances to interleave
+    u = fam.gaussian(0.7, dim=2)
+    cases = [_pair_case(2, 3, seed) for seed in range(4)]
+    monkeypatch.setattr(specfun, "_PAIR_CHUNK", 2 * len(cases[0][2]) * 3 * 2)
+    serial = [pair_sums(u.value, *case) for case in cases]
+    barrier = threading.Barrier(len(cases))
+
+    def run(case):
+        barrier.wait(timeout=30)
+        return pair_sums(u.value, *case)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(cases)) as pool:
+            futures = [pool.submit(run, case) for case in cases]
+            threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sq_norm_matches_numpy_sum_bit_for_bit(dim, order):
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((4, 500, dim)) * rng.uniform(0.0, 1e3, (4, 500, 1))
+    a = np.asarray(a, order=order)
+    assert np.array_equal(_sq_norm(a), np.sum(a * a, axis=-1))
+    flat = np.asarray(a.reshape(-1, dim), order=order)
+    assert np.array_equal(_sq_norm(flat), np.sum(flat * flat, axis=-1))
 
 
 # ---------------------------------------------------------------------------
