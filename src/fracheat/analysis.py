@@ -34,6 +34,8 @@ from .solver import (
 )
 
 TOLERANCE = 1e-6
+# the smallest heating rate monotonicity_check counts as strict
+_STRICT_RATE = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +293,11 @@ def monotonicity_check(
     times: Sequence[float],
     params: KernelParams,
     tolerance: float = TOLERANCE,
-    strict_threshold: float = 1e-4,
 ) -> VerificationReport:
     """Heating rate of a convex datum at chosen space-time samples.
 
     The rate must clear -tolerance everywhere.  For a non-affine datum
-    the rate must additionally clear ``strict_threshold``: a vanishing
+    the rate must additionally clear _STRICT_RATE: a vanishing
     rate somewhere is reserved for affine data, so observing one
     anywhere else is reported as a failure rather than a curiosity.
     """
@@ -332,9 +333,9 @@ def monotonicity_check(
         report.add(
             name="strictly-heating",
             measured=float(rates[lo]),
-            bound=strict_threshold,
+            bound=_STRICT_RATE,
             tolerance=0.0,
-            passed=float(rates[lo]) >= strict_threshold,
+            passed=float(rates[lo]) >= _STRICT_RATE,
             worst_point=worst,
         )
     return report

@@ -68,21 +68,6 @@ class RunConfig:
     out: str
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "datum": self.datum,
-            "dim": self.params.dim,
-            "grid": {
-                "box": [list(b) for b in self.grid.box],
-                "counts": list(self.grid.counts),
-                "times": list(self.grid.times),
-            },
-            "out": self.out,
-            "s": self.params.s,
-            "seed": self.seed,
-            "suites": list(self.suites),
-        }
-
 
 _CONFIG_KEYS = {"N", "dim", "s", "datum", "grid", "suites", "out", "seed"}
 _GRID_KEYS = {"box", "counts", "times"}

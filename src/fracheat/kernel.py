@@ -24,6 +24,11 @@ the estimate |16-point - 12-point| + tail, and a radius whose estimate
 exceeds max(abs_tol, rel_tol |F|) is refused with QuadratureError.
 f_radial, d_f_radial and the table build all use it, so a table node
 equals f_radial there bit for bit.
+
+The large-radius series has one copy as well: tail_series sums it for
+f_radial past _SERIES_RADIUS, for the table past its last node and for
+the table build's check, and tail_integral integrates it beyond a radius
+for kernel_mass and the solver's mean tail.
 """
 
 from __future__ import annotations
@@ -65,6 +70,20 @@ _SERIES_RADIUS = 1000.0
 _SHARED_RADIUS = 2.0 * math.pi
 # entries of each block of the radii x abscissae products in the profile sums
 _PROFILE_BLOCK = 1 << 18
+# terms of the large-radius series, one per Mellin pole
+_TAIL_TERMS = 14
+# the table's first positive node, its smallest last node, and its count of
+# positive nodes, log-spaced between the two
+_TABLE_FIRST = 1e-3
+_TABLE_LAST = 30.0
+_TABLE_NODES = 960
+# scaled radius where a radial integral against the profile leaves its
+# table panels: kernel_mass integrates the series beyond it, and the
+# solver's tail band starts there
+TAIL_CUT = 30.0
+# the window verify_kernel_bounds holds the envelope ratios to
+_RATIO_FLOOR = 1e-8
+_RATIO_CEILING = 1e8
 
 
 @dataclass(frozen=True)
@@ -183,16 +202,17 @@ def _profile_values(dim: int, s: float, radii: np.ndarray, cfg: QuadratureConfig
 
 
 @functools.lru_cache(maxsize=512)
-def tail_coefficients(dim: int, s: float, count: int = 14) -> tuple[float, ...]:
+def tail_coefficients(dim: int, s: float) -> tuple[float, ...]:
     """Coefficients a_k of the large-r expansion F(r) ~ sum a_k r^(-dim-2sk).
 
-    One coefficient per Mellin pole of the transform.  When s*k hits an
-    integer the sine factor kills the term exactly, so near-zero sines
-    snap to zero rather than keeping roundoff-sized coefficients.
+    One coefficient per Mellin pole of the transform, _TAIL_TERMS of them.
+    When s*k hits an integer the sine factor kills the term exactly, so
+    near-zero sines snap to zero rather than keeping roundoff-sized
+    coefficients.
     """
     out = []
     fact = 1.0
-    for k in range(1, count + 1):
+    for k in range(1, _TAIL_TERMS + 1):
         fact *= k
         sine = math.sin(math.pi * s * k)
         if abs(sine) < 1e-10:
@@ -210,19 +230,33 @@ def tail_coefficients(dim: int, s: float, count: int = 14) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _tail_series_value(dim: int, s: float, r: float) -> float:
-    # asymptotic sum, cut at the smallest surviving term
-    total = 0.0
-    prev = math.inf
+def tail_series(dim: int, s: float, r: np.ndarray) -> np.ndarray:
+    """F at every radius of an array from the large-radius series.
+
+    Every nonzero coefficient of tail_coefficients is summed, in order of
+    k.  The series converges at every r > 0 for 2s < 1; for 2s > 1 it is
+    asymptotic, and the callers use it only where its terms fall off fast
+    (past the table's last node, which sits where the first correction is
+    below 4% of the leading term, or past _SERIES_RADIUS).
+    """
+    r = np.asarray(r, dtype=float)
+    total = np.zeros_like(r)
     for k, a in enumerate(tail_coefficients(dim, s), start=1):
-        if a == 0.0:
-            continue
-        term = a * r ** (-dim - 2.0 * s * k)
-        if abs(term) >= prev:
-            break
-        total += term
-        prev = abs(term)
+        if a != 0.0:
+            total += a * r ** (-dim - 2.0 * s * k)
     return total
+
+
+def tail_integral(coeffs: tuple[float, ...], s: float, radius: float) -> float:
+    """int_radius^inf sum_k c_k r^(-1-2sk) dr, term by term: the math.fsum
+    of c_k radius^(-2sk) / (2sk) over the nonzero c_k.
+
+    With the coefficients of tail_coefficients this is the integral of
+    F(r) r^(dim-1) beyond the radius.
+    """
+    return math.fsum(
+        c * radius ** (-2.0 * s * k) / (2.0 * s * k) for k, c in enumerate(coeffs, start=1) if c != 0.0
+    )
 
 
 def _profile_array(dim: int, s: float, radii: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
@@ -232,7 +266,7 @@ def _profile_array(dim: int, s: float, radii: np.ndarray, cfg: QuadratureConfig)
     far = radii > _SERIES_RADIUS
     mid = (radii > 0.0) & ~far
     out[radii == 0.0] = _profile_zero(dim, s)
-    out[far] = [_tail_series_value(dim, s, r) for r in radii[far].tolist()]
+    out[far] = tail_series(dim, s, radii[far])
     if mid.any():
         out[mid] = _profile_values(dim, s, radii[mid], cfg)
     return out
@@ -548,25 +582,13 @@ class RadialProfileTable:
         if np.any(mid):
             out[mid] = np.exp(self._interp(np.log(r[mid])))
         if np.any(big):
-            dim, s = self.params.dim, self.params.s
-            coeffs = tail_coefficients(dim, s)
-            rb = r[big]
-            acc = np.zeros_like(rb)
-            for k, a in enumerate(coeffs, start=1):
-                if a != 0.0:
-                    acc += a * rb ** (-dim - 2.0 * s * k)
-            out[big] = acc
+            out[big] = tail_series(self.params.dim, self.params.s, r[big])
         return float(out[0]) if scalar else out
 
     __call__ = evaluate
 
 
-def build_profile_table(
-    params: KernelParams,
-    r_first: float = 1e-3,
-    r_last: float = 30.0,
-    num: int = 960,
-) -> RadialProfileTable:
+def build_profile_table(params: KernelParams) -> RadialProfileTable:
     """Sample the profile on a log-spaced grid and wrap it in a table.
 
     The last node must sit in the power-law tail; construction verifies
@@ -581,6 +603,7 @@ def build_profile_table(
     # boundary until the first surviving correction term drops below 4%
     dim, s, cfg = params.dim, params.s, params.quad
     coeffs = tail_coefficients(dim, s)
+    r_last = _TABLE_LAST
     for j, a in enumerate(coeffs[1:], start=2):
         if a != 0.0:
             ratio = abs(a) / (0.04 * abs(coeffs[0]))
@@ -588,10 +611,10 @@ def build_profile_table(
                 r_last = max(r_last, ratio ** (1.0 / (2.0 * s * (j - 1))))
             break
     for last in (r_last, 1.5 * r_last, 2.25 * r_last):
-        series = _tail_series_value(dim, s, last)
+        series = float(tail_series(dim, s, np.array([last]))[0])
         direct = float(_profile_values(dim, s, np.array([last]), cfg)[0])
         if abs(series / direct - 1.0) <= 1e-7:
-            grid = np.concatenate([[0.0], np.geomspace(r_first, last, num)])
+            grid = np.concatenate([[0.0], np.geomspace(_TABLE_FIRST, last, _TABLE_NODES)])
             return RadialProfileTable(params, grid, _profile_array(dim, s, grid, cfg))
     raise QuadratureError(
         "series continuation never matched direct quadrature",
@@ -610,10 +633,10 @@ def profile_table(dim: int, s: float) -> RadialProfileTable:
 # mass and bound verification
 
 
-def kernel_mass(params: KernelParams, t: float, scaled_cut: float = 30.0) -> float:
+def kernel_mass(params: KernelParams, t: float) -> float:
     """Total integral of the kernel at time t.
 
-    Radial quadrature against the profile table out to the cut, then the
+    Radial quadrature against the profile table out to TAIL_CUT, then the
     analytic tail from the large-radius series.  The result must come out
     1 for every t; the t-powers all cancel, so any deviation measures
     quadrature plus table error.
@@ -625,7 +648,7 @@ def kernel_mass(params: KernelParams, t: float, scaled_cut: float = 30.0) -> flo
     sphere = 2.0 * math.pi ** (0.5 * dim) / gamma(0.5 * dim)
     scale = t**sp
     # physical-variable panels whose images are fixed in the scaled variable
-    redges = np.concatenate([np.linspace(0.0, 2.0, 17), np.geomspace(2.25, scaled_cut, 32)])
+    redges = np.concatenate([np.linspace(0.0, 2.0, 17), np.geomspace(2.25, TAIL_CUT, 32)])
     nodes, weights = gauss_legendre(24)
     total = 0.0
     kernel_pref = t ** (-dim * sp) * _TWO_PI ** (-0.5 * dim)
@@ -637,29 +660,19 @@ def kernel_mass(params: KernelParams, t: float, scaled_cut: float = 30.0) -> flo
         total += half * float(np.dot(weights, integrand))
     bulk = sphere * total
     # analytic tail of the scaled profile integral beyond the cut
-    tail_terms = []
-    for k, a in enumerate(tail_coefficients(dim, s), start=1):
-        if a != 0.0:
-            tail_terms.append(a * scaled_cut ** (-2.0 * s * k) / (2.0 * s * k))
-    tail = sphere * _TWO_PI ** (-0.5 * dim) * math.fsum(tail_terms)
+    tail = sphere * _TWO_PI ** (-0.5 * dim) * tail_integral(tail_coefficients(dim, s), s, TAIL_CUT)
     return bulk + tail
 
 
-def verify_kernel_bounds(
-    params: KernelParams,
-    points=None,
-    times=None,
-    ratio_floor: float = 1e-8,
-    ratio_ceiling: float = 1e8,
-) -> VerificationReport:
+def verify_kernel_bounds(params: KernelParams, points=None, times=None) -> VerificationReport:
     """Measure the kernel against its two-sided scaling envelope.
 
     For each sampled (x, t) the kernel, its first two derivative orders,
     and its time derivative are divided by the matching envelope
     min(t-power, |x|-power); the report carries the extreme ratios.  The
-    check passes when the kernel ratio stays inside a fixed positive
-    window and every derivative ratio stays bounded, i.e. no vanishing
-    and no blow-up anywhere on the grid.
+    check passes when the kernel ratio stays inside the window
+    (_RATIO_FLOOR, _RATIO_CEILING) and every derivative ratio stays under
+    _RATIO_CEILING, i.e. no vanishing and no blow-up anywhere on the grid.
     """
     dim, s = params.dim, params.s
     sp = params.scaling_power
@@ -708,15 +721,9 @@ def verify_kernel_bounds(
                 t_hi = (ratio, where)
 
     report = VerificationReport(suite="kernel-bounds")
-    report.add(
-        "kernel-ratio-lower", p_lo[0], ratio_floor, 0.0, p_lo[0] > ratio_floor, p_lo[1]
-    )
-    report.add(
-        "kernel-ratio-upper", p_hi[0], ratio_ceiling, 0.0, p_hi[0] < ratio_ceiling, p_hi[1]
-    )
-    report.add("gradient-ratio", g_hi[0], ratio_ceiling, 0.0, g_hi[0] < ratio_ceiling, g_hi[1])
-    report.add("hessian-ratio", h_hi[0], ratio_ceiling, 0.0, h_hi[0] < ratio_ceiling, h_hi[1])
-    report.add(
-        "time-derivative-ratio", t_hi[0], ratio_ceiling, 0.0, t_hi[0] < ratio_ceiling, t_hi[1]
-    )
+    report.add("kernel-ratio-lower", p_lo[0], _RATIO_FLOOR, 0.0, p_lo[0] > _RATIO_FLOOR, p_lo[1])
+    report.add("kernel-ratio-upper", p_hi[0], _RATIO_CEILING, 0.0, p_hi[0] < _RATIO_CEILING, p_hi[1])
+    report.add("gradient-ratio", g_hi[0], _RATIO_CEILING, 0.0, g_hi[0] < _RATIO_CEILING, g_hi[1])
+    report.add("hessian-ratio", h_hi[0], _RATIO_CEILING, 0.0, h_hi[0] < _RATIO_CEILING, h_hi[1])
+    report.add("time-derivative-ratio", t_hi[0], _RATIO_CEILING, 0.0, t_hi[0] < _RATIO_CEILING, t_hi[1])
     return report

@@ -22,23 +22,23 @@ growth envelope) decides the route.
 
 In 2-D and 3-D the sphere integral P comes from a direction rule that is
 refined level by level, separately in two radial bands: the body
-r <= _CUT and the tail beyond it.  Each band refines until its own
+r <= TAIL_CUT and the tail beyond it.  Each band refines until its own
 drift between consecutive levels falls under half the accuracy budget,
 or the level cap is reached, and the error estimate adds each band's
-last drift per point.  The radial nodes do not depend on the level, and
-the 2-D rule nests, so a 2-D band keeps its sphere sums and evaluates
-only the directions new to each finer level.  The 3-D product rule does
-not nest and is evaluated whole at every level.
+last drift per point.  The radial nodes do not depend on the level, so
+specfun.nested_pair_sums can build a level's sphere sums from the kept
+sums of the level before where the rule nests (2-D), evaluating only the
+new directions.  The 3-D product rule does not nest and is evaluated
+whole at every level.
 
 Each band works through a batch in blocks of _NODE_BLOCK points: a
 block's sphere sums are evaluated and reduced to values and estimates
 before the next block's are formed, so the points x radii sums never
 exist for the whole batch at once.  Only a 2-D band keeps each block's
-sums for the next level: 1-D never refines, and the 3-D rule does not
-nest.  What
-serves the whole batch (the accuracy target from its smallest body
-value, the growth constant of its farthest point) is still decided over
-the whole batch, so the block size changes no number.
+sums for the next level: 1-D never refines, and in 3-D nested_pair_sums
+keeps nothing.  What serves the whole batch (the accuracy target from
+its smallest body value, the growth constant of its farthest point) is
+still decided over the whole batch, so the block size changes no number.
 """
 
 from __future__ import annotations
@@ -54,12 +54,11 @@ from numpy.polynomial.hermite import hermgauss
 
 from .families import FunctionSpec, as_point, require_admissible
 from .fraclap import riesz_constant, second_difference_constants
-from .kernel import KernelParams, profile_table, tail_coefficients
+from .kernel import TAIL_CUT, KernelParams, profile_table, tail_coefficients, tail_integral
 from .report import VerificationReport
-from .specfun import averaged_limit, pair_sums, panel_rule, shared_cache, sphere_rule
+from .specfun import averaged_limit, nested_pair_sums, panel_rule, shared_cache, sphere_rule
 
 _TWO_PI = 2.0 * math.pi
-_CUT = 30.0  # scaled radius where the profile's power series takes over
 _OSC_PANELS = 88
 _RADIUS_CAP = 1e35
 _CHUNK = 1_500_000
@@ -72,6 +71,10 @@ _MAX_ANGULAR = {2: 6, 3: 3}
 # at the node midpoints of any table the suites and the benchmark read is
 # 1.17e-8, in (3, 0.8)
 _TABLE_REL = 1.5e-8
+# radii of the rings envelope_propagate samples
+_RING_RADII = (0.0, 2.0, 10.0, 40.0, 100.0)
+# Gauss-Hermite nodes per axis of solve_classical up to 2-D (32 above)
+_HERMITE_NODES = 80
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +234,6 @@ def _series(dim: int, s: float, kind: str) -> tuple[float, ...]:
     return tuple(k * a for k, a in enumerate(base, start=1))
 
 
-def _mean_tail(dim: int, s: float, kind: str, radius: float) -> float:
-    """pref * int_radius^inf (profile series) r^(N-1) dr, per unit mean."""
-    pref = _TWO_PI ** (-0.5 * dim)
-    terms = [
-        c * radius ** (-2.0 * s * k) / (2.0 * s * k)
-        for k, c in enumerate(_series(dim, s, kind), start=1)
-        if c != 0.0
-    ]
-    return pref * math.fsum(terms)
-
-
 def _abs_tail(dim: int, s: float, kind: str, radius: float, shift: float = 0.0) -> float:
     """Upper bound on the leftover integral weight beyond a radius."""
     pref = _TWO_PI ** (-0.5 * dim)
@@ -255,12 +247,14 @@ def _abs_tail(dim: int, s: float, kind: str, radius: float, shift: float = 0.0) 
 class _RadialBands:
     """Scaled radial integral pref * int factor(r) P(x, t^(1/2s) r) dr.
 
-    The radial line splits at _CUT into a body band, tabulated profile
+    The radial line splits at TAIL_CUT into a body band, tabulated profile
     panels, and a tail band, whose route the datum's declarations pick.
-    Both bands start at the given angular level and sweep the points in
-    blocks of _NODE_BLOCK.  In 2-D they keep each block's sphere sums, so
-    a refinement evaluates only the new directions; the radial nodes never
-    depend on the level.
+    Past TAIL_CUT the tail band still reads the table's interpolant, out
+    to the table's last node (125-212 for s = 0.3), and the series only
+    beyond it.  Both bands start at the given angular level and sweep the
+    points in blocks of _NODE_BLOCK, keeping for each block what
+    nested_pair_sums returns to keep; the radial nodes never depend on the
+    level.
     """
 
     def __init__(
@@ -283,16 +277,16 @@ class _RadialBands:
 
         osc = (u0.osc_scale or 0.0) * tsc
         cap = 2.2 * math.pi / osc if osc > 0.0 else math.inf
-        edges = np.concatenate([np.linspace(0.0, 2.0, 17), np.geomspace(2.25, _CUT, 33)])
+        edges = np.concatenate([np.linspace(0.0, 2.0, 17), np.geomspace(2.25, TAIL_CUT, 33)])
         rs, ws = map(np.ravel, panel_rule(_cap_widths(edges, cap), 24))
         fac = factor(rs) * ws
 
         def body(surf: np.ndarray, sl: slice) -> tuple[np.ndarray, np.ndarray]:
             return pref * surf @ fac, _TABLE_REL * amp * pref * np.abs(surf) @ np.abs(fac)
 
-        self._u0, self._pts, self._dim, self._start = u0, pts, dim, level
+        self._u0, self._pts, self._dim = u0, pts, dim
         self._blocks = [slice(lo, lo + _NODE_BLOCK) for lo in range(0, len(pts), _NODE_BLOCK)]
-        self._sums = [[None] * len(self._blocks) for _ in range(2)] if dim == 2 else None
+        self._kept = [[None] * len(self._blocks) for _ in range(2)]
         self._rhos = [tsc * rs]
         self._reduce = [body]
         self.levels = [level, level]
@@ -302,13 +296,14 @@ class _RadialBands:
         # the accuracy target follows the smallest value scale present
         scale = 1.0 + float(np.min(np.abs(body_part[0])))
         target = 0.25 * (cfg.abs_tol + cfg.rel_tol * scale)
-        self._const = area * mean * _mean_tail(dim, s, kind, _CUT) if mean != 0.0 else 0.0
+        mean_tail = pref * tail_integral(_series(dim, s, kind), s, TAIL_CUT)
+        self._const = area * mean * mean_tail if mean != 0.0 else 0.0
 
-        if env.slope == 0.0 and osc > 0.0 and math.pi / osc <= 0.5 * _CUT:
+        if env.slope == 0.0 and osc > 0.0 and math.pi / osc <= 0.5 * TAIL_CUT:
             # oscillation fast on the profile scale: half-period panels keep
             # the envelope slowly varying per panel, then sequence averaging
             h = math.pi / osc
-            edges_t = _CUT + h * np.arange(_OSC_PANELS + 1)
+            edges_t = TAIL_CUT + h * np.arange(_OSC_PANELS + 1)
             rs_t, ws_t = map(np.ravel, panel_rule(edges_t, 12))
             fac_t = factor(rs_t) * ws_t
 
@@ -329,7 +324,7 @@ class _RadialBands:
                 c0_vec = area * (env.amplitude + env.slope * bump * xnorm**beta + abs(mean))
                 c0 = float(np.max(c0_vec))
                 c1 = area * env.slope * bump * tsc**beta
-                radius = 4.0 * _CUT
+                radius = 4.0 * TAIL_CUT
                 while radius < _RADIUS_CAP:
                     left = c0 * _abs_tail(dim, s, kind, radius) + c1 * _abs_tail(
                         dim, s, kind, radius, beta
@@ -345,13 +340,13 @@ class _RadialBands:
                 # slow or absent oscillation: geometric panels, widths still
                 # capped so any residual oscillation stays resolved
                 c_rest = area * (env.amplitude + abs(mean))
-                radius = 4.0 * _CUT
+                radius = 4.0 * TAIL_CUT
                 while radius < _RADIUS_CAP and c_rest * _abs_tail(dim, s, kind, radius) > target:
                     radius *= 4.0
                 left = np.full(len(pts), c_rest * _abs_tail(dim, s, kind, radius))
                 ratio = 1.4
-            n = max(4, int(math.ceil(math.log(radius / _CUT) / math.log(ratio))))
-            edges_t = _cap_widths(np.geomspace(_CUT, radius, n + 1), cap)
+            n = max(4, int(math.ceil(math.log(radius / TAIL_CUT) / math.log(ratio))))
+            edges_t = _cap_widths(np.geomspace(TAIL_CUT, radius, n + 1), cap)
             rs_t, ws_t = map(np.ravel, panel_rule(edges_t, 16))
             fac_t = factor(rs_t) * ws_t
 
@@ -367,28 +362,15 @@ class _RadialBands:
         self.drifts = [0.0, 0.0]
 
     def _sweep(self, band: int) -> tuple[np.ndarray, np.ndarray]:
-        """One band's values and estimates at its level, block by block.
-
-        The 2-D rule nests, so past the starting level a block's sums are
-        half the kept ones plus the sums over the new, odd-indexed
-        directions.
-        """
-        level = self.levels[band]
-        dirs, dwts = sphere_rule(self._dim, level)
+        """One band's values and estimates at its level, block by block."""
+        dirs, dwts = sphere_rule(self._dim, self.levels[band])
         # halved weights make the pair sums sphere averages; the scaling is
         # exact, so it commutes with every rounding
         half = 0.5 * dwts
-        nested = self._sums is not None and level > self._start
-        value, rhos = self._u0.value, self._rhos[band]
+        value, rhos, kept = self._u0.value, self._rhos[band], self._kept[band]
         vals, errs = [], []
         for i, sl in enumerate(self._blocks):
-            if nested:
-                fresh = pair_sums(value, self._pts[sl], rhos, dirs[1::2], half[1::2])
-                surf = 0.5 * self._sums[band][i] + fresh
-            else:
-                surf = pair_sums(value, self._pts[sl], rhos, dirs, half)
-            if self._sums is not None:
-                self._sums[band][i] = surf
+            surf, kept[i] = nested_pair_sums(value, self._pts[sl], rhos, dirs, half, kept[i])
             v, e = self._reduce[band](surf, sl)
             vals.append(v)
             errs.append(e)
@@ -410,18 +392,6 @@ class _RadialBands:
         return body_v + tail_v, errs
 
 
-def _radial_convolve(
-    u0: FunctionSpec,
-    pts: np.ndarray,
-    t: float,
-    params: KernelParams,
-    kind: str,
-    level: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The scaled radial integral with both bands at one angular level."""
-    return _RadialBands(u0, pts, t, params, kind, level).values()
-
-
 def _solve_batch(
     u0: FunctionSpec,
     pts: np.ndarray,
@@ -433,7 +403,7 @@ def _solve_batch(
     if not t > 0.0:
         raise ValueError("convolution requires t > 0")
     if params.dim == 1:
-        vals, errs = _radial_convolve(u0, pts, t, params, kind, 0)
+        vals, errs = _RadialBands(u0, pts, t, params, kind, 0).values()
     else:
         cfg = params.quad
         # the sphere rule refuses dim > 3 before the cap lookup
@@ -666,15 +636,14 @@ def envelope_propagate(
     u0: FunctionSpec,
     params: KernelParams,
     times,
-    ring_radii: tuple[float, ...] = (0.0, 2.0, 10.0, 40.0, 100.0),
 ) -> EnvelopeTrace:
-    """Measured growth amplitude of the solution over a sample ring.
+    """Measured growth amplitude of the solution over sample rings.
 
     A(t) is the largest excess of |u(x, t)| over coeff * |x|^power on the
-    ring, where power matches the datum's growth and coeff carries a
-    factor-four margin over the convolution bound; the margin stands in
-    for constants the theory leaves implicit, so the trace measures
-    rather than asserts.
+    rings of radii _RING_RADII, where power matches the datum's growth and
+    coeff carries a factor-four margin over the convolution bound; the
+    margin stands in for constants the theory leaves implicit, so the
+    trace measures rather than asserts.
     """
     require_admissible(u0, params.s)
     ts = tuple(float(t) for t in times)
@@ -689,7 +658,7 @@ def envelope_propagate(
     )
     dim = params.dim
     pts = []
-    for r in ring_radii:
+    for r in _RING_RADII:
         if r == 0.0:
             pts.append(np.zeros(dim))
             continue
@@ -775,11 +744,11 @@ def classical_lifespan(u0: FunctionSpec) -> float:
     return math.inf if rate == 0.0 else 1.0 / (4.0 * rate)
 
 
-def solve_classical(
-    u0: FunctionSpec, grid: GridSpec, nodes_per_axis: int = 80
-) -> SolutionField:
+def solve_classical(u0: FunctionSpec, grid: GridSpec) -> SolutionField:
     """Order-one comparison flow via Gauss-Hermite convolution.
 
+    The rule has _HERMITE_NODES nodes per axis, 32 above 2-D, and a
+    coarser rule of half as many plus eight gives the error estimate.
     All requested times must stay under the lifespan 1/(4B) from the
     datum's square-exponential envelope; beyond it the Gaussian integral
     loses meaning and the request is refused.
@@ -793,8 +762,7 @@ def solve_classical(
                 f"time {t} reaches the maximal existence time T = {horizon}; "
                 "the classical solution lives only on [0, T)"
             )
-    if grid.dim > 2:
-        nodes_per_axis = min(nodes_per_axis, 32)
+    nodes_per_axis = _HERMITE_NODES if grid.dim <= 2 else 32
     pts = grid.nodes()
     vals = np.empty((len(grid.times), len(pts)))
     errs = np.zeros_like(vals)

@@ -4,10 +4,10 @@ Primitives shared by the kernel, operator and solver layers: Euler Gamma;
 the quadrature rules every radial integral here is built from (a cached
 Gauss-Legendre rule, its per-panel copy over an edge array, repeated
 pairwise averaging of partial sums, half-sphere direction rules, and the
-sums of point pairs x +- rho d over such a rule); and an integrator for
-semi-infinite integrands whose decay is controlled by an envelope
-rho^p * exp(-rho^d).  Each caller keeps its own reduction of the panel
-values.
+sums of point pairs x +- rho d over such a rule, level by level where the
+rule nests); and an integrator for semi-infinite integrands whose decay
+is controlled by an envelope rho^p * exp(-rho^d).  Each caller keeps its
+own reduction of the panel values.
 
 The integrator has two regimes.  Mildly oscillatory or smooth integrands go
 through adaptive Gauss-Kronrod on the truncated interval.  Heavily
@@ -46,6 +46,7 @@ __all__ = [
     "averaged_limit",
     "sphere_rule",
     "pair_sums",
+    "nested_pair_sums",
     "shared_cache",
     "GL_NODES_MAIN",
     "GL_NODES_CHECK",
@@ -181,8 +182,9 @@ def sphere_rule(dim: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     which nests: the directions of level L are the even-indexed
     directions of level L + 1, each with twice the weight, so the sums
     of level L + 1 are half those of level L plus the sums over its
-    odd-indexed directions.  The 3-D product rule (Gauss-Legendre in the
-    polar cosine, midpoint in the azimuth) does not nest.
+    odd-indexed directions.  nested_pair_sums is the one place that
+    builds them so.  The 3-D product rule (Gauss-Legendre in the polar
+    cosine, midpoint in the azimuth) does not nest.
     """
     if dim == 1:
         return np.array([[1.0]]), np.array([2.0])
@@ -250,6 +252,34 @@ def pair_sums(
         vals = value(cloud.reshape(dim, -1).T).reshape(count, sub.size, -1)
         out[:, lo : lo + block] = vals @ w2
     return out
+
+
+def nested_pair_sums(
+    value: Callable[[np.ndarray], np.ndarray],
+    pts: np.ndarray,
+    rhos: np.ndarray,
+    dirs: np.ndarray,
+    dwts: np.ndarray,
+    kept: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """pair_sums over one level of sphere_rule, and what to keep for the next.
+
+    dirs and dwts are the level's rule, whose weights may carry a constant
+    factor.  kept is what this function returned for the level before,
+    with the same points, radii and factor, or None at the first level.
+    Only the 2-D rule nests: given kept, its sums are half the kept ones
+    plus the sums over the new, odd-indexed directions, so each direction
+    is evaluated once over all levels.  The halving is exact, so it
+    commutes with every rounding.  Returns the sums and what to keep: the
+    sums themselves in 2-D, and None in 1-D and 3-D, so those callers
+    store nothing.
+    """
+    nests = dirs.shape[1] == 2
+    if nests and kept is not None:
+        sums = 0.5 * kept + pair_sums(value, pts, rhos, dirs[1::2], dwts[1::2])
+    else:
+        sums = pair_sums(value, pts, rhos, dirs, dwts)
+    return sums, sums if nests else None
 
 
 # ---------------------------------------------------------------------------

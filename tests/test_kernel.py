@@ -22,6 +22,8 @@ from fracheat.kernel import (
     kernel_mass,
     kernel_time_derivative,
     profile_table,
+    tail_coefficients,
+    tail_series,
     verify_kernel_bounds,
     _kernel_hessian,
 )
@@ -501,6 +503,44 @@ def test_pointwise_profile_equals_table_nodes(dim, s):
     params = KernelParams(dim=dim, s=s)
     for i in (1, 97, 480, 800, 900, 960):
         assert f_radial(params, table.nodes[i]) == table.values[i]
+
+
+def _series_cut_at_smallest_term(dim, s, r):
+    # reference: the series summed one radius at a time and cut at its
+    # smallest surviving term, the usual rule for an asymptotic series.
+    # Also says whether the cut fired
+    total, prev = 0.0, math.inf
+    for k, a in enumerate(tail_coefficients(dim, s), start=1):
+        if a == 0.0:
+            continue
+        term = a * r ** (-dim - 2.0 * s * k)
+        if abs(term) >= prev:
+            return total, True
+        total += term
+        prev = abs(term)
+    return total, False
+
+
+@pytest.mark.parametrize("dim, s", READ_TABLES)
+def test_tail_series_matches_the_series_cut_at_its_smallest_term(dim, s):
+    # from each table's last node out, the terms only shrink, so summing
+    # them all is the cut sum up to rounding: two ulps, 4.44e-16
+    rs = np.geomspace(profile_table(dim, s).nodes[-1], 1e6, 400)
+    got = tail_series(dim, s, rs)
+    for r, value in zip(rs.tolist(), got.tolist()):
+        ref, cut = _series_cut_at_smallest_term(dim, s, r)
+        assert not cut
+        assert abs(value / ref - 1.0) <= 2.0 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("dim, s", [(1, 0.3), (3, 0.4), (2, 0.75)])
+def test_pointwise_profile_equals_table_past_series_radius(dim, s):
+    # both read tail_series there, so they agree bit for bit; a separate
+    # scalar sum of the series misses that at about one radius in twenty
+    table = profile_table(dim, s)
+    params = KernelParams(dim=dim, s=s)
+    for r in (1500.0, 1e4, 1e5, *np.geomspace(1001.0, 1e6, 40).tolist()):
+        assert f_radial(params, r) == table.evaluate(r)
 
 
 def test_block_size_changes_no_bit(monkeypatch):

@@ -19,7 +19,7 @@ from fracheat import kernel, solver
 from fracheat.kernel import KernelParams, profile_table
 from fracheat.solver import (
     _MAX_ANGULAR,
-    _radial_convolve,
+    _RadialBands,
     _solve_batch,
     EnvelopeTrace,
     GridSpec,
@@ -412,7 +412,7 @@ class TestAngularRefinement:
         sol = solve_canonical(u0, grid, self.PAR_2D)
         pts = grid.nodes()
         for ti, t in enumerate(grid.times):
-            ref, _ = _radial_convolve(u0, pts, t, self.PAR_2D, "mass", _MAX_ANGULAR[2])
+            ref, _ = _RadialBands(u0, pts, t, self.PAR_2D, "mass", _MAX_ANGULAR[2]).values()
             gap = np.abs(sol.values[ti] - ref)
             assert np.all(gap <= sol.error_estimates[ti])
 

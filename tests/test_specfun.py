@@ -22,6 +22,7 @@ from fracheat.specfun import (
     gamma,
     gauss_legendre,
     integrate_semi_infinite,
+    nested_pair_sums,
     pair_sums,
     panel_rule,
     sphere_rule,
@@ -211,6 +212,41 @@ def test_pair_sums_concurrent_calls_match_serial(monkeypatch):
         sys.setswitchinterval(old)
     for a, b in zip(serial, threaded):
         assert np.array_equal(a, b)
+
+
+def test_nested_pair_sums_evaluates_each_direction_once():
+    u = fam.gaussian(0.7, dim=2)
+    pts = np.random.default_rng(2).uniform(-2.0, 2.0, (3, 2))
+    rhos = np.geomspace(1e-2, 5.0, 7)
+    seen = []
+
+    def counting(x):
+        seen.append(np.array(x))
+        return u.value(x)
+
+    kept = None
+    for level in range(5):
+        dirs, dwts = sphere_rule(2, level)
+        got, kept = nested_pair_sums(counting, pts, rhos, dirs, dwts, kept)
+        assert kept is got
+        whole = pair_sums(u.value, pts, rhos, dirs, dwts)
+        assert np.allclose(got, whole, rtol=1e-13, atol=0.0)
+    # level 4's directions, each as x + rho d and x - rho d, and no more
+    rows = np.concatenate(seen)
+    assert len(rows) == len(pts) * rhos.size * 2 * len(sphere_rule(2, 4)[0])
+    assert len(np.unique(rows, axis=0)) == len(rows)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_nested_pair_sums_keeps_nothing_where_the_rule_does_not_nest(dim):
+    u = fam.gaussian(0.7, dim=dim)
+    pts = np.random.default_rng(3).uniform(-2.0, 2.0, (2, dim))
+    rhos = np.geomspace(1e-2, 5.0, 4)
+    for level in range(5 if dim == 3 else 1):
+        dirs, dwts = sphere_rule(dim, level)
+        got, kept = nested_pair_sums(u.value, pts, rhos, dirs, dwts, None)
+        assert kept is None
+        assert np.array_equal(got, pair_sums(u.value, pts, rhos, dirs, dwts))
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
