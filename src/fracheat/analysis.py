@@ -8,7 +8,7 @@ lattice second differences, invariance along a ruling direction, and
 monotone heating of convex data, together with the same battery run
 against the order-one comparison flow.
 
-Verdicts are absolute with a default tolerance of 1e-6, calibrated for
+Verdicts are absolute with the tolerance TOLERANCE = 1e-6, calibrated for
 data whose magnitude stays within about ten on the sampled box; that
 sits an order above the worst quadrature error the solver reports on
 such data, so a failed verdict reflects the field, not the quadrature.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -138,19 +138,15 @@ def _second_differences(
 # checks
 
 
-def max_principle_check(
-    field: SolutionField,
-    u0: Optional[FunctionSpec] = None,
-    tolerance: float = TOLERANCE,
-) -> VerificationReport:
+def max_principle_check(field: SolutionField) -> VerificationReport:
     """Order bounds of a solution field against its datum's range.
 
     The solution of a datum bounded on both sides must stay inside
-    [inf u0 - tolerance, sup u0 + tolerance] at every sample; the lower
+    [inf u0 - TOLERANCE, sup u0 + TOLERANCE] at every sample; the lower
     bound is the upper bound applied to the negated datum, so both
     directions come from one principle.
     """
-    u0 = field.datum if u0 is None else u0
+    u0 = field.datum
     if u0.sup_value is None or u0.inf_value is None:
         raise ValueError(
             f"{u0.label} does not declare finite range metadata; the order "
@@ -164,32 +160,27 @@ def max_principle_check(
         name="upper-bound",
         measured=float(field.values[hi]),
         bound=float(u0.sup_value),
-        tolerance=tolerance,
-        passed=float(field.values[hi]) <= u0.sup_value + tolerance,
+        tolerance=TOLERANCE,
+        passed=float(field.values[hi]) <= u0.sup_value + TOLERANCE,
         worst_point=(*nodes[hi[1]], field.grid.times[hi[0]]),
     )
     report.add(
         name="lower-bound",
         measured=float(field.values[lo]),
         bound=float(u0.inf_value),
-        tolerance=tolerance,
-        passed=float(field.values[lo]) >= u0.inf_value - tolerance,
+        tolerance=TOLERANCE,
+        passed=float(field.values[lo]) >= u0.inf_value - TOLERANCE,
         worst_point=(*nodes[lo[1]], field.grid.times[lo[0]]),
     )
     return report
 
 
-def convexity_check(
-    field: SolutionField,
-    directions: Optional[Sequence] = None,
-    steps: Optional[Sequence[int]] = None,
-    tolerance: float = TOLERANCE,
-) -> ConvexityReport:
+def convexity_check(field: SolutionField) -> ConvexityReport:
     """Lattice second differences of every row of a solution field.
 
-    Directions default to the grid axes plus the diagonals; steps are
-    lattice multiples, defaulting to {1, 2} plus whichever multiple
-    brings the physical step closest to length one.  The t = 0 row is
+    The directions are the grid axes plus the diagonals; the steps are the
+    lattice multiples 1, 2 and whichever multiple brings the physical step
+    closest to length one, as far as each fits the grid.  The t = 0 row is
     sampled too, so a non-convex datum is caught directly.
     """
     grid = field.grid
@@ -198,25 +189,18 @@ def convexity_check(
     spacings = np.array(
         [(hi - lo) / (c - 1) for (lo, hi), c in zip(grid.box, counts)]
     )
-    if directions is None:
-        dirs = _lattice_directions(grid.dim)
-    else:
-        dirs = [_snap_direction(d, grid.dim) for d in directions]
 
     best = math.inf
     margin = math.inf
     worst: tuple[tuple[float, ...], tuple[float, ...], float] = ((), (), 0.0)
     axes = grid.axes()
-    for d in dirs:
+    for d in _lattice_directions(grid.dim):
         kmax = _max_step(counts, d)
         if kmax < 1:
             raise ValueError("grid too small for a second difference along " + str(d))
         step_len = float(np.linalg.norm(spacings * np.asarray(d)))
         k_unit = min(max(1, round(1.0 / step_len)), kmax)
-        ks = sorted({k for k in (steps or (1, 2, k_unit)) if 1 <= k <= kmax})
-        if not ks:
-            raise ValueError("no requested step fits the grid along " + str(d))
-        for k in ks:
+        for k in sorted({k for k in (1, 2, k_unit) if k <= kmax}):
             sd, ctr = _second_differences(arr, d, k)
             local = float(np.min(sd))
             if k == k_unit and local < margin:
@@ -231,20 +215,18 @@ def convexity_check(
                 y = tuple(float(k * sp * da) for sp, da in zip(spacings, d))
                 worst = (point, y, grid.times[idx[0]])
     verdict: Literal["Convex", "NotConvex"] = (
-        "Convex" if best >= -tolerance else "NotConvex"
+        "Convex" if best >= -TOLERANCE else "NotConvex"
     )
     return ConvexityReport(
         min_second_difference=best,
         worst_triple=worst,
         verdict=verdict,
         strictness_margin=margin,
-        tolerance=tolerance,
+        tolerance=TOLERANCE,
     )
 
 
-def ruled_check(
-    field: SolutionField, xi, tolerance: float = TOLERANCE
-) -> RuledReport:
+def ruled_check(field: SolutionField, xi) -> RuledReport:
     """Deviation of every row from line structure along one direction.
 
     A field rules along xi when 2 u(x) equals u(x + mu xi) + u(x - mu xi)
@@ -276,14 +258,14 @@ def ruled_check(
             y = tuple(float(k * sp * da) for sp, da in zip(spacings, d))
             worst = (point, y, grid.times[idx[0]])
     verdict: Literal["Ruled", "NotRuled"] = (
-        "Ruled" if worst_val <= tolerance else "NotRuled"
+        "Ruled" if worst_val <= TOLERANCE else "NotRuled"
     )
     return RuledReport(
         direction=tuple(float(v) for v in np.atleast_1d(np.asarray(xi, dtype=float))),
         max_deviation=worst_val,
         worst_triple=worst,
         verdict=verdict,
-        tolerance=tolerance,
+        tolerance=TOLERANCE,
     )
 
 
@@ -292,11 +274,10 @@ def monotonicity_check(
     points,
     times: Sequence[float],
     params: KernelParams,
-    tolerance: float = TOLERANCE,
 ) -> VerificationReport:
     """Heating rate of a convex datum at chosen space-time samples.
 
-    The rate must clear -tolerance everywhere.  For a non-affine datum
+    The rate must clear -TOLERANCE everywhere.  For a non-affine datum
     the rate must additionally clear _STRICT_RATE: a vanishing
     rate somewhere is reserved for affine data, so observing one
     anywhere else is reported as a failure rather than a curiosity.
@@ -315,8 +296,8 @@ def monotonicity_check(
         name="rate-nonnegative",
         measured=float(rates[lo]),
         bound=0.0,
-        tolerance=tolerance,
-        passed=float(rates[lo]) >= -tolerance,
+        tolerance=TOLERANCE,
+        passed=float(rates[lo]) >= -TOLERANCE,
         worst_point=worst,
     )
     if u0.is_affine:
@@ -325,8 +306,8 @@ def monotonicity_check(
             name="affine-stationary",
             measured=peak,
             bound=0.0,
-            tolerance=tolerance,
-            passed=peak <= tolerance,
+            tolerance=TOLERANCE,
+            passed=peak <= TOLERANCE,
             worst_point=worst,
         )
     else:
@@ -341,46 +322,42 @@ def monotonicity_check(
     return report
 
 
-def classical_dichotomy_check(
-    u0: FunctionSpec,
-    grid: Optional[GridSpec] = None,
-    tolerance: float = TOLERANCE,
-) -> VerificationReport:
+def classical_dichotomy_check(u0: FunctionSpec) -> VerificationReport:
     """The convexity battery replayed on the order-one comparison flow.
 
-    Solves the classical problem strictly inside its guaranteed horizon,
-    then repeats the second-difference check, the ruling check when the
-    datum declares ruling directions, and a finite-difference version of
-    the heating check.  Times at or past the horizon are refused by the
-    classical solver itself.
+    Solves the classical problem on a 17-node lattice of [-2, 2]^dim at
+    times 0.15 T and 0.6 T, strictly inside the guaranteed horizon T (with
+    T = 1 for data whose flow lives forever), then repeats the
+    second-difference check, the ruling check when the datum declares
+    ruling directions, and a finite-difference version of the heating
+    check.
     """
-    if grid is None:
-        horizon = classical_lifespan(u0)
-        top = 0.6 if math.isinf(horizon) else 0.6 * horizon
-        grid = GridSpec(
-            dim=u0.dim,
-            box=((-2.0, 2.0),) * u0.dim,
-            counts=(17,) * u0.dim,
-            times=(0.25 * top, top),
-        )
+    horizon = classical_lifespan(u0)
+    top = 0.6 if math.isinf(horizon) else 0.6 * horizon
+    grid = GridSpec(
+        dim=u0.dim,
+        box=((-2.0, 2.0),) * u0.dim,
+        counts=(17,) * u0.dim,
+        times=(0.25 * top, top),
+    )
     field = solve_classical(u0, grid)
     report = VerificationReport(suite="classical-dichotomy")
-    conv = convexity_check(field, tolerance=tolerance)
+    conv = convexity_check(field)
     report.add(
         name="convexity",
         measured=conv.min_second_difference,
         bound=0.0,
-        tolerance=tolerance,
+        tolerance=TOLERANCE,
         passed=conv.verdict == "Convex",
         worst_point=(*conv.worst_triple[0], *conv.worst_triple[1]),
     )
     for xi in u0.ruled_directions:
-        ruled = ruled_check(field, xi, tolerance=tolerance)
+        ruled = ruled_check(field, xi)
         report.add(
             name=f"ruled-along-{'-'.join(f'{v:g}' for v in xi)}",
             measured=ruled.max_deviation,
             bound=0.0,
-            tolerance=tolerance,
+            tolerance=TOLERANCE,
             passed=ruled.verdict == "Ruled",
             worst_point=(*ruled.worst_triple[0], *ruled.worst_triple[1]),
         )
@@ -397,15 +374,15 @@ def classical_dichotomy_check(
             name="affine-stationary",
             measured=peak,
             bound=0.0,
-            tolerance=10.0 * tolerance,
-            passed=peak <= 10.0 * tolerance,
+            tolerance=10.0 * TOLERANCE,
+            passed=peak <= 10.0 * TOLERANCE,
         )
     else:
         report.add(
             name="rate-nonnegative",
             measured=min_rate,
             bound=0.0,
-            tolerance=10.0 * tolerance,
-            passed=min_rate >= -10.0 * tolerance,
+            tolerance=10.0 * TOLERANCE,
+            passed=min_rate >= -10.0 * TOLERANCE,
         )
     return report

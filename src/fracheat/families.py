@@ -1,10 +1,12 @@
 """Function families used as data and as test hypotheses.
 
-Every family packages exact evaluators (value, gradient, Hessian) together
-with the structural metadata the operator and solver layers dispatch on: a
-power growth envelope, convexity, Hessian decay, oscillation frequency, and
-the asymptotic mean of the values far out.  Evaluators are vectorized; a
-point array has shape (..., dim) and values come back with shape (...,).
+Every family packages one vectorized value evaluator together with the
+structural metadata the operator and solver layers dispatch on: a power
+growth envelope, convexity, Hessian decay, kink points, oscillation
+frequency, and the asymptotic mean of the values far out.  Nothing here
+evaluates derivatives; what the layers need of them is declared as
+metadata.  A point array has shape (..., dim) and values come back with
+shape (...,).
 
 Families can also be constructed from compact text of the form
 ``"family:p1,p2"``, which is the notation the command line accepts.
@@ -55,10 +57,6 @@ class GrowthEnvelope:
         if not (self.power >= 0 and math.isfinite(self.power)):
             raise ValueError("envelope power must be finite and >= 0")
 
-    def gap(self, s: float) -> float:
-        """Integrability margin 2s - power of the operator order against the growth."""
-        return 2.0 * s - self.power
-
     def admissible_for(self, s: float) -> bool:
         """True when the far tail |x|^{power - dim - 2s} is integrable."""
         return self.slope == 0.0 or self.power < 2.0 * s
@@ -72,27 +70,26 @@ class GrowthEnvelope:
 
 @dataclass(eq=False)
 class FunctionSpec:
-    """A concrete function with exact evaluators and declared structure.
+    """A concrete function with its value evaluator and declared structure.
 
-    value / gradient / hessian take arrays of shape (..., dim) and return
-    shapes (...,), (..., dim), (..., dim, dim).  value may receive a view
-    that is not C-contiguous, such as the (n, dim) transpose that
-    specfun.pair_sums passes, whose coordinates are contiguous columns.
+    value takes an array of shape (..., dim) and returns shape (...,).  It
+    may receive a view that is not C-contiguous, such as the (n, dim)
+    transpose that specfun.pair_sums passes, whose coordinates are
+    contiguous columns.
     The metadata fields are promises the quadrature and classification
     code relies on; factories in this module set them honestly and tests
     spot-check the promises.
 
     hessian_decay, when present, is a pair (coeff, rate) asserting
     ||D^2 u(x)|| <= coeff * |x| ** (-rate) for |x| >= 1.  Families that are
-    not C^2 or whose Hessian does not decay leave it as None.
+    not C^2 or whose Hessian does not decay leave it as None.  kink_points
+    lists the 1-D corners where u is not C^2; it is empty for smooth data.
     """
 
     family: str
     params: tuple[float, ...]
     dim: int
     value: Callable[[np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    hessian: Callable[[np.ndarray], np.ndarray]
     envelope: GrowthEnvelope
     convex: bool
     hessian_decay: Optional[tuple[float, float]] = None
@@ -101,7 +98,6 @@ class FunctionSpec:
     osc_scale: Optional[float] = None
     tail_mean: float = 0.0
     is_affine: bool = False
-    smooth: bool = True
     kink_points: tuple[float, ...] = ()
     ruled_directions: tuple[tuple[float, ...], ...] = ()
     exp_envelope: Optional[tuple[float, float]] = None
@@ -188,21 +184,11 @@ def constant(c: float, dim: int = 1) -> FunctionSpec:
         a = _point_array(pts, dim)
         return np.full(a.shape[:-1], c)
 
-    def grad(pts: np.ndarray) -> np.ndarray:
-        a = _point_array(pts, dim)
-        return np.zeros(a.shape[:-1] + (dim,))
-
-    def hess(pts: np.ndarray) -> np.ndarray:
-        a = _point_array(pts, dim)
-        return np.zeros(a.shape[:-1] + (dim, dim))
-
     return FunctionSpec(
         family="constant",
         params=(c,),
         dim=dim,
         value=value,
-        gradient=grad,
-        hessian=hess,
         envelope=GrowthEnvelope(abs(c), 0.0, 0.0),
         convex=True,
         hessian_decay=(0.0, 2.0),
@@ -223,24 +209,12 @@ def affine(offset: float, slope: float, dim: int = 1) -> FunctionSpec:
         a = _point_array(pts, dim)
         return offset + slope * a[..., 0]
 
-    def grad(pts: np.ndarray) -> np.ndarray:
-        a = _point_array(pts, dim)
-        g = np.zeros(a.shape[:-1] + (dim,))
-        g[..., 0] = slope
-        return g
-
-    def hess(pts: np.ndarray) -> np.ndarray:
-        a = _point_array(pts, dim)
-        return np.zeros(a.shape[:-1] + (dim, dim))
-
     bounded = slope == 0.0
     return FunctionSpec(
         family="affine",
         params=(offset, slope),
         dim=dim,
         value=value,
-        gradient=grad,
-        hessian=hess,
         envelope=GrowthEnvelope(abs(offset), abs(slope), 1.0),
         convex=True,
         hessian_decay=(0.0, 1.0),
@@ -265,25 +239,11 @@ def cosine(freq: float, dim: int = 1) -> FunctionSpec:
         a = _point_array(pts, dim)
         return np.cos(freq * a[..., 0])
 
-    def grad(pts: np.ndarray) -> np.ndarray:
-        a = _point_array(pts, dim)
-        g = np.zeros(a.shape[:-1] + (dim,))
-        g[..., 0] = -freq * np.sin(freq * a[..., 0])
-        return g
-
-    def hess(pts: np.ndarray) -> np.ndarray:
-        a = _point_array(pts, dim)
-        h = np.zeros(a.shape[:-1] + (dim, dim))
-        h[..., 0, 0] = -freq * freq * np.cos(freq * a[..., 0])
-        return h
-
     return FunctionSpec(
         family="cosine",
         params=(freq,),
         dim=dim,
         value=value,
-        gradient=grad,
-        hessian=hess,
         envelope=GrowthEnvelope(1.0, 0.0, 0.0),
         convex=False,
         hessian_decay=None,  # curvature does not decay; deliberate negative control
@@ -305,17 +265,6 @@ def gaussian(rate: float = 1.0, dim: int = 1) -> FunctionSpec:
         a = _point_array(pts, dim)
         return np.exp(-rate * _sq_norm(a))
 
-    def grad(pts: np.ndarray) -> np.ndarray:
-        a = _point_array(pts, dim)
-        return -2.0 * rate * a * value(pts)[..., np.newaxis]
-
-    def hess(pts: np.ndarray) -> np.ndarray:
-        a = _point_array(pts, dim)
-        v = value(pts)[..., np.newaxis, np.newaxis]
-        outer = a[..., :, np.newaxis] * a[..., np.newaxis, :]
-        eye = np.eye(dim).reshape((1,) * (a.ndim - 1) + (dim, dim))
-        return (4.0 * rate * rate * outer - 2.0 * rate * eye) * v
-
     # ||D^2 u|| = exp(-rate r^2) max(|4 rate^2 r^2 - 2 rate|, 2 rate); the
     # declared decay coefficient is the sampled max of r^2 * ||D^2 u|| on
     # r >= 1, padded a little
@@ -328,8 +277,6 @@ def gaussian(rate: float = 1.0, dim: int = 1) -> FunctionSpec:
         params=(rate,),
         dim=dim,
         value=value,
-        gradient=grad,
-        hessian=hess,
         envelope=GrowthEnvelope(1.0, 0.0, 0.0),
         convex=False,
         hessian_decay=(coeff, 2.0),
@@ -355,20 +302,6 @@ def abs_power(power: float, dim: int = 1) -> FunctionSpec:
         a = _point_array(pts, dim)
         return (1.0 + _sq_norm(a)) ** (0.5 * b)
 
-    def grad(pts: np.ndarray) -> np.ndarray:
-        a = _point_array(pts, dim)
-        q = 1.0 + _sq_norm(a)
-        return b * a * (q ** (0.5 * b - 1.0))[..., np.newaxis]
-
-    def hess(pts: np.ndarray) -> np.ndarray:
-        a = _point_array(pts, dim)
-        q = 1.0 + _sq_norm(a)
-        eye = np.eye(dim).reshape((1,) * (a.ndim - 1) + (dim, dim))
-        outer = a[..., :, np.newaxis] * a[..., np.newaxis, :]
-        d1 = (b * q ** (0.5 * b - 1.0))[..., np.newaxis, np.newaxis]
-        d2 = (b * (b - 2.0) * q ** (0.5 * b - 2.0))[..., np.newaxis, np.newaxis]
-        return d1 * eye + d2 * outer
-
     # ||D^2 u|| <= b (1 + |2-b|) (1+r^2)^{b/2-1} <= b (3-b) r^{b-2} on r >= 1
     decay = (b * (1.0 + abs(2.0 - b)), 2.0 - b) if b < 2 else None
 
@@ -377,8 +310,6 @@ def abs_power(power: float, dim: int = 1) -> FunctionSpec:
         params=(b,),
         dim=dim,
         value=value,
-        gradient=grad,
-        hessian=hess,
         envelope=GrowthEnvelope(1.0, 1.0, b),
         convex=b >= 1.0,
         hessian_decay=decay,
@@ -405,28 +336,16 @@ def piecewise_linear_1d(left_slope: float) -> FunctionSpec:
         x = a[..., 0]
         return np.where(x >= 0.0, x, lam * x)
 
-    def grad(pts: np.ndarray) -> np.ndarray:
-        a = _point_array(pts, 1)
-        x = a[..., 0]
-        return np.where(x >= 0.0, 1.0, lam)[..., np.newaxis]
-
-    def hess(pts: np.ndarray) -> np.ndarray:
-        a = _point_array(pts, 1)
-        return np.zeros(a.shape[:-1] + (1, 1))
-
     return FunctionSpec(
         family="piecewise_linear_1d",
         params=(lam,),
         dim=1,
         value=value,
-        gradient=grad,
-        hessian=hess,
         envelope=GrowthEnvelope(0.0, max(1.0, abs(lam)), 1.0),
         convex=lam <= 1.0,
         hessian_decay=None,
         sup_value=None,
         inf_value=0.0 if lam <= 0.0 else None,
-        smooth=False,
         kink_points=(0.0,),
         exp_envelope=(
             _quadratic_exp_amplitude(lambda r: max(1.0, abs(lam)) * r),
@@ -451,18 +370,6 @@ def ruled(profile_power: float, dim: int = 2) -> FunctionSpec:
         a = _point_array(pts, dim)
         return base.value(a[..., :1])
 
-    def grad(pts: np.ndarray) -> np.ndarray:
-        a = _point_array(pts, dim)
-        g = np.zeros(a.shape[:-1] + (dim,))
-        g[..., 0] = base.gradient(a[..., :1])[..., 0]
-        return g
-
-    def hess(pts: np.ndarray) -> np.ndarray:
-        a = _point_array(pts, dim)
-        h = np.zeros(a.shape[:-1] + (dim, dim))
-        h[..., 0, 0] = base.hessian(a[..., :1])[..., 0, 0]
-        return h
-
     rulings = tuple(
         tuple(1.0 if i == ax else 0.0 for i in range(dim)) for ax in range(1, dim)
     )
@@ -471,8 +378,6 @@ def ruled(profile_power: float, dim: int = 2) -> FunctionSpec:
         params=(float(profile_power),),
         dim=dim,
         value=value,
-        gradient=grad,
-        hessian=hess,
         envelope=base.envelope,
         convex=base.convex,
         hessian_decay=None,

@@ -41,7 +41,7 @@ from scipy.special import roots_jacobi
 
 from .families import FunctionSpec, as_point, require_admissible
 from .report import VerificationReport
-from .specfun import QuadratureConfig, averaged_limit, gamma, nested_pair_sums, pair_sums, panel_rule, sphere_rule
+from .specfun import ABS_TOL, averaged_limit, gamma, nested_pair_sums, pair_sums, panel_rule, sphere_rule
 
 __all__ = [
     "Definiteness",
@@ -372,7 +372,6 @@ def _prepare(
     u: FunctionSpec,
     x: Sequence[float] | np.ndarray,
     s: float,
-    cfg: QuadratureConfig,
 ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, float, float, float]:
     if not 0.0 < s < 1.0:
         raise ValueError("order s must lie in (0, 1)")
@@ -393,7 +392,7 @@ def _prepare(
     else:
         r_active = 1e4
     dirs, dwts, ang_err = _angular_rule(
-        u, xa, s, r0, r_active, 0.25 * cfg.abs_tol / pref
+        u, xa, s, r0, r_active, 0.25 * ABS_TOL / pref
     )
     ux = float(u.value(xa[None, :])[0])
     return xa, ux, dirs, dwts, r0, pref, ang_err
@@ -403,19 +402,18 @@ def frac_laplacian(
     u: FunctionSpec,
     x: Sequence[float] | np.ndarray | float,
     s: float,
-    quad: QuadratureConfig | None = None,
 ) -> FracLapResult:
     """Evaluate the operator at one point.
 
     The result records the split radius and the near/tail decomposition so
-    callers can see where the value came from.  Families whose declared
-    growth beats the order are rejected before any quadrature runs, as is
-    evaluation exactly on a corner of a piecewise family.
+    callers can see where the value came from.  The angular rule and the
+    tail cutoff aim at specfun's ABS_TOL on the value.  Families whose
+    declared growth beats the order are rejected before any quadrature
+    runs, as is evaluation exactly on a corner of a piecewise family.
     """
-    cfg = quad if quad is not None else QuadratureConfig()
-    xa, ux, dirs, dwts, r0, pref, ang_err = _prepare(u, x, s, cfg)
+    xa, ux, dirs, dwts, r0, pref, ang_err = _prepare(u, x, s)
     near, near_err = _near_band(u, xa, ux, s, dirs, dwts, r0)
-    tail, tail_err = _tail_from(u, xa, ux, s, dirs, dwts, r0, cfg.abs_tol / pref)
+    tail, tail_err = _tail_from(u, xa, ux, s, dirs, dwts, r0, ABS_TOL / pref)
     value = pref * (near + tail)
     err = pref * (near_err + tail_err + ang_err) + 1e-15 * abs(value)
     return FracLapResult(
@@ -432,7 +430,6 @@ def frac_laplacian_pv(
     x: Sequence[float] | np.ndarray | float,
     s: float,
     epsilons: Sequence[float],
-    quad: QuadratureConfig | None = None,
 ) -> np.ndarray:
     """Truncated integrals outside balls of the given radii, one value per radius.
 
@@ -443,9 +440,8 @@ def frac_laplacian_pv(
     eps = np.asarray(list(epsilons), dtype=float)
     if eps.size == 0 or np.any(eps <= 0):
         raise ValueError("cutoff radii must be positive")
-    cfg = quad if quad is not None else QuadratureConfig()
-    xa, ux, dirs, dwts, r0, pref, _ = _prepare(u, x, s, cfg)
-    rem_target = cfg.abs_tol / pref
+    xa, ux, dirs, dwts, r0, pref, _ = _prepare(u, x, s)
+    rem_target = ABS_TOL / pref
     tail_val, _ = _tail_from(u, xa, ux, s, dirs, dwts, r0, rem_target)
     out = np.empty(eps.size)
     for i, e in enumerate(eps):
@@ -579,9 +575,8 @@ def vanish_at_infinity_check(
     u: FunctionSpec,
     s: float,
     radii: Sequence[float] = (1.0, 10.0, 100.0),
-    direction: Sequence[float] | None = None,
 ) -> VerificationReport:
-    """Check that operator values fade along a ray, as declared decay predicts.
+    """Check that operator values fade along the first axis, as declared decay predicts.
 
     The magnitude at the last radius must fall under _DECAY_FRACTION of
     the one at the first.  Runs even when the hypotheses fail, so families
@@ -594,11 +589,6 @@ def vanish_at_infinity_check(
         raise ValueError("radii must be at least two positive increasing values")
     d = np.zeros(u.dim)
     d[0] = 1.0
-    if direction is not None:
-        d = np.asarray(direction, dtype=float)
-        if d.shape != (u.dim,) or not np.linalg.norm(d) > 0:
-            raise ValueError("direction must be a nonzero vector of the right dim")
-        d = d / np.linalg.norm(d)
 
     report = VerificationReport(suite="vanish-at-infinity")
     report.add(

@@ -21,7 +21,7 @@ in blocks of at most _PROFILE_BLOCK entries, and no block size moves a
 bit.  The Bessel factors of dims 1 and 3 are their exact cos and sin
 forms, and those of dims 2 and 4 scipy's j0 and j1.  Each radius carries
 the estimate |16-point - 12-point| + tail, and a radius whose estimate
-exceeds max(abs_tol, rel_tol |F|) is refused with QuadratureError.
+exceeds max(ABS_TOL, REL_TOL |F|) is refused with QuadratureError.
 f_radial, d_f_radial and the table build all use it, so a table node
 equals f_radial there bit for bit.
 
@@ -45,10 +45,11 @@ from scipy.special import j0, j1, jn_zeros, jv
 from .families import as_point
 from .report import VerificationReport
 from .specfun import (
+    ABS_TOL,
     GL_NODES_CHECK,
     GL_NODES_MAIN,
+    REL_TOL,
     IntegralResult,
-    QuadratureConfig,
     QuadratureError,
     gamma,
     gauss_legendre,
@@ -81,18 +82,23 @@ _TABLE_NODES = 960
 # table panels: kernel_mass integrates the series beyond it, and the
 # solver's tail band starts there
 TAIL_CUT = 30.0
-# the window verify_kernel_bounds holds the envelope ratios to
+# the window verify_kernel_bounds holds the envelope ratios to, and the
+# times it samples
 _RATIO_FLOOR = 1e-8
 _RATIO_CEILING = 1e8
+_BOUND_TIMES = (0.1, 1.0, 10.0)
 
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Dimension, fractional order, and quadrature policy for one kernel."""
+    """Dimension and fractional order of one kernel.
+
+    Every quadrature behind the kernel meets specfun's one tolerance,
+    ABS_TOL and REL_TOL.
+    """
 
     dim: int
     s: float
-    quad: QuadratureConfig = QuadratureConfig()
 
     def __post_init__(self) -> None:
         if int(self.dim) != self.dim or self.dim < 1:
@@ -108,8 +114,8 @@ class KernelParams:
 
 def _check_time(t: float) -> float:
     t = float(t)
-    if not t > 0.0:
-        raise ValueError("time must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"time must be finite and positive, got {t}")
     return t
 
 
@@ -168,16 +174,16 @@ def _panel_totals(env, osc, radii: np.ndarray, edges: np.ndarray, order: int) ->
     return np.array([math.fsum(memoryview(row)) for row in sums])
 
 
-def _profile_values(dim: int, s: float, radii: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
+def _profile_values(dim: int, s: float, radii: np.ndarray) -> np.ndarray:
     # F at every positive radius of a 1-D array, by half-period Gauss panel
     # sums of the half-line integral truncated once for all radii.  Radii up
     # to _SHARED_RADIUS share the layout with the step capped at 0.5; each
     # larger radius gets its own half-period layout.  A radius whose
-    # estimate |main - check| + tail exceeds max(abs_tol, rel_tol * |F|)
+    # estimate |main - check| + tail exceeds max(ABS_TOL, REL_TOL * |F|)
     # is refused
     radii = np.asarray(radii, dtype=float)
     two_s, power = 2.0 * s, 0.5 * dim
-    radius = truncation_radius(cfg, two_s, power)
+    radius = truncation_radius(ABS_TOL, two_s, power)
     env, osc, scale = _profile_parts(dim, s)
     shared = np.flatnonzero(radii <= _SHARED_RADIUS)
     layouts = [(shared, panel_edges(radius, None))] if shared.size else []
@@ -191,7 +197,7 @@ def _profile_values(dim: int, s: float, radii: np.ndarray, cfg: QuadratureConfig
     factor = scale(radii)
     values = factor * main
     errs = np.abs(factor * (main - check)) + radii ** (1.0 - power) * tail_bound(two_s, power, radius)
-    bad = np.flatnonzero(errs > np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(values)))
+    bad = np.flatnonzero(errs > np.maximum(ABS_TOL, REL_TOL * np.abs(values)))
     if bad.size:
         i = bad[0]
         raise QuadratureError(
@@ -259,7 +265,7 @@ def tail_integral(coeffs: tuple[float, ...], s: float, radius: float) -> float:
     )
 
 
-def _profile_array(dim: int, s: float, radii: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
+def _profile_array(dim: int, s: float, radii: np.ndarray) -> np.ndarray:
     # the removable limit at 0, the large-radius series past _SERIES_RADIUS,
     # and one batch of panel sums for every radius between
     out = np.empty_like(radii)
@@ -268,28 +274,28 @@ def _profile_array(dim: int, s: float, radii: np.ndarray, cfg: QuadratureConfig)
     out[radii == 0.0] = _profile_zero(dim, s)
     out[far] = tail_series(dim, s, radii[far])
     if mid.any():
-        out[mid] = _profile_values(dim, s, radii[mid], cfg)
+        out[mid] = _profile_values(dim, s, radii[mid])
     return out
 
 
-def _profile_value(dim: int, s: float, r: float, cfg: QuadratureConfig) -> float:
-    return float(_profile_array(dim, s, np.array([r]), cfg)[0])
+def _profile_value(dim: int, s: float, r: float) -> float:
+    return float(_profile_array(dim, s, np.array([r]))[0])
 
 
 def f_radial(params: KernelParams, r: float) -> float:
-    """Radial kernel profile at scaled radius r >= 0.
+    """Radial kernel profile at a finite scaled radius r >= 0.
 
     The value is the half-line Bessel-weighted integral of exp(-rho^(2s))
     with the r^((2-d)/2) prefactor, summed over Gauss panels by the same
     batched route that builds the tables; at r=0 the removable limit is
     taken, and past r = 1000 the large-radius series.  Raises
     QuadratureError when the 16- and 12-point panel sums disagree by more
-    than the configured tolerance.  Always positive.
+    than specfun's tolerance.  Always positive.
     """
     r = float(r)
-    if r < 0.0:
-        raise ValueError("radius must be nonnegative")
-    return _profile_value(params.dim, params.s, r, params.quad)
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"radius must be finite and nonnegative, got {r}")
+    return _profile_value(params.dim, params.s, r)
 
 
 # ---------------------------------------------------------------------------
@@ -335,19 +341,20 @@ def alpha_coeffs(k: int) -> AlphaTable:
 
 def d_f_radial(params: KernelParams, k: int, r: float) -> float:
     """k-th derivative of the radial profile, via the shifted-dimension
-    ladder; k=0 is plain evaluation, orders above 4 are not needed by any
-    bound check and are rejected."""
+    ladder at a finite r > 0; k=0 is plain evaluation, which also takes
+    r = 0, and orders above 4 are not needed by any bound check and are
+    rejected."""
     if k == 0:
         return f_radial(params, r)
     if k < 0 or k > 4:
         raise ValueError("derivative order must lie in 0..4")
     r = float(r)
-    if r <= 0.0:
-        raise ValueError("derivative ladder needs r > 0")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"derivative ladder needs a finite r > 0, got {r}")
     table = alpha_coeffs(k)
     total = 0.0
     for j, c in sorted(table.coefficients.items()):
-        prof = _profile_value(params.dim + 2 * j, params.s, r, params.quad)
+        prof = _profile_value(params.dim + 2 * j, params.s, r)
         total += (-1.0) ** j * c * r ** (2 * j - k) * prof
     return total
 
@@ -420,7 +427,7 @@ def _kernel_hessian(params: KernelParams, x, t: float) -> np.ndarray:
     pref = t ** (-(params.dim + 2) * sp) * _TWO_PI ** (-0.5 * params.dim)
     nx = float(np.linalg.norm(x))
     if nx == 0.0:
-        curv = -_profile_value(params.dim + 2, params.s, 0.0, params.quad)
+        curv = -_profile_value(params.dim + 2, params.s, 0.0)
         return pref * curv * np.eye(params.dim)
     r = nx * t ** (-sp)
     d1 = d_f_radial(params, 1, r)
@@ -601,7 +608,7 @@ def build_profile_table(params: KernelParams) -> RadialProfileTable:
     # the table constructor insists the last node sits where the leading
     # power law dominates; small s decays slowly there, so push the
     # boundary until the first surviving correction term drops below 4%
-    dim, s, cfg = params.dim, params.s, params.quad
+    dim, s = params.dim, params.s
     coeffs = tail_coefficients(dim, s)
     r_last = _TABLE_LAST
     for j, a in enumerate(coeffs[1:], start=2):
@@ -612,10 +619,10 @@ def build_profile_table(params: KernelParams) -> RadialProfileTable:
             break
     for last in (r_last, 1.5 * r_last, 2.25 * r_last):
         series = float(tail_series(dim, s, np.array([last]))[0])
-        direct = float(_profile_values(dim, s, np.array([last]), cfg)[0])
+        direct = float(_profile_values(dim, s, np.array([last]))[0])
         if abs(series / direct - 1.0) <= 1e-7:
             grid = np.concatenate([[0.0], np.geomspace(_TABLE_FIRST, last, _TABLE_NODES)])
-            return RadialProfileTable(params, grid, _profile_array(dim, s, grid, cfg))
+            return RadialProfileTable(params, grid, _profile_array(dim, s, grid))
     raise QuadratureError(
         "series continuation never matched direct quadrature",
         IntegralResult(value=direct, error_estimate=abs(series - direct), evaluations=0),
@@ -624,8 +631,8 @@ def build_profile_table(params: KernelParams) -> RadialProfileTable:
 
 @shared_cache(maxsize=32)
 def profile_table(dim: int, s: float) -> RadialProfileTable:
-    """Shared default-configuration table for (dim, s); concurrent misses
-    for one key build it once."""
+    """Shared table for (dim, s); concurrent misses for one key build it
+    once."""
     return build_profile_table(KernelParams(dim=dim, s=s))
 
 
@@ -664,20 +671,19 @@ def kernel_mass(params: KernelParams, t: float) -> float:
     return bulk + tail
 
 
-def verify_kernel_bounds(params: KernelParams, points=None, times=None) -> VerificationReport:
+def verify_kernel_bounds(params: KernelParams, points=None) -> VerificationReport:
     """Measure the kernel against its two-sided scaling envelope.
 
-    For each sampled (x, t) the kernel, its first two derivative orders,
-    and its time derivative are divided by the matching envelope
-    min(t-power, |x|-power); the report carries the extreme ratios.  The
+    For each sampled x and each t of _BOUND_TIMES the kernel, its first
+    two derivative orders, and its time derivative are divided by the
+    matching envelope min(t-power, |x|-power); the report carries the
+    extreme ratios.  The
     check passes when the kernel ratio stays inside the window
     (_RATIO_FLOOR, _RATIO_CEILING) and every derivative ratio stays under
     _RATIO_CEILING, i.e. no vanishing and no blow-up anywhere on the grid.
     """
     dim, s = params.dim, params.s
     sp = params.scaling_power
-    if times is None:
-        times = (0.1, 1.0, 10.0)
     if points is None:
         dirs = np.eye(dim)
         radii = np.concatenate([[0.0], np.geomspace(0.05, 50.0, 13)])
@@ -696,7 +702,7 @@ def verify_kernel_bounds(params: KernelParams, points=None, times=None) -> Verif
     g_hi = (-math.inf, None)
     h_hi = (-math.inf, None)
     t_hi = (-math.inf, None)
-    for t in times:
+    for t in _BOUND_TIMES:
         for x in points:
             x = as_point(x, dim)
             nx = float(np.linalg.norm(x))

@@ -23,13 +23,13 @@ growth envelope) decides the route.
 In 2-D and 3-D the sphere integral P comes from a direction rule that is
 refined level by level, separately in two radial bands: the body
 r <= TAIL_CUT and the tail beyond it.  Each band refines until its own
-drift between consecutive levels falls under half the accuracy budget,
-or the level cap is reached, and the error estimate adds each band's
-last drift per point.  The radial nodes do not depend on the level, so
-specfun.nested_pair_sums can build a level's sphere sums from the kept
-sums of the level before where the rule nests (2-D), evaluating only the
-new directions.  The 3-D product rule does not nest and is evaluated
-whole at every level.
+drift between consecutive levels falls under half of specfun's budget
+ABS_TOL + REL_TOL (1 + max |u|), or the level cap is reached, and the
+error estimate adds each band's last drift per point.  The radial nodes
+do not depend on the level, so specfun.nested_pair_sums can build a
+level's sphere sums from the kept sums of the level before where the
+rule nests (2-D), evaluating only the new directions.  The 3-D product
+rule does not nest and is evaluated whole at every level.
 
 Each band works through a batch in blocks of _NODE_BLOCK points: a
 block's sphere sums are evaluated and reduced to values and estimates
@@ -56,7 +56,7 @@ from .families import FunctionSpec, as_point, require_admissible
 from .fraclap import riesz_constant, second_difference_constants
 from .kernel import TAIL_CUT, KernelParams, profile_table, tail_coefficients, tail_integral
 from .report import VerificationReport
-from .specfun import averaged_limit, nested_pair_sums, panel_rule, shared_cache, sphere_rule
+from .specfun import ABS_TOL, REL_TOL, averaged_limit, nested_pair_sums, panel_rule, shared_cache, sphere_rule
 
 _TWO_PI = 2.0 * math.pi
 _OSC_PANELS = 88
@@ -75,6 +75,11 @@ _TABLE_REL = 1.5e-8
 _RING_RADII = (0.0, 2.0, 10.0, 40.0, 100.0)
 # Gauss-Hermite nodes per axis of solve_classical up to 2-D (32 above)
 _HERMITE_NODES = 80
+# initial_continuity_check's refinement steps and the final gap it allows;
+# the gap allows for the spatial term |grad u0| * 2^-steps, which dominates
+# it for any datum with a nonzero gradient
+_CONTINUITY_STEPS = 10
+_CONTINUITY_TOL = 5e-3
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +162,6 @@ class SolutionField:
 
     def at_time(self, index: int) -> np.ndarray:
         return self.values[index]
-
-    def sup(self) -> float:
-        return float(np.max(self.values))
 
 
 @dataclass(frozen=True)
@@ -267,7 +269,6 @@ class _RadialBands:
         level: int,
     ) -> None:
         dim, s = params.dim, params.s
-        cfg = params.quad
         tsc = t ** (1.0 / (2.0 * s))
         area = float(np.sum(sphere_rule(dim, level)[1]))
         factor, amp = _factor_tables(dim, s, kind)
@@ -295,7 +296,7 @@ class _RadialBands:
         # truncation must serve the least forgiving point of the batch, so
         # the accuracy target follows the smallest value scale present
         scale = 1.0 + float(np.min(np.abs(body_part[0])))
-        target = 0.25 * (cfg.abs_tol + cfg.rel_tol * scale)
+        target = 0.25 * (ABS_TOL + REL_TOL * scale)
         mean_tail = pref * tail_integral(_series(dim, s, kind), s, TAIL_CUT)
         self._const = area * mean * mean_tail if mean != 0.0 else 0.0
 
@@ -399,13 +400,12 @@ def _solve_batch(
     params: KernelParams,
     kind: str = "mass",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Convolution values at one positive time, with angular refinement."""
-    if not t > 0.0:
-        raise ValueError("convolution requires t > 0")
+    """Convolution values at one finite positive time, with angular refinement."""
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"convolution requires a finite t > 0, got {t}")
     if params.dim == 1:
         vals, errs = _RadialBands(u0, pts, t, params, kind, 0).values()
     else:
-        cfg = params.quad
         # the sphere rule refuses dim > 3 before the cap lookup
         bands = _RadialBands(u0, pts, t, params, kind, 2 if params.dim == 2 else 1)
         top = _MAX_ANGULAR[params.dim]
@@ -414,7 +414,7 @@ def _solve_batch(
             for band in active:
                 bands.refine(band)
             vals, _ = bands.values()
-            half_budget = 0.5 * (cfg.abs_tol + cfg.rel_tol * (1.0 + float(np.max(np.abs(vals)))))
+            half_budget = 0.5 * (ABS_TOL + REL_TOL * (1.0 + float(np.max(np.abs(vals)))))
             active = [
                 band
                 for band in active
@@ -687,24 +687,19 @@ def initial_continuity_check(
     u0: FunctionSpec,
     x0,
     params: KernelParams,
-    tolerance: float = 5e-3,
-    steps: int = 10,
 ) -> VerificationReport:
     """Joint space-time approach to the datum along a shrinking sequence.
 
-    Points x_n = x0 + 2^-n e_1 with times t_n = 4^-n; the gap to u0(x0)
-    must shrink monotonically and land below tolerance.  The default
-    tolerance allows for the spatial term |grad u0| * 2^-n, which
-    dominates the final gap for any datum with a nonzero gradient.
+    Points x_n = x0 + 2^-n e_1 with times t_n = 4^-n for n up to
+    _CONTINUITY_STEPS; the gap to u0(x0) must shrink monotonically and
+    land below _CONTINUITY_TOL.
     """
     require_admissible(u0, params.s)
     x0 = as_point(x0, params.dim)
-    if steps < 3:
-        raise ValueError("need at least three steps")
     target = float(u0.at(x0))
     shift = np.zeros(params.dim)
     gaps = []
-    for n in range(steps + 1):
+    for n in range(_CONTINUITY_STEPS + 1):
         shift[0] = 2.0**-n
         val, _ = _solve_batch(u0, (x0 + shift)[None, :], 4.0**-n, params)
         gaps.append(abs(float(val[0]) - target))
@@ -725,10 +720,10 @@ def initial_continuity_check(
     report.add(
         name="limit-reached",
         measured=gaps[-1],
-        bound=tolerance,
+        bound=_CONTINUITY_TOL,
         tolerance=0.0,
-        passed=gaps[-1] <= tolerance,
-        worst_point=(float(x0[0] + 2.0**-steps), 4.0**-steps),
+        passed=gaps[-1] <= _CONTINUITY_TOL,
+        worst_point=(float(x0[0] + 2.0**-_CONTINUITY_STEPS), 4.0**-_CONTINUITY_STEPS),
     )
     return report
 

@@ -17,8 +17,10 @@ are accumulated with compensated summation so the cancellation between
 half-waves does not eat the result.  Both regimes report an error estimate
 that includes the analytic bound on the truncated tail.  The truncation
 radius, the tail bound and the panel edges are public, so the kernel's
-batched profile sums use the same single copy.  shared_cache is the
-lru_cache the kernel and solver tables are kept in.
+batched profile sums use the same single copy.  ABS_TOL and REL_TOL are
+the one accuracy target of every quadrature in the package, read by the
+kernel, operator and solver layers alike.  shared_cache is the lru_cache
+the kernel and solver tables are kept in.
 
 All functions here are safe to call from multiple threads, and all but
 shared_cache are pure.
@@ -37,6 +39,8 @@ from scipy import integrate as _sint
 from scipy import special as _sps
 
 __all__ = [
+    "ABS_TOL",
+    "REL_TOL",
     "QuadratureConfig",
     "IntegralResult",
     "QuadratureError",
@@ -57,34 +61,35 @@ __all__ = [
 ]
 
 
+# the one accuracy policy of the package: a quadrature result is acceptable
+# when its error estimate is below max(ABS_TOL, REL_TOL * |value|)
+ABS_TOL = 1e-10
+REL_TOL = 1e-8
+# adaptive subdivision budget of the Gauss-Kronrod regime
+MAX_SUBDIVISIONS = 2048
+# a half-line integral is truncated where its decay envelope falls below
+# TAIL_CUT_EPSILON * abs_tol; the radius found this way is then doubled
+TAIL_CUT_EPSILON = 1e-2
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets for the semi-infinite integrator.
+    """Target accuracy of one integrate_semi_infinite call.
 
-    abs_tol / rel_tol  target absolute and relative accuracy; a result is
-                       acceptable when its error estimate is below
-                       max(abs_tol, rel_tol * |value|).
-    max_subdivisions   adaptive subdivision budget for the Gauss-Kronrod
-                       regime.
-    tail_cut_epsilon   the integration interval is truncated where the decay
-                       envelope falls below tail_cut_epsilon * abs_tol; the
-                       radius found this way is then doubled for safety.
+    A result is acceptable when its error estimate is below
+    max(abs_tol, rel_tol * |value|).  The defaults are the package's one
+    policy, ABS_TOL and REL_TOL.  The subdivision budget and the tail cut
+    are the module constants MAX_SUBDIVISIONS and TAIL_CUT_EPSILON.
     """
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 2048
-    tail_cut_epsilon: float = 1e-2
+    abs_tol: float = ABS_TOL
+    rel_tol: float = REL_TOL
 
     def __post_init__(self) -> None:
-        # the truncation threshold is tail_cut_epsilon * abs_tol, so a zero
+        # the truncation threshold is TAIL_CUT_EPSILON * abs_tol, so a zero
         # abs_tol would push the radius to infinity
         if self.abs_tol <= 0 or self.rel_tol < 0:
             raise ValueError("need abs_tol > 0 and rel_tol >= 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be positive")
-        if not 0 < self.tail_cut_epsilon < 1:
-            raise ValueError("tail_cut_epsilon must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -324,9 +329,9 @@ _GRADE_LEVELS = 30  # dyadic refinement toward rho=0; the envelope exponent
                     # d < 2 makes exp(-rho^d) only C^1 at the origin
 
 
-def truncation_radius(cfg: QuadratureConfig, decay_exponent: float, poly_power: float) -> float:
-    """Smallest rho with rho^p e^{-rho^d} < tail_cut_epsilon * abs_tol, then doubled."""
-    target = cfg.tail_cut_epsilon * max(cfg.abs_tol, 1e-280)
+def truncation_radius(abs_tol: float, decay_exponent: float, poly_power: float) -> float:
+    """Smallest rho with rho^p e^{-rho^d} < TAIL_CUT_EPSILON * abs_tol, then doubled."""
+    target = TAIL_CUT_EPSILON * max(abs_tol, 1e-280)
 
     def log_env(r: float) -> float:
         return poly_power * math.log(r) - r ** decay_exponent
@@ -408,13 +413,13 @@ def integrate_semi_infinite(
     Raises
     ------
     QuadratureError
-        If the adaptive branch exhausts its subdivision budget while the
+        If the adaptive branch exhausts its MAX_SUBDIVISIONS budget while the
         error estimate is still above tolerance.  The exception carries the
         best estimate.
     """
     if decay_exponent <= 0:
         raise ValueError("decay_exponent must be positive")
-    radius = truncation_radius(cfg, decay_exponent, poly_power)
+    radius = truncation_radius(cfg.abs_tol, decay_exponent, poly_power)
     tail = tail_bound(decay_exponent, poly_power, radius)
 
     half_periods = (osc_scale or 0.0) * radius / math.pi
@@ -435,7 +440,7 @@ def integrate_semi_infinite(
         radius,
         epsabs=0.5 * cfg.abs_tol,
         epsrel=0.5 * cfg.rel_tol,
-        limit=cfg.max_subdivisions,
+        limit=MAX_SUBDIVISIONS,
         points=points or None,
         full_output=1,
     )

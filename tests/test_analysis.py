@@ -16,7 +16,7 @@ from fracheat.analysis import (
     ruled_check,
 )
 from fracheat.kernel import KernelParams
-from fracheat.solver import GridSpec, SolutionField, solve_canonical
+from fracheat.solver import GridSpec, SolutionField, solve_canonical, solve_classical
 
 LINE = GridSpec(dim=1, box=((-3.0, 3.0),), counts=(25,), times=(0.0, 0.5, 1.5))
 
@@ -81,10 +81,22 @@ class TestMaxPrinciple:
         assert record(report, "upper-bound").measured == pytest.approx(2.0, abs=1e-8)
         assert record(report, "lower-bound").measured == pytest.approx(2.0, abs=1e-8)
 
-    def test_explicit_datum_override(self, field_cos):
-        # a wider range makes the bound lax, never wrong
-        report = max_principle_check(field_cos, u0=fam.constant(1.0))
-        assert record(report, "upper-bound").bound == 1.0
+    def test_explicit_datum_override(self):
+        # a hand-built field that leaves its datum's range [-1, 1] at t = 0.5
+        grid = GridSpec(dim=1, box=((-1.0, 1.0),), counts=(3,), times=(0.5,))
+        field = SolutionField(
+            grid=grid,
+            values=np.array([[0.2, 1.5, -0.1]]),
+            error_estimates=np.zeros((1, 3)),
+            datum=fam.cosine(1.0),
+        )
+        report = max_principle_check(field)
+        upper = record(report, "upper-bound")
+        assert upper.bound == 1.0 and upper.measured == 1.5
+        assert not upper.passed
+        assert upper.worst_point == (0.0, 0.5)
+        assert record(report, "lower-bound").passed
+        assert not report.overall_pass
 
     def test_unbounded_datum_rejected(self, field_abs):
         with pytest.raises(ValueError, match="range metadata"):
@@ -136,15 +148,6 @@ class TestConvexity:
         assert again.min_second_difference == pytest.approx(
             base.min_second_difference, abs=1e-9
         )
-
-    def test_explicit_direction_matches_default_in_one_dimension(self, field_abs):
-        default = convexity_check(field_abs)
-        explicit = convexity_check(field_abs, directions=[(1.0,)])
-        assert explicit.min_second_difference == default.min_second_difference
-
-    def test_oversized_step_rejected(self, field_abs):
-        with pytest.raises(ValueError, match="step fits"):
-            convexity_check(field_abs, steps=[40])
 
     def test_report_verdict_is_checked(self):
         with pytest.raises(ValueError, match="follow the measured"):
@@ -251,7 +254,7 @@ class TestClassicalDichotomy:
     def test_horizon_violation_propagates(self):
         grid = GridSpec(dim=1, box=((-1.0, 1.0),), counts=(5,), times=(0.5, 1.2))
         with pytest.raises(ValueError, match="maximal existence"):
-            classical_dichotomy_check(fam.abs_power(2.0), grid=grid)
+            solve_classical(fam.abs_power(2.0), grid)
 
 
 class TestDichotomyExclusivity:

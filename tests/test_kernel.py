@@ -29,7 +29,7 @@ from fracheat.kernel import (
 )
 from fracheat.report import VerificationReport
 from fracheat.solver import _TABLE_REL
-from fracheat.specfun import QuadratureConfig, QuadratureError
+from fracheat.specfun import QuadratureError
 
 CAUCHY_1D = KernelParams(dim=1, s=0.5)
 CAUCHY_2D = KernelParams(dim=2, s=0.5)
@@ -54,6 +54,25 @@ def test_params_rejected(dim, s):
 
 def test_params_scaling_power():
     assert KernelParams(dim=1, s=0.25).scaling_power == 2.0
+
+
+NON_FINITE_ENTRIES = {
+    "f_radial": lambda v: f_radial(CAUCHY_1D, v),
+    "d_f_radial": lambda v: d_f_radial(CAUCHY_1D, 1, v),
+    "heat_kernel": lambda v: heat_kernel(CAUCHY_1D, [1.0], v),
+    "kernel_gradient": lambda v: kernel_gradient(CAUCHY_1D, [1.0], v),
+    "kernel_time_derivative": lambda v: kernel_time_derivative(CAUCHY_1D, [1.0], v),
+    "kernel_mass": lambda v: kernel_mass(CAUCHY_1D, v),
+    "heat_kernel_fourier": lambda v: heat_kernel_fourier(CAUCHY_1D, [1.0], v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", NON_FINITE_ENTRIES.values(), ids=NON_FINITE_ENTRIES.keys())
+def test_non_finite_radius_or_time_is_refused(entry, value):
+    # the radius of f_radial and d_f_radial, the time of the others
+    with pytest.raises(ValueError, match=f"finite.*got {value}"):
+        entry(value)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +500,7 @@ def test_table_error_within_solver_envelope(dim, s):
     table = profile_table(dim, s)
     nodes = table.nodes[1:]
     mids = np.sqrt(nodes[:-1] * nodes[1:])
-    direct = kernel._profile_values(dim, s, mids, table.params.quad)
+    direct = kernel._profile_values(dim, s, mids)
     assert mids.size == 959
     assert np.max(np.abs(table.evaluate(mids) / direct - 1.0)) <= _TABLE_REL
 
@@ -546,25 +565,25 @@ def test_pointwise_profile_equals_table_past_series_radius(dim, s):
 def test_block_size_changes_no_bit(monkeypatch):
     # radii on both sides of the shared layout, several blocks each
     radii = np.geomspace(1e-3, 40.0, 60)
-    cfg = QuadratureConfig()
     for dim in (1, 2, 3):
-        whole = kernel._profile_values(dim, 0.6, radii, cfg)
+        whole = kernel._profile_values(dim, 0.6, radii)
         monkeypatch.setattr(kernel, "_PROFILE_BLOCK", 999)
-        blocked = kernel._profile_values(dim, 0.6, radii, cfg)
+        blocked = kernel._profile_values(dim, 0.6, radii)
         monkeypatch.undo()
         assert np.array_equal(whole, blocked)
 
 
-def test_unmet_tolerance_is_refused():
+def test_unmet_tolerance_is_refused(monkeypatch):
     # 1e-20 absolute on values of order 0.01 to 1 is below double rounding,
     # so the 16- and 12-point sums cannot agree that well at every radius
-    cfg = QuadratureConfig(abs_tol=1e-20, rel_tol=0.0)
+    monkeypatch.setattr(kernel, "ABS_TOL", 1e-20)
+    monkeypatch.setattr(kernel, "REL_TOL", 0.0)
     with pytest.raises(QuadratureError, match="misses its tolerance") as caught:
-        kernel._profile_values(1, 0.75, np.geomspace(0.1, 20.0, 16), cfg)
+        kernel._profile_values(1, 0.75, np.geomspace(0.1, 20.0, 16))
     assert caught.value.best.error_estimate > 1e-20
     assert caught.value.best.value > 0.0
     with pytest.raises(QuadratureError):
-        build_profile_table(KernelParams(dim=1, s=0.75, quad=cfg))
+        build_profile_table(KernelParams(dim=1, s=0.75))
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +607,7 @@ def test_bounds_report_cauchy():
 
 
 def test_bounds_report_roundtrip():
-    report = verify_kernel_bounds(KernelParams(dim=2, s=0.7), times=(0.5, 2.0))
+    report = verify_kernel_bounds(KernelParams(dim=2, s=0.7))
     assert report.overall_pass
     clone = VerificationReport.from_json(report.to_json())
     assert clone.to_json() == report.to_json()

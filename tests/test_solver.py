@@ -146,7 +146,6 @@ class TestSolutionField:
             grid=g, values=np.full((2, 5), 2.0), error_estimates=np.zeros((2, 5)), datum=u0
         )
         assert np.array_equal(sol.at_time(1), np.full(5, 2.0))
-        assert sol.sup() == 2.0
 
 
 class TestEnvelopeTraceType:
@@ -369,8 +368,9 @@ class TestTimeDerivative:
 
 @pytest.mark.parametrize("entry", [solution_at, time_derivative, pde_residual])
 def test_nan_time_is_refused(entry):
-    with pytest.raises(ValueError, match="t > 0"):
-        entry(fam.cosine(1.0), np.array([0.3]), math.nan, PAR_06)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t > 0"):
+            entry(fam.cosine(1.0), np.array([0.3]), t, PAR_06)
 
 
 @pytest.mark.parametrize("entry", [solution_at, time_derivative, pde_residual])
@@ -637,8 +637,6 @@ class TestInitialContinuity:
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="shape"):
             initial_continuity_check(fam.cosine(1.0), np.zeros(2), PAR_06)
-        with pytest.raises(ValueError, match="three steps"):
-            initial_continuity_check(fam.cosine(1.0), np.zeros(1), PAR_06, steps=2)
 
 
 class TestClassicalFlow:
