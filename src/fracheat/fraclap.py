@@ -438,8 +438,8 @@ def frac_laplacian_pv(
     integrable raises, since then no truncation limit exists.
     """
     eps = np.asarray(list(epsilons), dtype=float)
-    if eps.size == 0 or np.any(eps <= 0):
-        raise ValueError("cutoff radii must be positive")
+    if eps.size == 0 or not np.all((eps > 0.0) & (eps < math.inf)):
+        raise ValueError("cutoff radii must be finite and positive")
     xa, ux, dirs, dwts, r0, pref, _ = _prepare(u, x, s)
     rem_target = ABS_TOL / pref
     tail_val, _ = _tail_from(u, xa, ux, s, dirs, dwts, r0, rem_target)

@@ -12,8 +12,8 @@ from profiles in shifted dimensions (d_f_radial), large-radius limits
 (verify_kernel_bounds).  heat_kernel_fourier is a deliberately separate
 slow path through the Fourier representation, used as an oracle.
 
-Every value of F between r = 0 and the large-radius series comes from one
-route, _profile_values, which takes a whole array of radii.  It truncates
+Every value of F on (0, TAIL_CUT] comes from one route, _profile_values,
+which takes a whole array of radii.  It truncates
 the half-line integral once per call and sums Gauss panels: radii up to
 2 pi share one layout with steps of 0.5, and each larger radius sums its
 own half-period panels.  The products of radii and abscissae are formed
@@ -21,14 +21,16 @@ in blocks of at most _PROFILE_BLOCK entries, and no block size moves a
 bit.  The Bessel factors of dims 1 and 3 are their exact cos and sin
 forms, and those of dims 2 and 4 scipy's j0 and j1.  Each radius carries
 the estimate |16-point - 12-point| + tail, and a radius whose estimate
-exceeds max(ABS_TOL, REL_TOL |F|) is refused with QuadratureError.
-f_radial, d_f_radial and the table build all use it, so a table node
-equals f_radial there bit for bit.
+exceeds max(ABS_TOL, REL_TOL |F|) is refused with QuadratureError; a
+layout too large for _PROFILE_ENTRIES (small s) is refused with ValueError
+before it is allocated.  f_radial, d_f_radial and the table build all use
+it, so a table node equals f_radial there bit for bit.
 
-The large-radius series has one copy as well: tail_series sums it for
-f_radial past _SERIES_RADIUS, for the table past its last node and for
-the table build's check, and tail_integral integrates it beyond a radius
-for kernel_mass and the solver's mean tail.
+Past TAIL_CUT = 30 every route reads the large-radius series, which has
+one copy: tail_series sums it for f_radial, d_f_radial and the tables,
+and tail_integral integrates it beyond TAIL_CUT for kernel_mass and the
+solver's mean tail.  Every table ends at TAIL_CUT, and its constructor
+requires the series there to match the last sample to _CONTINUATION_REL.
 """
 
 from __future__ import annotations
@@ -63,25 +65,28 @@ from .specfun import (
 _TWO_PI = 2.0 * math.pi
 _ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-# beyond this scaled radius direct quadrature needs ~r/pi oscillation
-# panels, so the large-radius series takes over instead
-_SERIES_RADIUS = 1000.0
 # up to this radius the half-period pi / r exceeds the 0.5 panel cap, so
 # these radii share one panel layout
 _SHARED_RADIUS = 2.0 * math.pi
 # entries of each block of the radii x abscissae products in the profile sums
 _PROFILE_BLOCK = 1 << 18
+# entries allowed in the largest array of one profile panel layout; past it
+# (every table at s = 0.15, none at s >= 0.25 up to dim 11) the quadrature
+# is refused rather than exhausting memory
+_PROFILE_ENTRIES = 1 << 25
 # terms of the large-radius series, one per Mellin pole
 _TAIL_TERMS = 14
-# the table's first positive node, its smallest last node, and its count of
-# positive nodes, log-spaced between the two
-_TABLE_FIRST = 1e-3
-_TABLE_LAST = 30.0
-_TABLE_NODES = 960
-# scaled radius where a radial integral against the profile leaves its
-# table panels: kernel_mass integrates the series beyond it, and the
-# solver's tail band starts there
+# the scaled radius where the profile turns from quadrature into the large-r
+# series (from 30 on its first omitted term is below 1e-16 of the leading one
+# for s >= 0.25, dim <= 7): tables end there, kernel_mass integrates the
+# series beyond it, and the solver's tail band starts there
 TAIL_CUT = 30.0
+# the table's first positive node and its count of positive nodes,
+# log-spaced from there to TAIL_CUT
+_TABLE_FIRST = 1e-3
+_TABLE_NODES = 960
+# relative gap allowed between the series and a table's last sample
+_CONTINUATION_REL = 1e-7
 # the window verify_kernel_bounds holds the envelope ratios to, and the
 # times it samples
 _RATIO_FLOOR = 1e-8
@@ -178,16 +183,24 @@ def _profile_values(dim: int, s: float, radii: np.ndarray) -> np.ndarray:
     # F at every positive radius of a 1-D array, by half-period Gauss panel
     # sums of the half-line integral truncated once for all radii.  Radii up
     # to _SHARED_RADIUS share the layout with the step capped at 0.5; each
-    # larger radius gets its own half-period layout.  A radius whose
-    # estimate |main - check| + tail exceeds max(ABS_TOL, REL_TOL * |F|)
-    # is refused
+    # larger radius gets its own half-period layout.  Refused: a layout
+    # whose largest array (radius / step panels times the larger of its
+    # radii and Gauss nodes) passes _PROFILE_ENTRIES, before it is allocated,
+    # and a radius whose estimate |main - check| + tail exceeds
+    # max(ABS_TOL, REL_TOL * |F|)
     radii = np.asarray(radii, dtype=float)
     two_s, power = 2.0 * s, 0.5 * dim
     radius = truncation_radius(ABS_TOL, two_s, power)
-    env, osc, scale = _profile_parts(dim, s)
     shared = np.flatnonzero(radii <= _SHARED_RADIUS)
+    far = np.flatnonzero(radii > _SHARED_RADIUS)
+    entries = max(2.0 * radius * max(shared.size, GL_NODES_MAIN) if shared.size else 0.0,
+                  radius * radii[far].max(initial=0.0) / math.pi * GL_NODES_MAIN)
+    if entries > _PROFILE_ENTRIES:
+        raise ValueError(f"the profile quadrature for dim {dim}, s {s} needs {entries:.3g} entries in one array, "
+                         f"over the cap of {_PROFILE_ENTRIES}")
+    env, osc, scale = _profile_parts(dim, s)
     layouts = [(shared, panel_edges(radius, None))] if shared.size else []
-    layouts += [(np.array([i]), panel_edges(radius, radii[i])) for i in np.flatnonzero(radii > _SHARED_RADIUS)]
+    layouts += [(np.array([i]), panel_edges(radius, radii[i])) for i in far]
     main, check = np.empty_like(radii), np.empty_like(radii)
     evaluations = 0
     for idx, edges in layouts:
@@ -241,9 +254,8 @@ def tail_series(dim: int, s: float, r: np.ndarray) -> np.ndarray:
 
     Every nonzero coefficient of tail_coefficients is summed, in order of
     k.  The series converges at every r > 0 for 2s < 1; for 2s > 1 it is
-    asymptotic, and the callers use it only where its terms fall off fast
-    (past the table's last node, which sits where the first correction is
-    below 4% of the leading term, or past _SERIES_RADIUS).
+    asymptotic, and the callers use it only past TAIL_CUT, where for every
+    s >= 0.25 its terms shrink from the first on.
     """
     r = np.asarray(r, dtype=float)
     total = np.zeros_like(r)
@@ -266,10 +278,10 @@ def tail_integral(coeffs: tuple[float, ...], s: float, radius: float) -> float:
 
 
 def _profile_array(dim: int, s: float, radii: np.ndarray) -> np.ndarray:
-    # the removable limit at 0, the large-radius series past _SERIES_RADIUS,
-    # and one batch of panel sums for every radius between
+    # the removable limit at 0, the large-radius series past TAIL_CUT, and
+    # one batch of panel sums for every radius between
     out = np.empty_like(radii)
-    far = radii > _SERIES_RADIUS
+    far = radii > TAIL_CUT
     mid = (radii > 0.0) & ~far
     out[radii == 0.0] = _profile_zero(dim, s)
     out[far] = tail_series(dim, s, radii[far])
@@ -288,9 +300,10 @@ def f_radial(params: KernelParams, r: float) -> float:
     The value is the half-line Bessel-weighted integral of exp(-rho^(2s))
     with the r^((2-d)/2) prefactor, summed over Gauss panels by the same
     batched route that builds the tables; at r=0 the removable limit is
-    taken, and past r = 1000 the large-radius series.  Raises
+    taken, and past TAIL_CUT = 30 the large-radius series.  Raises
     QuadratureError when the 16- and 12-point panel sums disagree by more
-    than specfun's tolerance.  Always positive.
+    than specfun's tolerance, and ValueError when s is so small that the
+    panel layout passes _PROFILE_ENTRIES.  Always positive.
     """
     r = float(r)
     if not 0.0 <= r < math.inf:
@@ -534,9 +547,10 @@ class RadialProfileTable:
     nodes start at 0; between the first positive node and the last node a
     monotone cubic interpolant runs on (log r, log F); below the first
     positive node the quartic even Taylor polynomial of F applies, and
-    beyond the last node the large-radius series takes over.  Build via
-    build_profile_table; solver-scale workloads (>= 1e4 evaluations per
-    profile) are the intended consumer.
+    beyond the last node tail_series takes over, which must match the last
+    sample to _CONTINUATION_REL.  Build via build_profile_table;
+    solver-scale workloads (>= 1e4 evaluations per profile) are the
+    intended consumer.
     """
 
     def __init__(
@@ -553,10 +567,9 @@ class RadialProfileTable:
             raise ValueError("nodes must start at 0 and increase strictly")
         if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
             raise ValueError("profile samples must be finite and positive")
-        tail_power = params.dim + 2.0 * params.s
-        tail_const = values[-1] * nodes[-1] ** tail_power
-        if abs(tail_const / ell_limit(params, 0) - 1.0) > 0.05:
-            raise ValueError("last node is not in the power-law tail regime")
+        gap = float(tail_series(params.dim, params.s, nodes[-1:])[0] / values[-1] - 1.0)
+        if not abs(gap) <= _CONTINUATION_REL:
+            raise ValueError(f"the series continuation misses the last sample at r={nodes[-1]:.6g} by {gap:.3g}")
         self.params = params
         self.nodes = nodes
         self.values = values
@@ -572,12 +585,13 @@ class RadialProfileTable:
         self._r_last = nodes[-1]
 
     def evaluate(self, r) -> np.ndarray:
-        """Vectorized profile lookup for r >= 0."""
+        """Vectorized profile lookup for finite r >= 0."""
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
-        if np.any(r < 0.0):
-            raise ValueError("radius must be nonnegative")
+        bad = ~((r >= 0.0) & (r < math.inf))
+        if bad.any():
+            raise ValueError(f"radius must be finite and nonnegative, got {r[bad][0]}")
         out = np.empty_like(r)
         small = r < self._r_first
         big = r > self._r_last
@@ -596,37 +610,14 @@ class RadialProfileTable:
 
 
 def build_profile_table(params: KernelParams) -> RadialProfileTable:
-    """Sample the profile on a log-spaced grid and wrap it in a table.
+    """Sample the profile at 0 and on a log-spaced grid out to TAIL_CUT.
 
-    The last node must sit in the power-law tail; construction verifies
-    that the series continuation agrees with direct quadrature there to
-    1e-7 relative, pushing the boundary outward if it does not.  All
-    positive nodes are then evaluated in one batch of the panel sums
-    behind f_radial, so every node value equals f_radial there bit for
-    bit.
+    All nodes are evaluated in one batch of the panel sums behind
+    f_radial, so every node value equals f_radial there bit for bit, and
+    the constructor checks the series continuation against the last one.
     """
-    # the table constructor insists the last node sits where the leading
-    # power law dominates; small s decays slowly there, so push the
-    # boundary until the first surviving correction term drops below 4%
-    dim, s = params.dim, params.s
-    coeffs = tail_coefficients(dim, s)
-    r_last = _TABLE_LAST
-    for j, a in enumerate(coeffs[1:], start=2):
-        if a != 0.0:
-            ratio = abs(a) / (0.04 * abs(coeffs[0]))
-            if ratio > 1.0:
-                r_last = max(r_last, ratio ** (1.0 / (2.0 * s * (j - 1))))
-            break
-    for last in (r_last, 1.5 * r_last, 2.25 * r_last):
-        series = float(tail_series(dim, s, np.array([last]))[0])
-        direct = float(_profile_values(dim, s, np.array([last]))[0])
-        if abs(series / direct - 1.0) <= 1e-7:
-            grid = np.concatenate([[0.0], np.geomspace(_TABLE_FIRST, last, _TABLE_NODES)])
-            return RadialProfileTable(params, grid, _profile_array(dim, s, grid))
-    raise QuadratureError(
-        "series continuation never matched direct quadrature",
-        IntegralResult(value=direct, error_estimate=abs(series - direct), evaluations=0),
-    )
+    grid = np.concatenate([[0.0], np.geomspace(_TABLE_FIRST, TAIL_CUT, _TABLE_NODES)])
+    return RadialProfileTable(params, grid, _profile_array(params.dim, params.s, grid))
 
 
 @shared_cache(maxsize=32)

@@ -251,9 +251,8 @@ class _RadialBands:
 
     The radial line splits at TAIL_CUT into a body band, tabulated profile
     panels, and a tail band, whose route the datum's declarations pick.
-    Past TAIL_CUT the tail band still reads the table's interpolant, out
-    to the table's last node (125-212 for s = 0.3), and the series only
-    beyond it.  Both bands start at the given angular level and sweep the
+    The tables end at TAIL_CUT, so the tail band reads the large-radius
+    series.  Both bands start at the given angular level and sweep the
     points in blocks of _NODE_BLOCK, keeping for each block what
     nested_pair_sums returns to keep; the radial nodes never depend on the
     level.
@@ -512,8 +511,6 @@ def time_derivative(u0: FunctionSpec, x, t: float, params: KernelParams) -> floa
 def _time_derivative_impl(
     u0: FunctionSpec, x, t: float, params: KernelParams
 ) -> tuple[float, float]:
-    if t <= 0.0:
-        raise ValueError("the time derivative needs t > 0")
     require_admissible(u0, params.s)
     pt = as_point(x, params.dim)
     vals, errs = _solve_batch(u0, pt[None, :], t, params, kind="rate")
@@ -555,8 +552,6 @@ def residual_with_estimate(
     interpolant of the same stencil (the fit's truncation error), and
     the far-field bound.
     """
-    if t <= 0.0:
-        raise ValueError("the residual needs t > 0")
     dim, s = params.dim, params.s
     if dim > 1:
         raise ValueError(

@@ -248,6 +248,14 @@ class TestKernelCommand:
         assert float(rows[1][0]) == 0.0
         assert all(float(r[1]) > 0.0 for r in rows[1:])
 
+    def test_small_order_table_exits_two_before_allocating(self, monkeypatch, capsys):
+        def allocate(*args):
+            raise AssertionError("panel_edges was called")
+
+        monkeypatch.setattr("fracheat.kernel.panel_edges", allocate)
+        assert main(["kernel", "table", "--dim", "1", "--s", "0.15"]) == 2
+        assert "dim 1, s 0.15" in capsys.readouterr().err
+
     def test_verify_bounds_passes(self, capsys):
         assert main(["kernel", "verify-bounds", "--dim", "1", "--s", "0.6"]) == 0
         data = json.loads(capsys.readouterr().out)

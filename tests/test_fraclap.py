@@ -392,6 +392,10 @@ class TestPrincipalValue:
             frac_laplacian_pv(fam.gaussian(1.0), [0.0], 0.6, [0.1, 0.0])
         with pytest.raises(ValueError, match="positive"):
             frac_laplacian_pv(fam.gaussian(1.0), [0.0], 0.6, [])
+        for u in (fam.cosine(1.0), fam.gaussian(1.0)):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="finite and positive"):
+                    frac_laplacian_pv(u, [0.3], 0.6, [0.1, bad])
 
 
 class TestTailBound:

@@ -64,13 +64,15 @@ NON_FINITE_ENTRIES = {
     "kernel_time_derivative": lambda v: kernel_time_derivative(CAUCHY_1D, [1.0], v),
     "kernel_mass": lambda v: kernel_mass(CAUCHY_1D, v),
     "heat_kernel_fourier": lambda v: heat_kernel_fourier(CAUCHY_1D, [1.0], v),
+    "table_evaluate": lambda v: profile_table(1, 0.5).evaluate(v),
+    "table_evaluate_array": lambda v: profile_table(1, 0.5).evaluate([0.5, v, 2.0]),
 }
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("entry", NON_FINITE_ENTRIES.values(), ids=NON_FINITE_ENTRIES.keys())
 def test_non_finite_radius_or_time_is_refused(entry, value):
-    # the radius of f_radial and d_f_radial, the time of the others
+    # the radius of f_radial, d_f_radial and a table, the time of the others
     with pytest.raises(ValueError, match=f"finite.*got {value}"):
         entry(value)
 
@@ -482,6 +484,10 @@ def test_table_construction_validation():
         RadialProfileTable(par, good.nodes[:6], good.values[:6])  # too short
     with pytest.raises(ValueError):
         RadialProfileTable(par, good.nodes[:200], good.values[:200])  # tail not reached
+    off = good.values.copy()
+    off[-1] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="series continuation misses the last sample at r=30"):
+        RadialProfileTable(par, good.nodes, off)
 
 
 # every table the acceptance suites and the benchmark read, with the rate
@@ -492,6 +498,13 @@ READ_TABLES = [
     (1, 0.75), (2, 0.75), (3, 0.75), (4, 0.75), (5, 0.75),
     (3, 0.4), (1, 0.5), (1, 0.6), (3, 0.6), (1, 0.7), (3, 0.7), (1, 0.8), (3, 0.8),
 ]
+
+
+@pytest.mark.parametrize("dim, s", READ_TABLES)
+def test_table_ends_at_tail_cut(dim, s):
+    table = profile_table(dim, s)
+    assert table.nodes[-1] == kernel.TAIL_CUT
+    assert table.values[-1] == kernel._profile_values(dim, s, np.array([kernel.TAIL_CUT]))[0]
 
 
 @pytest.mark.parametrize("dim, s", READ_TABLES)
@@ -554,12 +567,45 @@ def test_tail_series_matches_the_series_cut_at_its_smallest_term(dim, s):
 
 @pytest.mark.parametrize("dim, s", [(1, 0.3), (3, 0.4), (2, 0.75)])
 def test_pointwise_profile_equals_table_past_series_radius(dim, s):
-    # both read tail_series there, so they agree bit for bit; a separate
-    # scalar sum of the series misses that at about one radius in twenty
+    # both read tail_series past TAIL_CUT, so they agree bit for bit; a
+    # separate scalar sum of the series misses that at about one radius in
+    # twenty
     table = profile_table(dim, s)
     params = KernelParams(dim=dim, s=s)
-    for r in (1500.0, 1e4, 1e5, *np.geomspace(1001.0, 1e6, 40).tolist()):
+    near = np.geomspace(30.0, 1000.0, 41)[1:].tolist()
+    for r in (1500.0, 1e4, 1e5, *near, *np.geomspace(1001.0, 1e6, 40).tolist()):
         assert f_radial(params, r) == table.evaluate(r)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_derivative_ladder_reads_the_series_far_out(k):
+    # past TAIL_CUT every rung of the ladder is tail_series, so d_f_radial
+    # has the series' full relative accuracy where F is far below ABS_TOL
+    params, r = KernelParams(dim=3, s=0.75), 200.0
+    ladder = math.fsum(
+        (-1.0) ** j * c * r ** (2 * j - k) * float(tail_series(3 + 2 * j, 0.75, np.array([r]))[0])
+        for j, c in alpha_coeffs(k).coefficients.items()
+    )
+    assert d_f_radial(params, k, r) == pytest.approx(ladder, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_profile_table(KernelParams(dim=1, s=0.15)),
+        lambda: f_radial(KernelParams(dim=3, s=0.15), 30.0),
+    ],
+    ids=["table-1", "f_radial-3"],
+)
+def test_small_order_is_refused_before_allocating(build, monkeypatch):
+    # at s = 0.15 the panel layouts would take gigabytes; the refusal must
+    # come from arithmetic on the truncation radius alone
+    def allocate(*args):
+        raise AssertionError("panel_edges was called")
+
+    monkeypatch.setattr(kernel, "panel_edges", allocate)
+    with pytest.raises(ValueError, match=r"dim \d, s 0.15 needs .* entries"):
+        build()
 
 
 def test_block_size_changes_no_bit(monkeypatch):
