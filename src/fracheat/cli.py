@@ -41,8 +41,8 @@ from .report import VerificationReport
 from .solver import (
     GridSpec,
     envelope_propagate,
-    pde_residual,
     require_admissible,
+    residual_with_estimate,
     solve_canonical,
 )
 
@@ -358,13 +358,13 @@ def _cmd_solve(args) -> int:
     mid = nodes[len(nodes) // 2]
     t_res = next((t for t in grid.times if t > 0.0), trace_times[0])
     try:
-        value = pde_residual(u0, mid, t_res, params)
+        value, estimate = residual_with_estimate(u0, mid, t_res, params)
     except ValueError as e:
         residual = {"unavailable": str(e)}
     else:
         residual = {
             "max_abs": abs(value),
-            "samples": [{"residual": value, "t": t_res, "x": list(mid)}],
+            "samples": [{"estimate": estimate, "residual": value, "t": t_res, "x": list(mid)}],
         }
     manifest = {
         "datum": args.datum,

@@ -299,17 +299,20 @@ class _RadialBands:
         mean_tail = pref * tail_integral(_series(dim, s, kind), s, TAIL_CUT)
         self._const = area * mean * mean_tail if mean != 0.0 else 0.0
 
-        if env.slope == 0.0 and osc > 0.0 and math.pi / osc <= 0.5 * TAIL_CUT:
-            # oscillation fast on the profile scale: half-period panels keep
-            # the envelope slowly varying per panel, then sequence averaging
+        if env.slope == 0.0 and osc > 0.0:
+            # half-period panels, geometric ones before them up to two half-periods
+            # so the envelope varies slowly per panel, then sequence averaging
             h = math.pi / osc
-            edges_t = TAIL_CUT + h * np.arange(_OSC_PANELS + 1)
+            start = max(TAIL_CUT, 2.0 * h)
+            pre = math.ceil(math.log(start / TAIL_CUT) / math.log(1.4))
+            pre_edges = np.geomspace(TAIL_CUT, start, pre + 1)[:-1]
+            edges_t = np.append(pre_edges, start + h * np.arange(_OSC_PANELS + 1))
             rs_t, ws_t = map(np.ravel, panel_rule(edges_t, 12))
             fac_t = factor(rs_t) * ws_t
 
             def tail(surf: np.ndarray, sl: slice) -> tuple[np.ndarray, np.ndarray]:
-                chunks = ((surf - area * mean) * fac_t).reshape(len(surf), _OSC_PANELS, 12)
-                tail_vals, tail_errs = averaged_limit(np.cumsum(chunks.sum(axis=2), axis=1))
+                chunks = ((surf - area * mean) * fac_t).reshape(len(surf), pre + _OSC_PANELS, 12).sum(axis=2)
+                tail_vals, tail_errs = averaged_limit(np.cumsum(chunks, axis=1)[:, pre:])
                 return pref * tail_vals, pref * tail_errs
 
         else:
@@ -337,8 +340,7 @@ class _RadialBands:
                 )
                 ratio = 1.7
             else:
-                # slow or absent oscillation: geometric panels, widths still
-                # capped so any residual oscillation stays resolved
+                # no oscillation: geometric panels out to a certified cutoff
                 c_rest = area * (env.amplitude + abs(mean))
                 radius = 4.0 * TAIL_CUT
                 while radius < _RADIUS_CAP and c_rest * _abs_tail(dim, s, kind, radius) > target:
@@ -521,12 +523,13 @@ def pde_residual(u0: FunctionSpec, x, t: float, params: KernelParams) -> float:
     """u_t + (-Lap)^s u at a point of the computed solution.
 
     The operator term re-evaluates the fractional Laplacian on the
-    solution itself: near second differences come from a quintic fit on
-    a seven-point stencil (raw differences of quadrature values would
-    drown in cancellation noise under the t^(-1-2s) weight), mid-range
-    differences from direct convolution values, and the far field from
-    the datum's uniform second-difference bound, which convolution
-    preserves.
+    solution itself: near second differences come from the degree-6
+    interpolant of a seven-point stencil (raw differences of quadrature
+    values would drown in cancellation noise under the t^(-1-2s) weight),
+    the rest from direct convolution values, on averaged half-period panels
+    past a few periods for data that oscillate without growth, else out to
+    where the datum's uniform second-difference bound, which convolution
+    preserves, certifies the far field.
     """
     value, _ = residual_with_estimate(u0, x, t, params)
     return value
@@ -538,26 +541,27 @@ def residual_with_estimate(
     """The residual together with its accumulated error estimate.
 
     Only 1-D is supported.  There the operator term is one batch of every
-    stencil and mid-range point (19,495 for cosine:1 at s = 0.6), which
-    the convolution works through in blocks of _NODE_BLOCK points, so its
-    memory does not grow with the batch.  In 2-D and 3-D that batch has
-    7.4e6 points (cosine:1) and 1.0e6 points (gaussian:1), both at
-    s = 0.6, and its sphere sums need over 1e12 datum evaluations at the
-    starting angular level, so those dimensions are refused before any
-    work starts.
+    stencil and mid-range point (2,407 for cosine:1 at s = 0.6, on
+    _OSC_PANELS half-period panels of 12 nodes past the geometric
+    panels), which the convolution works through in blocks of _NODE_BLOCK
+    points, so its memory does not grow with the batch.  In 2-D and 3-D
+    every mid-range radius needs a whole sphere of points, each a full
+    solve, so those dimensions are refused before any work starts.
 
     The estimate adds the time derivative's estimate, the value noise
-    carried through the near fit and the mid-range sum, twice the gap
-    between the quintic fit's near part and that of the degree-6
-    interpolant of the same stencil (the fit's truncation error), and
+    carried through the near interpolant and the mid-range sum, and twice
+    the gap between the interpolant's near part and that of the quintic
+    least-squares fit to the same stencil (its truncation error).  On the
+    half-period route it adds the averaged limit's error and a rounding
+    floor on the closed-form 4 (u(x) - mean) term; on the other it adds
     the far-field bound.
     """
     dim, s = params.dim, params.s
     if dim > 1:
         raise ValueError(
             f"the residual is implemented for dim 1 only; in dim {dim} its operator "
-            "term needs one solve of millions of stencil and mid-range points, "
-            "over 1e12 datum evaluations"
+            "term needs a full solve at every point of a sphere around x for every "
+            "mid-range radius"
         )
     require_admissible(u0, s)
     pt = as_point(x, dim)
@@ -581,29 +585,34 @@ def residual_with_estimate(
             out += b * radius**-p / p
         return 2.0 * pref * out
 
-    r_far = 4.0
-    while r_far < 1e30 and far_bound(r_far) > target:
+    # oscillation without growth: a few half-periods on geometric panels, then
+    # averaged half-period panels as in the tail band, leaving no far field
+    osc = u0.osc_scale or 0.0
+    halves = osc > 0.0 and u0.envelope.slope == 0.0
+    r_far = r_near + 4.0 * math.pi / osc if halves else 4.0
+    while not halves and r_far < 1e30 and far_bound(r_far) > target:
         r_far *= 2.0
 
     # one batch for everything the operator term needs: x, the rest of
-    # its stencil, then the mid-range pair points x + r and x - r
+    # its stencil, then the pair points x + r and x - r
     taus = h * np.arange(-3, 4)
-    osc = u0.osc_scale or 0.0
     cap = 4.4 * math.pi / osc if osc > 0.0 else math.inf
     n = max(4, int(math.ceil(math.log(r_far / r_near) / math.log(1.5))))
     mid_edges = _cap_widths(np.geomspace(r_near, r_far, n + 1), cap)
     mid_rs, mid_ws = map(np.ravel, panel_rule(mid_edges, 16))
+    half_edges = r_far + math.pi / osc * np.arange(_OSC_PANELS + 1) if halves else np.array([r_far])
+    half_rs, half_ws = panel_rule(half_edges, 12)
 
     x0 = pt[0]
-    batch = np.concatenate([[x0], x0 + np.delete(taus, 3), x0 + mid_rs, x0 - mid_rs])
+    pair_rs = np.concatenate([mid_rs, half_rs.ravel()])
+    batch = np.concatenate([[x0], x0 + np.delete(taus, 3), x0 + pair_rs, x0 - pair_rs])
     values, value_errs = _solve_batch(u0, batch[:, None], t, params)
     u_here = values[0]
     noise = float(np.max(value_errs[:7]))
     stencil_vals = np.insert(values[1:7], 3, u_here)
-    plus, minus = np.split(values[7:], 2)
-    plus_err, minus_err = np.split(value_errs[7:], 2)
-    pair_mid = 2.0 * (plus + minus)
-    pair_mid_err = 2.0 * (plus_err + minus_err) + 4.0 * value_errs[0]
+    # u(x + r) + u(x - r) and its error at every pair radius
+    pairs, pairs_err = (v[7:].reshape(2, -1).sum(axis=0) for v in (values, value_errs))
+    m = len(mid_rs)
 
     def near_part(degree: int) -> float:
         # only the even part of the fit survives in the second difference,
@@ -612,19 +621,30 @@ def residual_with_estimate(
         even = (coeffs[k] * r_near ** (k - 2.0 * s) / (k - 2.0 * s) for k in range(2, degree + 1, 2))
         return -4.0 * float(sum(even))
 
-    # near part from a quintic fit; its truncation error is bounded by
-    # twice its gap to the degree-6 interpolant of the same seven values
-    near = near_part(5)
-    fit_gap = 2.0 * abs(near - near_part(6))
+    # near part from the degree-6 interpolant of the seven values; its
+    # truncation error is bounded by twice its gap to the quintic fit
+    near = near_part(6)
+    fit_gap = 2.0 * abs(near - near_part(5))
     fit_noise = 8.0 * noise * ((r_near / h) ** 2 * r_near ** (-2.0 * s)) / (2.0 - 2.0 * s)
 
-    second = 4.0 * u_here - pair_mid
+    second = 4.0 * u_here - 2.0 * pairs[:m]
     mid = float(np.dot(second * mid_rs ** (-1.0 - 2.0 * s), mid_ws))
-    mid_noise = float(np.dot(pair_mid_err * mid_rs ** (-1.0 - 2.0 * s), np.abs(mid_ws)))
+    mid_err = 2.0 * pairs_err[:m] + 4.0 * value_errs[0]
+    mid_noise = float(np.dot(mid_err * mid_rs ** (-1.0 - 2.0 * s), np.abs(mid_ws)))
+    if halves:
+        # past r_far: the 4 (u(x) - mean) term in closed form, the pair
+        # terms less their mean by averaging over the half-period panels
+        mean, dc = u0.tail_mean, 4.0 * r_far ** (-2.0 * s) / (2.0 * s)
+        weight = half_rs ** (-1.0 - 2.0 * s) * half_ws
+        panels = np.sum((pairs[m:].reshape(weight.shape) - 2.0 * mean) * weight, axis=1)
+        rest, rest_err = averaged_limit(np.cumsum(panels))
+        mid += dc * (u_here - mean) - 2.0 * rest
+        rest_noise = np.sum(pairs_err[m:].reshape(weight.shape) * np.abs(weight))
+        mid_noise += 2.0 * (rest_err + rest_noise) + dc * (value_errs[0] + 1e-16 * abs(u_here - mean))
 
     flap = pref * (near + mid)
-    estimate = ut_err + pref * (fit_noise + fit_gap + mid_noise) + far_bound(r_far)
-    return ut + flap, estimate
+    estimate = ut_err + pref * (fit_noise + fit_gap + mid_noise) + (0.0 if halves else far_bound(r_far))
+    return float(ut + flap), float(estimate)
 
 
 def envelope_propagate(

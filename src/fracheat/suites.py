@@ -167,19 +167,21 @@ def suite_derivative_recursion(cfg: "RunConfig") -> VerificationReport:
     """Radial derivative ladder against finite differences and its tables."""
     report = VerificationReport(suite="derivative-recursion")
     params = KernelParams(dim=1, s=0.6)
-    h = 1e-3
+
+    def central(k: int, r: float, h: float) -> float:
+        f = [f_radial(params, r + j * h) for j in range(-2, 3)]
+        if k == 1:
+            return (f[3] - f[1]) / (2.0 * h)
+        if k == 2:
+            return (f[3] - 2.0 * f[2] + f[1]) / h**2
+        return (f[4] - 2.0 * f[3] + 2.0 * f[1] - f[0]) / (2.0 * h**3)
+
     worst, worst_at = 0.0, (0.0, 0.0)
     for k in (1, 2, 3):
         for r in (0.7, 1.3, 2.1):
-            stencil = [f_radial(params, r + j * h) for j in range(-3, 4)]
-            if k == 1:
-                fd = (stencil[4] - stencil[2]) / (2.0 * h)
-            elif k == 2:
-                fd = (stencil[4] - 2.0 * stencil[3] + stencil[2]) / h**2
-            else:
-                fd = (stencil[5] - 2.0 * stencil[4] + 2.0 * stencil[2] - stencil[1]) / (
-                    2.0 * h**3
-                )
+            # Richardson over h = 1e-3 and 2e-3 cancels the central stencils'
+            # h^2 term, so the gap measures the ladder and not the stencil
+            fd = (4.0 * central(k, r, 1e-3) - central(k, r, 2e-3)) / 3.0
             rel = abs(d_f_radial(params, k, r) / fd - 1.0)
             if rel > worst:
                 worst, worst_at = rel, (float(k), r)

@@ -332,7 +332,9 @@ class TestSolveCommand:
         manifest = json.loads(man.decode())
         assert manifest["params"] == {"dim": 1, "s": 0.6}
         assert manifest["residual"]["max_abs"] <= 1e-3
-        assert manifest["residual"]["samples"][0]["t"] == 0.5
+        sample = manifest["residual"]["samples"][0]
+        assert sample["t"] == 0.5
+        assert abs(sample["residual"]) <= sample["estimate"]
         assert "amplitudes" in manifest["envelope"]
 
     def test_grid_syntax_error_exits_two(self, tmp_path, capsys):

@@ -266,6 +266,15 @@ class TestCanonicalSolve:
         assert abs(val - truth) <= 1e-6
         assert abs(val - truth) <= 10.0 * err + 1e-9
 
+    def test_slow_oscillation_stays_on_half_period_panels(self):
+        # a half-period longer than half the profile range: geometric panels
+        # capped at the oscillation's scale would need about 2.6e12 panels out
+        # to the certified cutoff, 1.3e14
+        xs = np.linspace(-3.0, 3.0, 7)
+        vals, errs = _solve_batch(fam.cosine(1.0), xs[:, None], 0.3, KernelParams(dim=1, s=0.3))
+        assert np.all(np.abs(vals - math.exp(-0.3) * np.cos(xs)) <= errs)
+        assert np.max(errs) <= 1e-6
+
     @settings(max_examples=20, deadline=None)
     @given(
         lo=st.floats(min_value=-5.0, max_value=0.0),
@@ -442,6 +451,17 @@ class TestAngularRefinement:
         assert len(np.unique(rows, axis=0)) == len(rows)
 
 
+# data whose exact residual is 0, each at a seeded (x, t) draw
+_EXACT_ZERO = [(fam.cosine(freq), s) for freq in (0.5, 1.0, 2.0) for s in (0.3, 0.6, 0.9)] + [
+    (u0, s)
+    for u0 in (fam.constant(2.0), fam.affine(0.5, 1.0), fam.gaussian(1.0))
+    for s in (0.55, 0.75, 0.9)
+]
+_EXACT_ZERO_DRAWS = np.random.default_rng(11).uniform(
+    (-2.0, 0.3), (2.0, 1.5), size=(len(_EXACT_ZERO), 2)
+)
+
+
 class TestResidual:
     @pytest.mark.parametrize(
         "u0, x, t, params, tol",
@@ -500,6 +520,27 @@ class TestResidual:
         )
         assert abs(val) <= est
 
+    @pytest.mark.parametrize(
+        "case", range(len(_EXACT_ZERO)), ids=[f"{u0.label}-s{s}" for u0, s in _EXACT_ZERO]
+    )
+    def test_estimate_bounds_exact_zero_battery(self, case):
+        (u0, s), (x, t) = _EXACT_ZERO[case], _EXACT_ZERO_DRAWS[case]
+        val, est = residual_with_estimate(u0, np.array([x]), t, KernelParams(dim=1, s=s))
+        assert abs(val) <= est
+
+    def test_oscillatory_batch_stays_small(self, monkeypatch):
+        # half-period panels past a few periods; a geometric mid-range out
+        # to the far-field cutoff needs 19,495 points here
+        points = []
+
+        def counting(u0, pts, *args, **kwargs):
+            points.append(len(pts))
+            return _solve_batch(u0, pts, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_solve_batch", counting)
+        residual_with_estimate(fam.cosine(1.0), np.array([0.3]), 0.8, PAR_06)
+        assert sum(points) < 3000
+
     def test_plain_and_estimated_forms_agree(self):
         args = (fam.cosine(1.0), np.array([0.3]), 0.8, PAR_06)
         assert pde_residual(*args) == residual_with_estimate(*args)[0]
@@ -538,8 +579,8 @@ class TestPointBlocks:
         assert np.allclose(whole[1], blocked[1], rtol=0.0, atol=1e-14 * scale)
 
     def test_residual_memory_stays_bounded(self):
-        # its operator term is one batch of 19,495 points; held whole, its
-        # sphere sums peaked at 503 MiB
+        # its operator term is one batch of 2,407 points; worked through in
+        # blocks it peaks at 37 MiB, held whole at 67 MiB
         profile_table(1, 0.6)
         profile_table(3, 0.6)
         tracemalloc.start()
