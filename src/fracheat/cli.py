@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import families as fam
+from .families import require_admissible
 from .fraclap import classify_definiteness, frac_laplacian, vanish_at_infinity_check
 from .kernel import (
     KernelParams,
@@ -37,11 +38,9 @@ from .kernel import (
     profile_table,
     verify_kernel_bounds,
 )
-from .report import VerificationReport
 from .solver import (
     GridSpec,
     envelope_propagate,
-    require_admissible,
     residual_with_estimate,
     solve_canonical,
 )

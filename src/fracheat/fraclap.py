@@ -22,10 +22,8 @@ line is handled in three regimes:
     which sits very far out when the growth is near the integrability
     edge.
 
-The principal-value variant exposes the truncated integral per cutoff and
-shares the tail machinery.  Classification of definiteness is symbolic,
-keyed on family structure, and never touches quadrature.  All entry points
-are pure functions.
+Classification of definiteness is symbolic, keyed on family structure, and
+never touches quadrature.  All entry points are pure functions.
 """
 
 from __future__ import annotations
@@ -50,9 +48,7 @@ __all__ = [
     "FracLapResult",
     "riesz_constant",
     "frac_laplacian",
-    "frac_laplacian_pv",
     "second_difference_constants",
-    "second_difference_tail_bound",
     "classify_definiteness",
     "vanish_at_infinity_check",
 ]
@@ -248,24 +244,6 @@ def _near_band(
     return vals[0], abs(vals[0] - vals[1])
 
 
-def _band_panels(
-    u: FunctionSpec,
-    x: np.ndarray,
-    ux: float,
-    s: float,
-    dirs: np.ndarray,
-    dwts: np.ndarray,
-    a: float,
-    b: float,
-) -> tuple[float, float]:
-    """Integral over a strictly positive band [a, b], for truncated variants."""
-    edges = _insert_breaks(_geometric_edges(a, b, 1.5), _kink_radii(u, x))
-    edges[-1] = b
-    return _geometric_panels(
-        lambda ts: _second_diff_sum(u, x, ux, ts, dirs, dwts), edges, s
-    )
-
-
 def _tail_bounded(
     u: FunctionSpec,
     x: np.ndarray,
@@ -349,30 +327,23 @@ def _tail_growing(
     return value, err + leftover
 
 
-def _tail_from(
-    u: FunctionSpec,
-    x: np.ndarray,
-    ux: float,
-    s: float,
-    dirs: np.ndarray,
-    dwts: np.ndarray,
-    r0: float,
-    rem_target: float,
-) -> tuple[float, float]:
-    if u.envelope.slope > 0:
-        return _tail_growing(u, x, ux, s, dirs, dwts, r0, rem_target)
-    return _tail_bounded(u, x, ux, s, dirs, dwts, r0, rem_target)
-
-
 # ---------------------------------------------------------------------------
 # Entry points
 
 
-def _prepare(
+def frac_laplacian(
     u: FunctionSpec,
-    x: Sequence[float] | np.ndarray,
+    x: Sequence[float] | np.ndarray | float,
     s: float,
-) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, float, float, float]:
+) -> FracLapResult:
+    """Evaluate the operator at one point.
+
+    The result records the split radius and the near/tail decomposition so
+    callers can see where the value came from.  The angular rule and the
+    tail cutoff aim at specfun's ABS_TOL on the value.  Families whose
+    declared growth beats the order are rejected before any quadrature
+    runs, as is evaluation exactly on a corner of a piecewise family.
+    """
     if not 0.0 < s < 1.0:
         raise ValueError("order s must lie in (0, 1)")
     xa = as_point(x, u.dim)
@@ -395,25 +366,9 @@ def _prepare(
         u, xa, s, r0, r_active, 0.25 * ABS_TOL / pref
     )
     ux = float(u.value(xa[None, :])[0])
-    return xa, ux, dirs, dwts, r0, pref, ang_err
-
-
-def frac_laplacian(
-    u: FunctionSpec,
-    x: Sequence[float] | np.ndarray | float,
-    s: float,
-) -> FracLapResult:
-    """Evaluate the operator at one point.
-
-    The result records the split radius and the near/tail decomposition so
-    callers can see where the value came from.  The angular rule and the
-    tail cutoff aim at specfun's ABS_TOL on the value.  Families whose
-    declared growth beats the order are rejected before any quadrature
-    runs, as is evaluation exactly on a corner of a piecewise family.
-    """
-    xa, ux, dirs, dwts, r0, pref, ang_err = _prepare(u, x, s)
     near, near_err = _near_band(u, xa, ux, s, dirs, dwts, r0)
-    tail, tail_err = _tail_from(u, xa, ux, s, dirs, dwts, r0, ABS_TOL / pref)
+    tail_band = _tail_growing if u.envelope.slope > 0 else _tail_bounded
+    tail, tail_err = tail_band(u, xa, ux, s, dirs, dwts, r0, ABS_TOL / pref)
     value = pref * (near + tail)
     err = pref * (near_err + tail_err + ang_err) + 1e-15 * abs(value)
     return FracLapResult(
@@ -423,37 +378,6 @@ def frac_laplacian(
         split_radius=r0,
         error_estimate=err,
     )
-
-
-def frac_laplacian_pv(
-    u: FunctionSpec,
-    x: Sequence[float] | np.ndarray | float,
-    s: float,
-    epsilons: Sequence[float],
-) -> np.ndarray:
-    """Truncated integrals outside balls of the given radii, one value per radius.
-
-    The values converge to :func:`frac_laplacian` as the cutoff shrinks.
-    Requesting them for a family whose far tail is not absolutely
-    integrable raises, since then no truncation limit exists.
-    """
-    eps = np.asarray(list(epsilons), dtype=float)
-    if eps.size == 0 or not np.all((eps > 0.0) & (eps < math.inf)):
-        raise ValueError("cutoff radii must be finite and positive")
-    xa, ux, dirs, dwts, r0, pref, _ = _prepare(u, x, s)
-    rem_target = ABS_TOL / pref
-    tail_val, _ = _tail_from(u, xa, ux, s, dirs, dwts, r0, rem_target)
-    out = np.empty(eps.size)
-    for i, e in enumerate(eps):
-        if e < r0:
-            band, _ = _band_panels(u, xa, ux, s, dirs, dwts, e, r0)
-            out[i] = pref * (band + tail_val)
-        elif e == r0:
-            out[i] = pref * tail_val
-        else:
-            far, _ = _tail_from(u, xa, ux, s, dirs, dwts, float(e), rem_target)
-            out[i] = pref * far
-    return out
 
 
 def second_difference_constants(u: FunctionSpec) -> tuple[float, float, float]:
@@ -479,20 +403,6 @@ def second_difference_constants(u: FunctionSpec) -> tuple[float, float, float]:
         f"{u.label} declares neither curvature decay nor boundedness; "
         "its second differences have no uniform bound"
     )
-
-
-def second_difference_tail_bound(u: FunctionSpec, offset_norm: float) -> float:
-    """Uniform-in-x bound on |2u(x) - u(x+z) - u(x-z)| for |z| = offset_norm.
-
-    Needs a declared curvature decay; the constants come from
-    :func:`second_difference_constants`.
-    """
-    if offset_norm < 0:
-        raise ValueError("offset_norm must be non-negative")
-    if u.hessian_decay is None:
-        raise ValueError(f"{u.label} declares no curvature decay; the bound needs one")
-    amp, slope, rate = second_difference_constants(u)
-    return amp + slope * offset_norm ** (2.0 - rate)
 
 
 def classify_definiteness(u: FunctionSpec, s: float) -> ClassificationResult:

@@ -17,9 +17,8 @@ from fracheat.fraclap import (
     FracLapResult,
     classify_definiteness,
     frac_laplacian,
-    frac_laplacian_pv,
     riesz_constant,
-    second_difference_tail_bound,
+    second_difference_constants,
     vanish_at_infinity_check,
 )
 
@@ -356,48 +355,6 @@ class TestTranslation:
         assert a == pytest.approx(b, abs=1e-10)
 
 
-class TestPrincipalValue:
-    def test_converges_to_full_value(self):
-        u = fam.gaussian(1.0)
-        full = frac_laplacian(u, [0.0], 0.6)
-        eps = [1e-1, 1e-2, 1e-3, 1e-4]
-        pv = frac_laplacian_pv(u, [0.0], 0.6, eps)
-        diffs = np.abs(pv - full.value)
-        assert np.all(np.diff(diffs) < 0)
-        # truncation mass scales like eps^{2-2s}; one decade in eps buys
-        # a factor 10^{-0.8} at s = 0.6
-        ratios = diffs[1:] / diffs[:-1]
-        np.testing.assert_allclose(ratios, 10 ** -0.8, rtol=0.1)
-        assert diffs[-1] < 1e-3
-
-    def test_nonnegative_at_maximum(self):
-        pv = frac_laplacian_pv(fam.gaussian(1.0), [0.0], 0.6, [0.5, 0.1, 0.01])
-        assert np.all(pv >= 0)
-
-    def test_cosine_at_origin(self):
-        # truncations approach the eigenvalue cos(0) * 1^{2s} = 1
-        pv = frac_laplacian_pv(fam.cosine(1.0), [0.0], 0.6, [1e-2, 1e-3, 1e-4])
-        assert pv[-1] == pytest.approx(1.0, abs=2e-3)
-        full = frac_laplacian(fam.cosine(1.0), [0.0], 0.6)
-        assert abs(pv[-1] - full.value) < abs(pv[0] - full.value)
-
-    def test_affine_exactly_zero(self):
-        pv = frac_laplacian_pv(fam.affine(1.0, 2.0), [0.3], 0.75, [1.0, 0.1, 0.01])
-        assert np.all(np.abs(pv) < 1e-13)
-
-    def test_rejects_nonintegrable_and_bad_cutoffs(self):
-        with pytest.raises(ValueError, match="not integrable"):
-            frac_laplacian_pv(fam.affine(1.0, 2.0), [0.0], 0.4, [0.1])
-        with pytest.raises(ValueError, match="positive"):
-            frac_laplacian_pv(fam.gaussian(1.0), [0.0], 0.6, [0.1, 0.0])
-        with pytest.raises(ValueError, match="positive"):
-            frac_laplacian_pv(fam.gaussian(1.0), [0.0], 0.6, [])
-        for u in (fam.cosine(1.0), fam.gaussian(1.0)):
-            for bad in (math.nan, math.inf):
-                with pytest.raises(ValueError, match="finite and positive"):
-                    frac_laplacian_pv(u, [0.3], 0.6, [0.1, bad])
-
-
 class TestTailBound:
     @pytest.mark.parametrize(
         "u",
@@ -410,20 +367,19 @@ class TestTailBound:
         pts = np.stack([xs, xs + zs, xs - zs], axis=1)[..., None]
         vals = u.value(pts.reshape(-1, 1)).reshape(-1, 3)
         second = np.abs(2 * vals[:, 0] - vals[:, 1] - vals[:, 2])
-        bounds = np.array([second_difference_tail_bound(u, abs(z)) for z in zs])
+        a, b, rate = second_difference_constants(u)
+        bounds = a + b * np.abs(zs) ** (2.0 - rate)
         assert np.all(second <= bounds * (1 + 1e-12))
 
     def test_requires_declared_decay(self):
-        with pytest.raises(ValueError, match="curvature decay"):
-            second_difference_tail_bound(fam.cosine(1.0), 1.0)
+        with pytest.raises(ValueError, match="neither curvature decay nor boundedness"):
+            second_difference_constants(fam.ruled(1.2))
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            second_difference_tail_bound(fam.gaussian(1.0), -1.0)
         broken = fam.gaussian(1.0)
         broken.hessian_decay = (1.0, 0.0)
         with pytest.raises(ValueError, match="rate"):
-            second_difference_tail_bound(broken, 1.0)
+            second_difference_constants(broken)
 
 
 class TestClassification:

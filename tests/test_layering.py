@@ -25,3 +25,34 @@ def test_no_private_imports_between_modules():
     paths = sorted(SRC.glob("*.py"))
     assert paths, f"no sources under {SRC}"
     assert [hit for path in paths for hit in _private_imports(path)] == []
+
+
+def _top_level_names(path: Path) -> set[str]:
+    names = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_names_are_imported_from_their_defining_module():
+    defined = {path.stem: _top_level_names(path) for path in SRC.glob("*.py")}
+    relayed = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom) or node.module is None:
+                continue
+            parts = node.module.split(".")
+            if node.level == 0 and parts[0] != "fracheat":
+                continue
+            source = parts[-1]
+            relayed.extend(
+                f"{path.name}:{node.lineno} imports {alias.name} from {source}"
+                for alias in node.names
+                if source in defined and alias.name not in defined[source]
+            )
+    assert relayed == []

@@ -6,7 +6,7 @@ import pytest
 
 from fracheat import families as fam
 from fracheat.cli import parse_config
-from fracheat.fraclap import frac_laplacian, frac_laplacian_pv
+from fracheat.fraclap import frac_laplacian
 from fracheat.kernel import (
     KernelParams,
     heat_kernel,
@@ -32,7 +32,6 @@ POINT_ENTRIES = {
     "kernel_time_derivative": lambda x: kernel_time_derivative(PARAMS, x, 1.0),
     "heat_kernel_fourier": lambda x: heat_kernel_fourier(PARAMS, x, 1.0),
     "frac_laplacian": lambda x: frac_laplacian(COSINE, x, 0.6),
-    "frac_laplacian_pv": lambda x: frac_laplacian_pv(COSINE, x, 0.6, [0.5]),
     "solution_at": lambda x: solution_at(COSINE, x, 1.0, PARAMS),
     "time_derivative": lambda x: time_derivative(COSINE, x, 1.0, PARAMS),
     "pde_residual": lambda x: pde_residual(COSINE, x, 1.0, PARAMS),

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,15 +323,41 @@ def test_quadrature_result_fields(cfg):
     assert res.error_estimate >= 0.0
 
 
-def test_quadrature_budget_exhaustion(monkeypatch):
-    # three subdivisions cannot resolve 40 oscillations; the failure must
-    # carry the best estimate rather than silently returning garbage
-    monkeypatch.setattr(specfun, "MAX_SUBDIVISIONS", 3)
-    with pytest.raises(QuadratureError) as excinfo:
+def test_unresolved_oscillation_is_refused():
+    # without osc_scale the panels are 0.5 long and hold three periods of
+    # cos(40 r) each, so the 16- and 12-point sums disagree; the refusal
+    # must carry the result rather than silently returning garbage
+    with pytest.raises(QuadratureError, match="misses its tolerance") as excinfo:
         integrate_semi_infinite(
             lambda r: np.cos(40.0 * r) * np.exp(-r), QuadratureConfig(), decay_exponent=1.0
         )
     assert isinstance(excinfo.value.best, IntegralResult)
+    assert excinfo.value.best.error_estimate > QuadratureConfig().abs_tol
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_estimate_bounds_cauchy_profile_error(cfg, dim):
+    # at s = 1/2 the profile integral int e^-rho rho^(d/2) J_(d/2-1)(r rho)
+    # has a closed form; the reported estimate must bound the error at
+    # every radius, also where the error is pure rounding
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import oracles
+    finally:
+        sys.path.pop(0)
+    misses = []
+    for r in np.geomspace(0.05, 40.0, 40).tolist():
+        res = integrate_semi_infinite(
+            lambda rho: np.exp(-rho) * rho ** (0.5 * dim) * jv(0.5 * dim - 1.0, r * rho),
+            cfg,
+            decay_exponent=1.0,
+            poly_power=0.5 * dim,
+            osc_scale=r,
+        )
+        error = abs(res.value - oracles.cauchy_profile_integral(dim, r))
+        if error > res.error_estimate:
+            misses.append((r, error, res.error_estimate))
+    assert not misses
 
 
 def test_config_validation():
