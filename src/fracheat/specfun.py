@@ -129,8 +129,10 @@ def gamma(x: float) -> float:
 # Shared quadrature rules
 
 _AVERAGING_ROUNDS = 10
-# datum evaluations per chunk of pair_sums
-_PAIR_CHUNK = 1_500_000
+# datum evaluations per chunk of pair_sums: 2^16 points keep a 3-D cloud
+# (1.5 MiB) and value()'s temporaries in one core's 2 MiB L2.  A pure speed
+# constant: pair_sums gives the same bits for every chunk size.
+_PAIR_CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=32)
@@ -226,7 +228,10 @@ def pair_sums(
 
     One row per point x of the (count, dim) array pts, one column per
     radius rho.  The datum is evaluated in chunks of radii holding about
-    _PAIR_CHUNK points each, so memory stays bounded for long radius lists.
+    _PAIR_CHUNK points each, few enough that the cloud stays in a core's L2
+    cache.  Each (point, radius) sum is its own contraction over the
+    directions, so no sum depends on where the chunk edges fall, and the
+    result is the same bit for bit for every chunk size.
 
     Each chunk's cloud is one (dim, count, radii, 2 * dirs) array, filled
     one coordinate at a time: the x + rho d points take the first half of
@@ -250,7 +255,7 @@ def pair_sums(
             np.add(pts[:, k, None, None], step, out=cloud[k, :, :, :nd])
             np.subtract(pts[:, k, None, None], step, out=cloud[k, :, :, nd:])
         vals = value(cloud.reshape(dim, -1).T).reshape(count, sub.size, -1)
-        out[:, lo : lo + block] = vals @ w2
+        out[:, lo : lo + block] = np.einsum("ijk,k->ij", vals, w2)
     return out
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from fracheat import families as fam
 from fracheat import kernel, solver
+from fracheat.fraclap import frac_laplacian
 from fracheat.kernel import KernelParams, profile_table
 from fracheat.solver import (
     _MAX_ANGULAR,
@@ -565,9 +566,10 @@ class TestPointBlocks:
         assert np.array_equal(whole[1], blocked[1])
 
     def test_refined_bands_agree_across_blocks(self, monkeypatch):
-        # 2-D sphere sums are formed in radius chunks whose size follows
-        # the block's point count, so their last bits may move; each
-        # block's refinement must still build on its own kept sums
+        # the sphere sums do not depend on the block's point count, but
+        # surf @ fac may, in its last bits, for blocks under the row group
+        # of the matrix-vector kernels; each block's refinement must still
+        # build on its own kept sums
         u0, params = fam.cosine(1.0, dim=2), KernelParams(dim=2, s=0.75)
         pts = np.linspace(-40.0, 40.0, 24).reshape(12, 2)
         monkeypatch.setattr(solver, "_NODE_BLOCK", len(pts) + 1)
@@ -580,16 +582,45 @@ class TestPointBlocks:
 
     def test_residual_memory_stays_bounded(self):
         # its operator term is one batch of 2,407 points; worked through in
-        # blocks it peaks at 37 MiB, held whole at 67 MiB
+        # blocks it peaks at 12.6 MiB, held whole at 58 MiB
         profile_table(1, 0.6)
         profile_table(3, 0.6)
-        tracemalloc.start()
-        try:
-            residual_with_estimate(fam.cosine(1.0), np.array([0.7]), 0.8, PAR_06)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100 * 2**20
+        assert _traced_peak(
+            lambda: residual_with_estimate(fam.cosine(1.0), np.array([0.7]), 0.8, PAR_06)
+        ) < 32 * 2**20
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: solve_canonical(
+                fam.ruled(1.2, dim=2),
+                GridSpec(2, ((-2.0, 2.0),) * 2, (3, 3), (1.0,)),
+                KernelParams(dim=2, s=0.75),
+            ),
+            lambda: solve_canonical(
+                fam.gaussian(1.0, dim=3),
+                GridSpec(3, ((-1.0, 1.0),) * 3, (2, 2, 2), (1.0,)),
+                KernelParams(dim=3, s=0.75),
+            ),
+            lambda: frac_laplacian(fam.cosine(1.0, dim=2), [0.3, -0.4], 0.75),
+        ],
+        ids=["ruled-2d", "gaussian-3d", "fraclap-2d"],
+    )
+    def test_sphere_sums_stay_cache_sized(self, run):
+        # pair_sums works through clouds of about 2^16 points; clouds of
+        # 1.5M points would peak at 58, 69 and 25 MiB here
+        profile_table(2, 0.75)
+        profile_table(3, 0.75)
+        assert _traced_peak(run) < 8 * 2**20
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _slow_counter(monkeypatch, module, name: str) -> list:

@@ -148,7 +148,7 @@ def test_sphere_rule_refuses_dim_above_three():
 
 def _pair_sums_reference(value, pts, rhos, dirs, dwts):
     # the (count, radii, dirs, dim) broadcasts joined by concatenate, chunked
-    # as pair_sums chunks, so each chunk's vals @ w2 has the same shape
+    # as pair_sums chunks and reduced by the same per-row contraction
     count, dim = pts.shape
     w2 = np.concatenate([dwts, dwts])
     out = np.empty((count, rhos.size))
@@ -164,7 +164,7 @@ def _pair_sums_reference(value, pts, rhos, dirs, dwts):
             axis=2,
         )
         vals = value(cloud.reshape(-1, dim)).reshape(count, sub.size, -1)
-        out[:, lo : lo + block] = vals @ w2
+        out[:, lo : lo + block] = np.einsum("ijk,k->ij", vals, w2)
     return out
 
 
@@ -188,6 +188,40 @@ def test_pair_sums_matches_concatenate_reference_bit_for_bit(monkeypatch, dim, c
     got = pair_sums(u.value, pts, rhos, dirs, dwts)
     assert got.shape == (count, rhos.size)
     assert np.array_equal(got, _pair_sums_reference(u.value, pts, rhos, dirs, dwts))
+
+
+_CHUNKS = (1 << 8, 1 << 16, 1 << 24)
+
+
+@pytest.mark.parametrize("count", [1, 9])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pair_sums_do_not_depend_on_the_chunk_size(monkeypatch, dim, count):
+    # from one radius per chunk to every radius in one: the chunk size
+    # moves only the chunk edges, and no sum may depend on them
+    u = fam.gaussian(0.7, dim=dim)
+    pts, rhos, dirs, dwts = _pair_case(dim, count)
+    runs = []
+    for chunk in _CHUNKS:
+        monkeypatch.setattr(specfun, "_PAIR_CHUNK", chunk)
+        runs.append(pair_sums(u.value, pts, rhos, dirs, dwts))
+    for got in runs[1:]:
+        assert np.array_equal(got, runs[0])
+
+
+def test_nested_pair_sums_do_not_depend_on_the_chunk_size(monkeypatch):
+    u = fam.parse_spec("ruled:1.2", dim=2)
+    pts, rhos, _, _ = _pair_case(2, 9)
+    runs = []
+    for chunk in _CHUNKS:
+        monkeypatch.setattr(specfun, "_PAIR_CHUNK", chunk)
+        kept, levels = None, []
+        for level in range(3):
+            got, kept = nested_pair_sums(u.value, pts, rhos, *sphere_rule(2, level), kept)
+            levels.append(got)
+        runs.append(levels)
+    for levels in runs[1:]:
+        for got, first in zip(levels, runs[0]):
+            assert np.array_equal(got, first)
 
 
 def test_pair_sums_concurrent_calls_match_serial(monkeypatch):
