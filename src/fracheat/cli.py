@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import families as fam
-from .families import require_admissible
+from .families import as_integer, require_admissible
 from .fraclap import classify_definiteness, frac_laplacian, vanish_at_infinity_check
 from .kernel import (
     KernelParams,
@@ -80,7 +80,7 @@ def _build_config(raw: dict) -> RunConfig:
         raise ValueError(f"config field {sorted(unknown)[0]!r} is not recognized")
     if "N" in raw and "dim" in raw and raw["N"] != raw["dim"]:
         raise ValueError("config fields N and dim disagree")
-    dim = int(raw.get("dim", raw.get("N", 1)))
+    dim = as_integer(raw.get("dim", raw.get("N", 1)), "config field " + ("dim" if "dim" in raw else "N"))
     s = float(raw.get("s", 0.75))
     try:
         params = KernelParams(dim=dim, s=s)
@@ -127,7 +127,7 @@ def _build_config(raw: dict) -> RunConfig:
         datum=datum,
         suites=suites,
         out=str(raw.get("out", "artifacts")),
-        seed=int(raw.get("seed", 0)),
+        seed=as_integer(raw.get("seed", 0), "config field seed"),
     )
 
 

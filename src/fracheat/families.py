@@ -24,6 +24,7 @@ __all__ = [
     "GrowthEnvelope",
     "FunctionSpec",
     "as_point",
+    "as_integer",
     "require_admissible",
     "constant",
     "affine",
@@ -130,6 +131,18 @@ def as_point(x, dim: int) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"point x must be finite, got {arr.tolist()}")
     return arr
+
+
+def as_integer(value, name: str) -> int:
+    """value as an int, refusing bools and non-integral numbers with the field's name.
+
+    Integral floats such as 2.0 pass, so JSON numbers written with a
+    decimal point still read as counts.
+    """
+    numeric = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (numeric and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def require_admissible(u: FunctionSpec, s: float) -> None:

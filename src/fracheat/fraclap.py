@@ -7,17 +7,17 @@ D(z) = 2u(x) - u(x+z) - u(x-z), the value is
 
 with c the constant that matches the Fourier symbol |xi|^{2s}.  A sphere
 rule reduces everything to a radial integral of t^{-1-2s} * S(t), where
-S(t) is the spherical sum of second differences at radius t.  The radial
-line is handled in three regimes:
+S(t) is the spherical sum of second differences at radius t.  On the near
+zone [0, r0], S(t)/t^2 extends continuously to t = 0 for C^2 data, so a
+Gauss-Jacobi rule with weight t^{1-2s} absorbs the singularity exactly;
+its estimate adds one unit of roundoff in the values whose differences
+cancel, divided by t^2, which dominates as s nears 1.  Beyond r0 the
+(u(x) - mean) part of S integrates in closed form, and the rest takes one
+of two routes:
 
-  * near zone [0, r0]: S(t)/t^2 extends continuously to t = 0 for C^2
-    data, so a Gauss-Jacobi rule with weight t^{1-2s} absorbs the
-    singularity exactly;
-  * bounded data beyond r0: the non-vanishing mean of S integrates in
-    closed form; the remainder is summed over panels, and oscillatory
-    remainders go through half-period panels whose partial sums are
+  * oscillatory bounded data: half-period panels whose partial sums are
     repeatedly averaged until they settle;
-  * growing data beyond r0: geometric panels walk outward to a radius at
+  * everything else: specfun.geometric_tail's panels out to the radius at
     which the declared growth envelope certifies the leftover integral,
     which sits very far out when the growth is near the integrability
     edge.
@@ -32,14 +32,14 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import roots_jacobi
 
 from .families import FunctionSpec, as_point, require_admissible
 from .report import VerificationReport
-from .specfun import ABS_TOL, averaged_limit, gamma, nested_pair_sums, pair_sums, panel_rule, sphere_rule
+from .specfun import ABS_TOL, averaged_limit, gamma, geometric_tail, nested_pair_sums, pair_sums, panel_rule, sphere_rule
 
 __all__ = [
     "Definiteness",
@@ -59,7 +59,6 @@ _OSC_ORDER = 12
 _OSC_PANELS = 72
 _GEO_ORDER = 24
 _GEO_CHECK = 16
-_RADIUS_CAP = 1e40
 # vanish_at_infinity_check's bound on the far-to-near magnitude ratio
 _DECAY_FRACTION = 0.1
 
@@ -127,7 +126,7 @@ class FracLapResult:
 
 
 # ---------------------------------------------------------------------------
-# Angular refinement and second differences
+# Angular refinement
 
 
 _MAX_LEVEL = {1: 0, 2: 6, 3: 4}
@@ -168,18 +167,6 @@ def _angular_rule(
         level += 1
 
 
-def _second_diff_sum(
-    u: FunctionSpec,
-    x: np.ndarray,
-    ux: float,
-    ts: np.ndarray,
-    dirs: np.ndarray,
-    dwts: np.ndarray,
-) -> np.ndarray:
-    area = 2.0 * float(dwts.sum())
-    return area * ux - pair_sums(u.value, x[None, :], ts, dirs, dwts)[0]
-
-
 # ---------------------------------------------------------------------------
 # Panel plumbing
 
@@ -188,11 +175,6 @@ def _second_diff_sum(
 def _jacobi_rule(order: int, weight_exp: float) -> tuple[np.ndarray, np.ndarray]:
     x, w = roots_jacobi(order, 0.0, weight_exp)
     return np.asarray(x), np.asarray(w)
-
-
-def _geometric_edges(a: float, b: float, ratio: float) -> np.ndarray:
-    n = max(1, int(math.ceil(math.log(b / a) / math.log(ratio))))
-    return a * ratio ** np.arange(n + 1)
 
 
 def _insert_breaks(edges: np.ndarray, breaks: Sequence[float]) -> np.ndarray:
@@ -206,19 +188,6 @@ def _kink_radii(u: FunctionSpec, x: np.ndarray) -> list[float]:
     if not u.kink_points or u.dim != 1:
         return []
     return [abs(float(x[0]) - k) for k in u.kink_points]
-
-
-def _geometric_panels(
-    values: Callable[[np.ndarray], np.ndarray], edges: np.ndarray, s: float
-) -> tuple[float, float]:
-    """Integral of t^{-1-2s} values(t) over the panels, with the order-pair difference."""
-    out = []
-    for order in (_GEO_ORDER, _GEO_CHECK):
-        ts, ws = panel_rule(edges, order)
-        flat = ts.ravel()
-        integ = (flat ** (-1.0 - 2.0 * s) * values(flat)).reshape(ts.shape)
-        out.append(float(np.sum(ws * integ)))
-    return out[0], abs(out[0] - out[1])
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +204,23 @@ def _near_band(
     dwts: np.ndarray,
     r0: float,
 ) -> tuple[float, float]:
-    vals = []
+    area = 2.0 * float(dwts.sum())
+    scale = (0.5 * r0) ** (2.0 - 2.0 * s)
+    out = []
     for order in (_NEAR_NODES, _NEAR_CHECK):
         xs, ws = _jacobi_rule(order, 1.0 - 2.0 * s)
         ts = 0.5 * r0 * (1.0 + xs)
-        h = _second_diff_sum(u, x, ux, ts, dirs, dwts) / (ts * ts)
-        vals.append((0.5 * r0) ** (2.0 - 2.0 * s) * float(np.dot(ws, h)))
-    return vals[0], abs(vals[0] - vals[1])
+        pairs = pair_sums(u.value, x[None, :], ts, dirs, dwts)[0]
+        value = scale * float(np.dot(ws, (area * ux - pairs) / (ts * ts)))
+        # the second differences cancel to O(t^2) from O(1) values, so one
+        # unit of rounding in those values, divided by t^2, can dominate
+        floor = 2.0**-53 * scale * float(np.dot(ws, (abs(area * ux) + np.abs(pairs)) / (ts * ts)))
+        out.append((value, floor))
+    (main, floor), (check, _) = out
+    return main, abs(main - check) + floor
 
 
-def _tail_bounded(
+def _tail_band(
     u: FunctionSpec,
     x: np.ndarray,
     ux: float,
@@ -258,73 +234,41 @@ def _tail_bounded(
     mean = u.tail_mean
     dc = area * (ux - mean) * r0 ** (-2.0 * s) / (2.0 * s)
 
-    def rest_values(ts: np.ndarray) -> np.ndarray:
-        return area * mean - pair_sums(u.value, x[None, :], ts, dirs, dwts)[0]
+    def panel_terms(edges: np.ndarray, order: int) -> np.ndarray:
+        # Gauss terms of t^{-1-2s} (area * mean - pair sums), one row per panel
+        ts, ws = panel_rule(edges, order)
+        flat = ts.ravel()
+        rest = area * mean - pair_sums(u.value, x[None, :], flat, dirs, dwts)[0]
+        return ws * (flat ** (-1.0 - 2.0 * s) * rest).reshape(ts.shape)
 
-    if u.osc_scale is not None:
+    env = u.envelope
+    if u.osc_scale is not None and env.slope == 0.0:
         # half-period panels; a short quarter-period prefix resolves the
         # steep t^{-1-2s} start before the uniform alternating stretch
         h = math.pi / u.osc_scale
         fine = r0 + (h / 4.0) * np.arange(9)
         coarse = fine[-1] + h * np.arange(_OSC_PANELS + 1)
-        edges = np.concatenate([fine, coarse[1:]])
-        ts, ws = panel_rule(edges, _OSC_ORDER)
-        flat = ts.ravel()
-        integ = (flat ** (-1.0 - 2.0 * s) * rest_values(flat)).reshape(ts.shape)
-        panel_ints = np.sum(ws * integ, axis=1)
+        panel_ints = np.sum(panel_terms(np.concatenate([fine, coarse[1:]]), _OSC_ORDER), axis=1)
         prefix = float(np.sum(panel_ints[:8]))
         partials = prefix + np.cumsum(panel_ints[8:])
         rest, rest_err = map(float, averaged_limit(partials))
         return dc + rest, rest_err + 1e-16 * abs(dc)
 
-    # no oscillation: geometric panels out to where the sup bound on the
-    # de-meaned values certifies the leftover
-    c_rest = area * (abs(mean) + u.envelope.amplitude)
-    if c_rest > 0 and rem_target > 0:
-        r_stop = (c_rest / (2.0 * s * rem_target)) ** (1.0 / (2.0 * s))
-    else:
-        r_stop = 10.0 * r0
-    r_stop = min(max(r_stop, 4.0 * r0), _RADIUS_CAP)
-    edges = _insert_breaks(_geometric_edges(r0, r_stop, 1.4), _kink_radii(u, x))
-    rest, rest_err = _geometric_panels(rest_values, edges, s)
-    leftover = c_rest * float(edges[-1]) ** (-2.0 * s) / (2.0 * s)
-    return dc + rest, rest_err + leftover
+    # geometric panels out to where the growth envelope certifies the
+    # leftover: |u| <= A + B |y|^beta bounds the de-meaned values at radius
+    # t by c0 + c1 t^beta, with c1 = 0 for bounded data
+    beta, gap = env.power, 2.0 * s - env.power
+    c0 = area * (abs(mean) + env.amplitude + env.slope * 2.0**beta * float(np.linalg.norm(x)) ** beta)
+    c1 = area * env.slope * 2.0**beta
 
+    def leftover(radius: float) -> float:
+        out = c0 * radius ** (-2.0 * s) / (2.0 * s)
+        return out + c1 * radius ** (-gap) / gap if c1 > 0.0 else out
 
-def _tail_growing(
-    u: FunctionSpec,
-    x: np.ndarray,
-    ux: float,
-    s: float,
-    dirs: np.ndarray,
-    dwts: np.ndarray,
-    r0: float,
-    rem_target: float,
-) -> tuple[float, float]:
-    area = 2.0 * float(dwts.sum())
-    env = u.envelope
-    beta = env.power
-    gap = 2.0 * s - beta
-    xnorm = float(np.linalg.norm(x))
-    c0 = area * (abs(ux) + env.amplitude + env.slope * (2.0 ** beta) * xnorm**beta)
-    c1 = area * env.slope * 2.0 ** beta
-
-    # push the cutoff until both envelope remainder terms fall under target
-    target = max(rem_target, 1e-300)
-    log_r = math.log(4.0 * r0)
-    if c0 > 0:
-        log_r = max(log_r, math.log(c0 / (2.0 * s * 0.5 * target)) / (2.0 * s))
-    if c1 > 0:
-        log_r = max(log_r, math.log(c1 / (gap * 0.5 * target)) / gap)
-    r_stop = min(math.exp(min(log_r, math.log(_RADIUS_CAP))), _RADIUS_CAP)
-
-    edges = _insert_breaks(_geometric_edges(r0, r_stop, 1.7), _kink_radii(u, x))
-    value, err = _geometric_panels(
-        lambda ts: _second_diff_sum(u, x, ux, ts, dirs, dwts), edges, s
-    )
-    r_end = float(edges[-1])
-    leftover = c0 * r_end ** (-2.0 * s) / (2.0 * s) + c1 * r_end ** (-gap) / gap
-    return value, err + leftover
+    ratio = 1.7 if c1 > 0.0 else 1.4
+    edges = _insert_breaks(geometric_tail(r0, ratio, leftover, rem_target), _kink_radii(u, x))
+    rest, check = (float(np.sum(panel_terms(edges, order))) for order in (_GEO_ORDER, _GEO_CHECK))
+    return dc + rest, abs(rest - check) + leftover(float(edges[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +311,7 @@ def frac_laplacian(
     )
     ux = float(u.value(xa[None, :])[0])
     near, near_err = _near_band(u, xa, ux, s, dirs, dwts, r0)
-    tail_band = _tail_growing if u.envelope.slope > 0 else _tail_bounded
-    tail, tail_err = tail_band(u, xa, ux, s, dirs, dwts, r0, ABS_TOL / pref)
+    tail, tail_err = _tail_band(u, xa, ux, s, dirs, dwts, r0, ABS_TOL / pref)
     value = pref * (near + tail)
     err = pref * (near_err + tail_err + ang_err) + 1e-15 * abs(value)
     return FracLapResult(
@@ -495,8 +438,8 @@ def vanish_at_infinity_check(
     well.
     """
     rs = [float(r) for r in radii]
-    if len(rs) < 2 or any(r <= 0 for r in rs) or sorted(rs) != rs:
-        raise ValueError("radii must be at least two positive increasing values")
+    if len(rs) < 2 or not (rs[0] > 0 and all(b > a for a, b in zip(rs, rs[1:]))):
+        raise ValueError("radii must be at least two positive, strictly increasing values")
     d = np.zeros(u.dim)
     d[0] = 1.0
 

@@ -54,7 +54,6 @@ from .specfun import (
     IntegralResult,
     QuadratureError,
     gamma,
-    gauss_legendre,
     panel_edges,
     panel_rule,
     shared_cache,
@@ -647,16 +646,10 @@ def kernel_mass(params: KernelParams, t: float) -> float:
     scale = t**sp
     # physical-variable panels whose images are fixed in the scaled variable
     redges = np.concatenate([np.linspace(0.0, 2.0, 17), np.geomspace(2.25, TAIL_CUT, 32)])
-    nodes, weights = gauss_legendre(24)
-    total = 0.0
+    xs, ws = panel_rule(redges * scale, 24)
     kernel_pref = t ** (-dim * sp) * _TWO_PI ** (-0.5 * dim)
-    for a, b in zip(redges[:-1], redges[1:]):
-        xa, xb = a * scale, b * scale
-        mid, half = 0.5 * (xa + xb), 0.5 * (xb - xa)
-        xs = mid + half * nodes
-        integrand = kernel_pref * table.evaluate(xs / scale) * xs ** (dim - 1)
-        total += half * float(np.dot(weights, integrand))
-    bulk = sphere * total
+    integrand = kernel_pref * table.evaluate(xs.ravel() / scale).reshape(xs.shape) * xs ** (dim - 1)
+    bulk = sphere * float(np.sum(ws * integrand))
     # analytic tail of the scaled profile integral beyond the cut
     tail = sphere * _TWO_PI ** (-0.5 * dim) * tail_integral(tail_coefficients(dim, s), s, TAIL_CUT)
     return bulk + tail

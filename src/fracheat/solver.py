@@ -13,12 +13,13 @@ replaced by the profile of the kernel's t-derivative; the dimension
 shift identity F_N'(r) = -r F_{N+2}(r) turns that into a combination of
 two tabulated profiles, so no numerical differentiation happens.
 
-Tail handling beyond the tabulated range follows the same three routes
-as the pointwise operator: an analytic mean part from the profile's
-power series, averaged half-period panels for oscillatory data, and
-geometric panels out to an envelope-certified cutoff for everything
-else.  What the datum declares about itself (mean, oscillation scale,
-growth envelope) decides the route.
+Beyond the tabulated range the tail band splits the datum as the
+pointwise operator does: its declared mean integrates in closed form
+against the profile's power series, and the rest takes one of two
+routes, averaged half-period panels for oscillatory bounded data and
+specfun.geometric_tail's panels out to an envelope-certified cutoff for
+everything else.  What the datum declares about itself (mean,
+oscillation scale, growth envelope) decides the route.
 
 In 2-D and 3-D the sphere integral P comes from a direction rule that is
 refined level by level, separately in two radial bands: the body
@@ -52,15 +53,14 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .families import FunctionSpec, as_point, require_admissible
+from .families import FunctionSpec, as_integer, as_point, require_admissible
 from .fraclap import riesz_constant, second_difference_constants
 from .kernel import TAIL_CUT, KernelParams, profile_table, tail_coefficients, tail_integral
 from .report import VerificationReport
-from .specfun import ABS_TOL, REL_TOL, averaged_limit, nested_pair_sums, panel_rule, shared_cache, sphere_rule
+from .specfun import ABS_TOL, REL_TOL, averaged_limit, geometric_edges, geometric_tail, nested_pair_sums, panel_rule, shared_cache, sphere_rule, split_panels
 
 _TWO_PI = 2.0 * math.pi
 _OSC_PANELS = 88
-_RADIUS_CAP = 1e35
 _CHUNK = 1_500_000
 # points per block, in solve jobs and in a band's sweep; a power of two,
 # so block edges fall on the row groups of the matrix-vector kernels and
@@ -96,10 +96,10 @@ class GridSpec:
     times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if int(self.dim) != self.dim or self.dim < 1:
+        if as_integer(self.dim, "dim") < 1:
             raise ValueError("dim must be a positive integer")
         object.__setattr__(self, "box", tuple((float(a), float(b)) for a, b in self.box))
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        object.__setattr__(self, "counts", tuple(as_integer(c, "grid counts") for c in self.counts))
         object.__setattr__(self, "times", tuple(float(t) for t in self.times))
         if len(self.box) != self.dim or len(self.counts) != self.dim:
             raise ValueError("box and counts must have one entry per axis")
@@ -196,16 +196,6 @@ class EnvelopeTrace:
 # radial machinery
 
 
-def _cap_widths(edges: np.ndarray, cap: float) -> np.ndarray:
-    if not math.isfinite(cap):
-        return edges
-    out = [edges[0]]
-    for a, b in zip(edges[:-1], edges[1:]):
-        k = max(1, int(math.ceil((b - a) / cap)))
-        out.extend(a + (b - a) * (np.arange(1, k + 1) / k))
-    return np.asarray(out)
-
-
 @shared_cache(maxsize=16)
 def _factor_tables(dim: int, s: float, kind: str):
     if kind == "mass":
@@ -278,7 +268,7 @@ class _RadialBands:
         osc = (u0.osc_scale or 0.0) * tsc
         cap = 2.2 * math.pi / osc if osc > 0.0 else math.inf
         edges = np.concatenate([np.linspace(0.0, 2.0, 17), np.geomspace(2.25, TAIL_CUT, 33)])
-        rs, ws = map(np.ravel, panel_rule(_cap_widths(edges, cap), 24))
+        rs, ws = map(np.ravel, panel_rule(split_panels(edges, cap), 24))
         fac = factor(rs) * ws
 
         def body(surf: np.ndarray, sl: slice) -> tuple[np.ndarray, np.ndarray]:
@@ -316,39 +306,23 @@ class _RadialBands:
                 return pref * tail_vals, pref * tail_errs
 
         else:
-            if env.slope > 0.0:
-                # growth certified by the envelope; push the cutoff until the
-                # analytic leftover drops under target, then integrate to it.
-                # Points share the panels but keep their own leftover bounds,
-                # so a batch mixing near and far points stays honest everywhere.
-                beta = env.power
-                bump = max(1.0, 2.0 ** (beta - 1.0))
-                xnorm = np.linalg.norm(pts, axis=1)
-                c0_vec = area * (env.amplitude + env.slope * bump * xnorm**beta + abs(mean))
-                c0 = float(np.max(c0_vec))
-                c1 = area * env.slope * bump * tsc**beta
-                radius = 4.0 * TAIL_CUT
-                while radius < _RADIUS_CAP:
-                    left = c0 * _abs_tail(dim, s, kind, radius) + c1 * _abs_tail(
-                        dim, s, kind, radius, beta
-                    )
-                    if left <= target:
-                        break
-                    radius *= 4.0
-                left = c0_vec * _abs_tail(dim, s, kind, radius) + c1 * _abs_tail(
-                    dim, s, kind, radius, beta
-                )
-                ratio = 1.7
-            else:
-                # no oscillation: geometric panels out to a certified cutoff
-                c_rest = area * (env.amplitude + abs(mean))
-                radius = 4.0 * TAIL_CUT
-                while radius < _RADIUS_CAP and c_rest * _abs_tail(dim, s, kind, radius) > target:
-                    radius *= 4.0
-                left = np.full(len(pts), c_rest * _abs_tail(dim, s, kind, radius))
-                ratio = 1.4
-            n = max(4, int(math.ceil(math.log(radius / TAIL_CUT) / math.log(ratio))))
-            edges_t = _cap_widths(np.geomspace(TAIL_CUT, radius, n + 1), cap)
+            # geometric panels out to the cutoff where the envelope certifies
+            # the leftover.  Points share the panels but keep their own
+            # leftover bounds, so a batch mixing near and far points stays
+            # honest everywhere.
+            beta = env.power
+            bump = max(1.0, 2.0 ** (beta - 1.0))
+            c0_vec = area * (env.amplitude + env.slope * bump * np.linalg.norm(pts, axis=1) ** beta + abs(mean))
+            c1 = area * env.slope * bump * tsc**beta
+
+            def leftover(c0, radius: float):
+                out = c0 * _abs_tail(dim, s, kind, radius)
+                return out + c1 * _abs_tail(dim, s, kind, radius, beta) if c1 > 0.0 else out
+
+            c0 = float(np.max(c0_vec))
+            ratio = 1.7 if c1 > 0.0 else 1.4
+            edges_t = geometric_tail(TAIL_CUT, ratio, lambda r: leftover(c0, r), target, cap)
+            left = leftover(c0_vec, float(edges_t[-1]))
             rs_t, ws_t = map(np.ravel, panel_rule(edges_t, 16))
             fac_t = factor(rs_t) * ws_t
 
@@ -433,7 +407,7 @@ def _resolve_workers(workers: int | None) -> int:
     Refuses anything that is not a positive integer, naming its source.
     """
     if workers is not None:
-        if workers < 1:
+        if as_integer(workers, "workers") < 1:
             raise ValueError(f"workers must be a positive integer, got {workers!r}")
         return int(workers)
     env = os.environ.get("FRACHEAT_THREADS")
@@ -548,13 +522,19 @@ def residual_with_estimate(
     every mid-range radius needs a whole sphere of points, each a full
     solve, so those dimensions are refused before any work starts.
 
+    The mid-range runs on geometric panels of ratio 1.5 from r_near: for
+    oscillatory bounded data to a few half-periods, before the averaged
+    half-period panels; for other data to specfun.geometric_tail's cutoff,
+    where the datum's uniform second-difference bound, which convolution
+    preserves, certifies the far field to 3e-5 (or RADIUS_CAP is reached).
+
     The estimate adds the time derivative's estimate, the value noise
     carried through the near interpolant and the mid-range sum, and twice
     the gap between the interpolant's near part and that of the quintic
     least-squares fit to the same stencil (its truncation error).  On the
     half-period route it adds the averaged limit's error and a rounding
     floor on the closed-form 4 (u(x) - mean) term; on the other it adds
-    the far-field bound.
+    the far-field bound at the cutoff.
     """
     dim, s = params.dim, params.s
     if dim > 1:
@@ -589,16 +569,16 @@ def residual_with_estimate(
     # averaged half-period panels as in the tail band, leaving no far field
     osc = u0.osc_scale or 0.0
     halves = osc > 0.0 and u0.envelope.slope == 0.0
-    r_far = r_near + 4.0 * math.pi / osc if halves else 4.0
-    while not halves and r_far < 1e30 and far_bound(r_far) > target:
-        r_far *= 2.0
+    width = 4.4 * math.pi / osc if osc > 0.0 else math.inf
+    if halves:
+        mid_edges = geometric_edges(r_near, r_near + 4.0 * math.pi / osc, 1.5, width)
+    else:
+        mid_edges = geometric_tail(r_near, 1.5, far_bound, target, width)
+    r_far = float(mid_edges[-1])
 
     # one batch for everything the operator term needs: x, the rest of
     # its stencil, then the pair points x + r and x - r
     taus = h * np.arange(-3, 4)
-    cap = 4.4 * math.pi / osc if osc > 0.0 else math.inf
-    n = max(4, int(math.ceil(math.log(r_far / r_near) / math.log(1.5))))
-    mid_edges = _cap_widths(np.geomspace(r_near, r_far, n + 1), cap)
     mid_rs, mid_ws = map(np.ravel, panel_rule(mid_edges, 16))
     half_edges = r_far + math.pi / osc * np.arange(_OSC_PANELS + 1) if halves else np.array([r_far])
     half_rs, half_ws = panel_rule(half_edges, 12)

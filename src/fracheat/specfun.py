@@ -2,7 +2,8 @@
 
 Primitives shared by the kernel, operator and solver layers: Euler Gamma;
 the quadrature rules every radial integral here is built from (a cached
-Gauss-Legendre rule, its per-panel copy over an edge array, repeated
+Gauss-Legendre rule, its per-panel copy over an edge array, the one
+geometric panel layout out to an envelope-certified cutoff, repeated
 pairwise averaging of partial sums, half-sphere direction rules, and the
 sums of point pairs x +- rho d over such a rule, level by level where the
 rule nests); and an integrator for semi-infinite integrands whose decay
@@ -43,6 +44,10 @@ __all__ = [
     "gamma",
     "gauss_legendre",
     "panel_rule",
+    "RADIUS_CAP",
+    "split_panels",
+    "geometric_edges",
+    "geometric_tail",
     "averaged_limit",
     "sphere_rule",
     "pair_sums",
@@ -129,6 +134,9 @@ def gamma(x: float) -> float:
 # Shared quadrature rules
 
 _AVERAGING_ROUNDS = 10
+# the farthest cutoff geometric_tail lays panels to: growth near the
+# integrability edge 2s certifies its leftover only very far out
+RADIUS_CAP = 1e40
 # datum evaluations per chunk of pair_sums: 2^16 points keep a 3-D cloud
 # (1.5 MiB) and value()'s temporaries in one core's 2 MiB L2.  A pure speed
 # constant: pair_sums gives the same bits for every chunk size.
@@ -154,6 +162,52 @@ def panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     return mid[:, None] + half[:, None] * x[None, :], half[:, None] * w[None, :]
+
+
+def split_panels(edges: np.ndarray, width: float) -> np.ndarray:
+    """The edges with every panel wider than width cut into equal parts.
+
+    Each original edge is kept exactly; an infinite width changes nothing.
+    """
+    if not math.isfinite(width):
+        return edges
+    out = [edges[0]]
+    for a, b in zip(edges[:-1], edges[1:]):
+        k = max(1, int(math.ceil((b - a) / width)))
+        out.extend(a + (b - a) * (np.arange(1, k) / k))
+        out.append(b)
+    return np.asarray(out)
+
+
+def geometric_edges(start: float, stop: float, ratio: float, width: float = math.inf) -> np.ndarray:
+    """At least four geometric panels from start to exactly stop, none wider than width.
+
+    The panel count is the smallest that keeps each panel's end-to-start
+    ratio at or under ratio; split_panels then applies the width.
+    """
+    n = max(4, int(math.ceil(math.log(stop / start) / math.log(ratio))))
+    return split_panels(np.geomspace(start, stop, n + 1), width)
+
+
+def geometric_tail(
+    start: float,
+    ratio: float,
+    leftover: Callable[[float], float],
+    target: float,
+    width: float = math.inf,
+) -> np.ndarray:
+    """Panel edges from start out to an envelope-certified cutoff.
+
+    The cutoff is the first of 4 start, 16 start, ... at which the
+    caller's bound leftover(radius) on the integral beyond it is at most
+    target, or RADIUS_CAP when no radius under the cap gets there.  The
+    panels are geometric_edges(start, cutoff, ratio, width), so the last
+    edge is the cutoff, where the caller evaluates its leftover.
+    """
+    radius = 4.0 * start
+    while radius < RADIUS_CAP and leftover(radius) > target:
+        radius = min(4.0 * radius, RADIUS_CAP)
+    return geometric_edges(start, radius, ratio, width)
 
 
 def averaged_limit(partials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

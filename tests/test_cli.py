@@ -195,6 +195,24 @@ class TestVerifyCommand:
         assert f"error: {cfg_file}: " in err
         assert reason in err
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ('{"dim": 1.5}', "config field dim must be an integer, got 1.5"),
+            ('{"N": true}', "config field N must be an integer, got True"),
+            ('{"seed": 1.9}', "config field seed must be an integer, got 1.9"),
+            ('{"grid": {"counts": [2.7]}}', "config field grid: grid counts must be an integer, got 2.7"),
+        ],
+        ids=["fractional-dim", "bool-n", "fractional-seed", "fractional-count"],
+    )
+    def test_non_integral_config_field_exits_two(self, tmp_path, capsys, text, reason):
+        # int() would truncate each of these silently
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(text)
+        code = main(["verify", "definiteness", "--config", str(cfg_file), "--out", str(tmp_path)])
+        assert code == 2
+        assert f"error: {reason}" in capsys.readouterr().err
+
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -300,6 +318,12 @@ class TestFraclapCommand:
         code = main(["fraclap", "eval", "--function", "cosine:1", "--s", "0.6"])
         assert code == 2
         assert "RuntimeError: boom" in capsys.readouterr().err
+
+    def test_vanish_check_equal_radii_exit_two(self, capsys):
+        code = main(["fraclap", "vanish-check", "--function", "gaussian:1",
+                     "--s", "0.75", "--radii", "1,1"])
+        assert code == 2
+        assert "strictly increasing" in capsys.readouterr().err
 
     def test_vanish_check_control_fails(self, capsys):
         code = main(["fraclap", "vanish-check", "--function", "cosine:1",

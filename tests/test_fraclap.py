@@ -1,6 +1,8 @@
 """Tests for function families and the pointwise fractional Laplacian."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,6 +384,47 @@ class TestTailBound:
             second_difference_constants(broken)
 
 
+def _oracles():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import oracles
+    finally:
+        sys.path.pop(0)
+    return oracles
+
+
+@pytest.mark.parametrize(
+    "spec, x",
+    [("cosine:1", -0.7539992724575759), ("gaussian:1", 0.4955232643759062)],
+)
+def test_estimate_covers_near_band_rounding(spec, x):
+    # at s = 0.9 the near band's error is rounding in second differences
+    # that cancel to O(t^2), divided by t^2.  The main-against-check rule
+    # difference alone understated it 13x for the cosine; the gaussian was
+    # covered only by the far tail's leftover bound, by 0.3%
+    oracles = _oracles()
+    truth = oracles.cosine_flap(1.0, 0.9, x) if spec.startswith("cosine") else oracles.gaussian_flap(1.0, 1, 0.9, abs(x))
+    res = frac_laplacian(fam.parse_spec(spec), x, 0.9)
+    assert abs(res.value - truth) <= res.error_estimate
+
+
+class TestGeometricRoute:
+    """The one non-oscillatory tail route, against closed forms."""
+
+    def test_growth_near_the_edge_is_bounded_far_out(self):
+        # power 0.75 against 2s = 1.5: the leftover certifies only far out,
+        # and the estimate must still bound the error at x = 100
+        res = frac_laplacian(fam.abs_power(0.75), 100.0, 0.75)
+        error = abs(res.value - _oracles().abs_power_flap(0.75, 0.75, 100.0))
+        assert error <= res.error_estimate
+
+    @pytest.mark.parametrize("x", [0.069, 1.078, -1.158])
+    def test_kinked_line(self, x):
+        # linear growth against 2s = 1.2 needs the far cutoff RADIUS_CAP gives
+        res = frac_laplacian(fam.piecewise_linear_1d(0.5), x, 0.6)
+        assert abs(res.value - _oracles().kinked_line_flap(0.5, 0.6, x)) <= 1e-8
+
+
 class TestClassification:
     def test_constant(self):
         for s in (0.3, 0.75):
@@ -489,3 +532,5 @@ class TestVanishAtInfinity:
             vanish_at_infinity_check(fam.gaussian(1.0), 0.6, radii=(1.0,))
         with pytest.raises(ValueError):
             vanish_at_infinity_check(fam.gaussian(1.0), 0.6, radii=(10.0, 1.0))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            vanish_at_infinity_check(fam.gaussian(1.0), 0.6, radii=(1.0, 1.0))

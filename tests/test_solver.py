@@ -94,6 +94,8 @@ class TestGridSpec:
                 dict(dim=1, box=((0.0, 1.0),), counts=(3,), times=(1.0, 1.0)),
                 "increase strictly",
             ),
+            (dict(dim=1, box=((0.0, 1.0),), counts=(2.7,), times=(1.0,)), "grid counts must be an integer"),
+            (dict(dim=True, box=((0.0, 1.0),), counts=(3,), times=(1.0,)), "dim must be an integer"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -230,10 +232,11 @@ class TestCanonicalSolve:
         via_env = solve_canonical(u0, g, PAR_07)
         assert np.array_equal(serial.values, via_env.values)
 
-    @pytest.mark.parametrize("workers", [0, -2])
+    @pytest.mark.parametrize("workers", [0, -2, 2.5, True])
     def test_bad_worker_count_refused(self, workers):
         g = GridSpec(dim=1, box=((-1.0, 1.0),), counts=(3,), times=(0.3,))
-        msg = f"workers must be a positive integer, got {workers!r}"
+        kind = "a positive integer" if isinstance(workers, int) and not isinstance(workers, bool) else "an integer"
+        msg = f"workers must be {kind}, got {workers!r}"
         with pytest.raises(ValueError, match=re.escape(msg)):
             solve_canonical(fam.gaussian(1.0), g, PAR_07, workers=workers)
 

@@ -22,6 +22,7 @@ from fracheat.specfun import (
     averaged_limit,
     gamma,
     gauss_legendre,
+    geometric_tail,
     integrate_semi_infinite,
     nested_pair_sums,
     pair_sums,
@@ -61,6 +62,31 @@ def test_gamma_functional_equation(x):
 
 # ---------------------------------------------------------------------------
 # shared quadrature rules
+
+
+@pytest.mark.parametrize(
+    "start, ratio, width, power, target",
+    [
+        (1.0, 1.4, math.inf, 1.5, 1e-10),  # bounded data, ratio 1.4
+        (30.0, 1.7, 25.0, 1.0, 1e-4),  # panels split to width 25
+        (0.5, 1.5, 2.0, 1.0, 1e-3),  # met after a few steps
+        (1.0, 1.7, math.inf, 0.05, 1e-10),  # decays too slowly: the cap is reached
+    ],
+)
+def test_geometric_tail_layout(start, ratio, width, power, target):
+    def leftover(radius):
+        return radius ** (-power) / power
+
+    edges = geometric_tail(start, ratio, leftover, target, width)
+    assert edges[0] == start
+    assert np.all(np.diff(edges) > 0.0)
+    assert len(edges) >= 5
+    assert np.all(edges[1:] / edges[:-1] <= ratio * (1.0 + 1e-12))
+    assert np.all(np.diff(edges) <= width * (1.0 + 1e-12))
+    cutoff = float(edges[-1])
+    assert cutoff == specfun.RADIUS_CAP or leftover(cutoff) <= target
+    # the cutoff is the first of 4 start, 16 start, ... that qualifies
+    assert cutoff == specfun.RADIUS_CAP or cutoff == 4.0 * start or leftover(cutoff / 4.0) > target
 
 
 @pytest.mark.parametrize("order", [1, 4, 12, 16, 24])
