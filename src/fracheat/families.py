@@ -245,8 +245,8 @@ def affine(offset: float, slope: float, dim: int = 1) -> FunctionSpec:
 def cosine(freq: float, dim: int = 1) -> FunctionSpec:
     """u(x) = cos(freq * x_1), the eigenfunction used for multiplier checks."""
     freq = float(freq)
-    if freq <= 0:
-        raise ValueError("freq must be positive")
+    if not 0.0 < freq < math.inf:
+        raise ValueError(f"cosine frequency must be positive and finite, got {freq!r}")
 
     def value(pts: np.ndarray) -> np.ndarray:
         a = _point_array(pts, dim)
@@ -271,8 +271,8 @@ def cosine(freq: float, dim: int = 1) -> FunctionSpec:
 def gaussian(rate: float = 1.0, dim: int = 1) -> FunctionSpec:
     """u(x) = exp(-rate * |x|^2)."""
     rate = float(rate)
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"gaussian rate must be positive and finite, got {rate!r}")
 
     def value(pts: np.ndarray) -> np.ndarray:
         a = _point_array(pts, dim)
@@ -343,6 +343,8 @@ def piecewise_linear_1d(left_slope: float) -> FunctionSpec:
     and quadrature at the corner itself is refused upstream.
     """
     lam = float(left_slope)
+    if not math.isfinite(lam):
+        raise ValueError(f"piecewise_linear_1d left slope must be finite, got {lam!r}")
 
     def value(pts: np.ndarray) -> np.ndarray:
         a = _point_array(pts, 1)

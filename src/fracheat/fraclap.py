@@ -15,8 +15,8 @@ cancel, divided by t^2, which dominates as s nears 1.  Beyond r0 the
 (u(x) - mean) part of S integrates in closed form, and the rest takes one
 of two routes:
 
-  * oscillatory bounded data: half-period panels whose partial sums are
-    repeatedly averaged until they settle;
+  * oscillatory bounded data: specfun.half_period_rule's panels, whose
+    partial sums are repeatedly averaged until they settle;
   * everything else: specfun.geometric_tail's panels out to the radius at
     which the declared growth envelope certifies the leftover integral,
     which sits very far out when the growth is near the integrability
@@ -39,7 +39,7 @@ from scipy.special import roots_jacobi
 
 from .families import FunctionSpec, as_point, require_admissible
 from .report import VerificationReport
-from .specfun import ABS_TOL, averaged_limit, gamma, geometric_tail, nested_pair_sums, pair_sums, panel_rule, sphere_rule
+from .specfun import ABS_TOL, averaged_limit, gamma, geometric_tail, half_period_rule, nested_pair_sums, pair_sums, panel_rule, sphere_rule
 
 __all__ = [
     "Definiteness",
@@ -55,8 +55,6 @@ __all__ = [
 
 _NEAR_NODES = 48
 _NEAR_CHECK = 32
-_OSC_ORDER = 12
-_OSC_PANELS = 72
 _GEO_ORDER = 24
 _GEO_CHECK = 16
 # vanish_at_infinity_check's bound on the far-to-near magnitude ratio
@@ -228,30 +226,23 @@ def _tail_band(
     dirs: np.ndarray,
     dwts: np.ndarray,
     r0: float,
+    halves: Optional[tuple[np.ndarray, np.ndarray, int]],
     rem_target: float,
 ) -> tuple[float, float]:
     area = 2.0 * float(dwts.sum())
     mean = u.tail_mean
     dc = area * (ux - mean) * r0 ** (-2.0 * s) / (2.0 * s)
 
-    def panel_terms(edges: np.ndarray, order: int) -> np.ndarray:
+    def panel_terms(ts: np.ndarray, ws: np.ndarray) -> np.ndarray:
         # Gauss terms of t^{-1-2s} (area * mean - pair sums), one row per panel
-        ts, ws = panel_rule(edges, order)
         flat = ts.ravel()
         rest = area * mean - pair_sums(u.value, x[None, :], flat, dirs, dwts)[0]
         return ws * (flat ** (-1.0 - 2.0 * s) * rest).reshape(ts.shape)
 
     env = u.envelope
-    if u.osc_scale is not None and env.slope == 0.0:
-        # half-period panels; a short quarter-period prefix resolves the
-        # steep t^{-1-2s} start before the uniform alternating stretch
-        h = math.pi / u.osc_scale
-        fine = r0 + (h / 4.0) * np.arange(9)
-        coarse = fine[-1] + h * np.arange(_OSC_PANELS + 1)
-        panel_ints = np.sum(panel_terms(np.concatenate([fine, coarse[1:]]), _OSC_ORDER), axis=1)
-        prefix = float(np.sum(panel_ints[:8]))
-        partials = prefix + np.cumsum(panel_ints[8:])
-        rest, rest_err = map(float, averaged_limit(partials))
+    if halves is not None and env.slope == 0.0:
+        ts, ws, lead = halves
+        rest, rest_err = map(float, averaged_limit(np.cumsum(panel_terms(ts, ws).sum(axis=1))[lead:]))
         return dc + rest, rest_err + 1e-16 * abs(dc)
 
     # geometric panels out to where the growth envelope certifies the
@@ -267,7 +258,7 @@ def _tail_band(
 
     ratio = 1.7 if c1 > 0.0 else 1.4
     edges = _insert_breaks(geometric_tail(r0, ratio, leftover, rem_target), _kink_radii(u, x))
-    rest, check = (float(np.sum(panel_terms(edges, order))) for order in (_GEO_ORDER, _GEO_CHECK))
+    rest, check = (float(np.sum(panel_terms(*panel_rule(edges, order)))) for order in (_GEO_ORDER, _GEO_CHECK))
     return dc + rest, abs(rest - check) + leftover(float(edges[-1]))
 
 
@@ -302,16 +293,13 @@ def frac_laplacian(
     if kinks:
         r0 = min(r0, 0.5 * min(kinks))
     pref = 0.5 * riesz_constant(u.dim, s)
-    if u.osc_scale is not None:
-        r_active = r0 + (2.25 + _OSC_PANELS) * math.pi / u.osc_scale
-    else:
-        r_active = 1e4
+    halves = None if u.osc_scale is None else half_period_rule(r0, math.pi / u.osc_scale)
     dirs, dwts, ang_err = _angular_rule(
-        u, xa, s, r0, r_active, 0.25 * ABS_TOL / pref
+        u, xa, s, r0, 1e4 if halves is None else float(halves[0][-1, -1]), 0.25 * ABS_TOL / pref
     )
     ux = float(u.value(xa[None, :])[0])
     near, near_err = _near_band(u, xa, ux, s, dirs, dwts, r0)
-    tail, tail_err = _tail_band(u, xa, ux, s, dirs, dwts, r0, ABS_TOL / pref)
+    tail, tail_err = _tail_band(u, xa, ux, s, dirs, dwts, r0, halves, ABS_TOL / pref)
     value = pref * (near + tail)
     err = pref * (near_err + tail_err + ang_err) + 1e-15 * abs(value)
     return FracLapResult(

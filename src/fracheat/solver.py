@@ -16,10 +16,10 @@ two tabulated profiles, so no numerical differentiation happens.
 Beyond the tabulated range the tail band splits the datum as the
 pointwise operator does: its declared mean integrates in closed form
 against the profile's power series, and the rest takes one of two
-routes, averaged half-period panels for oscillatory bounded data and
-specfun.geometric_tail's panels out to an envelope-certified cutoff for
-everything else.  What the datum declares about itself (mean,
-oscillation scale, growth envelope) decides the route.
+routes, specfun.half_period_rule's averaged panels for oscillatory
+bounded data and specfun.geometric_tail's panels out to an
+envelope-certified cutoff for everything else.  What the datum declares
+about itself (mean, oscillation scale, growth envelope) decides the route.
 
 In 2-D and 3-D the sphere integral P comes from a direction rule that is
 refined level by level, separately in two radial bands: the body
@@ -57,10 +57,9 @@ from .families import FunctionSpec, as_integer, as_point, require_admissible
 from .fraclap import riesz_constant, second_difference_constants
 from .kernel import TAIL_CUT, KernelParams, profile_table, tail_coefficients, tail_integral
 from .report import VerificationReport
-from .specfun import ABS_TOL, REL_TOL, averaged_limit, geometric_edges, geometric_tail, nested_pair_sums, panel_rule, shared_cache, sphere_rule, split_panels
+from .specfun import ABS_TOL, REL_TOL, averaged_limit, geometric_edges, geometric_tail, half_period_rule, nested_pair_sums, panel_rule, shared_cache, sphere_rule, split_panels
 
 _TWO_PI = 2.0 * math.pi
-_OSC_PANELS = 88
 _CHUNK = 1_500_000
 # points per block, in solve jobs and in a band's sweep; a power of two,
 # so block edges fall on the row groups of the matrix-vector kernels and
@@ -290,19 +289,13 @@ class _RadialBands:
         self._const = area * mean * mean_tail if mean != 0.0 else 0.0
 
         if env.slope == 0.0 and osc > 0.0:
-            # half-period panels, geometric ones before them up to two half-periods
-            # so the envelope varies slowly per panel, then sequence averaging
-            h = math.pi / osc
-            start = max(TAIL_CUT, 2.0 * h)
-            pre = math.ceil(math.log(start / TAIL_CUT) / math.log(1.4))
-            pre_edges = np.geomspace(TAIL_CUT, start, pre + 1)[:-1]
-            edges_t = np.append(pre_edges, start + h * np.arange(_OSC_PANELS + 1))
-            rs_t, ws_t = map(np.ravel, panel_rule(edges_t, 12))
+            nodes, weights, lead = half_period_rule(TAIL_CUT, math.pi / osc)
+            rs_t, ws_t = nodes.ravel(), weights.ravel()
             fac_t = factor(rs_t) * ws_t
 
             def tail(surf: np.ndarray, sl: slice) -> tuple[np.ndarray, np.ndarray]:
-                chunks = ((surf - area * mean) * fac_t).reshape(len(surf), pre + _OSC_PANELS, 12).sum(axis=2)
-                tail_vals, tail_errs = averaged_limit(np.cumsum(chunks, axis=1)[:, pre:])
+                chunks = ((surf - area * mean) * fac_t).reshape(len(surf), *nodes.shape).sum(axis=2)
+                tail_vals, tail_errs = averaged_limit(np.cumsum(chunks, axis=1)[:, lead:])
                 return pref * tail_vals, pref * tail_errs
 
         else:
@@ -515,12 +508,12 @@ def residual_with_estimate(
     """The residual together with its accumulated error estimate.
 
     Only 1-D is supported.  There the operator term is one batch of every
-    stencil and mid-range point (2,407 for cosine:1 at s = 0.6, on
-    _OSC_PANELS half-period panels of 12 nodes past the geometric
-    panels), which the convolution works through in blocks of _NODE_BLOCK
-    points, so its memory does not grow with the batch.  In 2-D and 3-D
-    every mid-range radius needs a whole sphere of points, each a full
-    solve, so those dimensions are refused before any work starts.
+    stencil and mid-range point (2,023 for cosine:1 at s = 0.6, on
+    specfun.half_period_rule's panels past the geometric ones), which the
+    convolution works through in blocks of _NODE_BLOCK points, so its
+    memory does not grow with the batch.  In 2-D and 3-D every mid-range
+    radius needs a whole sphere of points, each a full solve, so those
+    dimensions are refused before any work starts.
 
     The mid-range runs on geometric panels of ratio 1.5 from r_near: for
     oscillatory bounded data to a few half-periods, before the averaged
@@ -580,8 +573,7 @@ def residual_with_estimate(
     # its stencil, then the pair points x + r and x - r
     taus = h * np.arange(-3, 4)
     mid_rs, mid_ws = map(np.ravel, panel_rule(mid_edges, 16))
-    half_edges = r_far + math.pi / osc * np.arange(_OSC_PANELS + 1) if halves else np.array([r_far])
-    half_rs, half_ws = panel_rule(half_edges, 12)
+    half_rs, half_ws, lead = half_period_rule(r_far, math.pi / osc) if halves else (np.empty(0), None, 0)
 
     x0 = pt[0]
     pair_rs = np.concatenate([mid_rs, half_rs.ravel()])
@@ -617,7 +609,7 @@ def residual_with_estimate(
         mean, dc = u0.tail_mean, 4.0 * r_far ** (-2.0 * s) / (2.0 * s)
         weight = half_rs ** (-1.0 - 2.0 * s) * half_ws
         panels = np.sum((pairs[m:].reshape(weight.shape) - 2.0 * mean) * weight, axis=1)
-        rest, rest_err = averaged_limit(np.cumsum(panels))
+        rest, rest_err = averaged_limit(np.cumsum(panels)[lead:])
         mid += dc * (u_here - mean) - 2.0 * rest
         rest_noise = np.sum(pairs_err[m:].reshape(weight.shape) * np.abs(weight))
         mid_noise += 2.0 * (rest_err + rest_noise) + dc * (value_errs[0] + 1e-16 * abs(u_here - mean))

@@ -3,12 +3,12 @@
 Primitives shared by the kernel, operator and solver layers: Euler Gamma;
 the quadrature rules every radial integral here is built from (a cached
 Gauss-Legendre rule, its per-panel copy over an edge array, the one
-geometric panel layout out to an envelope-certified cutoff, repeated
-pairwise averaging of partial sums, half-sphere direction rules, and the
-sums of point pairs x +- rho d over such a rule, level by level where the
-rule nests); and an integrator for semi-infinite integrands whose decay
-is controlled by an envelope rho^p * exp(-rho^d).  Each caller keeps its
-own reduction of the panel values.
+geometric panel layout out to an envelope-certified cutoff, the one
+half-period rule of alternating tails, pairwise averaging of partial sums,
+half-sphere direction rules, and the sums of point pairs x +- rho d over
+such a rule, level by level where the rule nests); and an integrator for
+semi-infinite integrands whose decay is controlled by an envelope rho^p *
+exp(-rho^d).  Each caller keeps its own reduction of the panel values.
 
 The integrator has one regime: Gauss panels of at most half an
 oscillation period on the truncated half line, a 16-point sum checked
@@ -48,6 +48,7 @@ __all__ = [
     "split_panels",
     "geometric_edges",
     "geometric_tail",
+    "half_period_rule",
     "averaged_limit",
     "sphere_rule",
     "pair_sums",
@@ -137,6 +138,8 @@ _AVERAGING_ROUNDS = 10
 # the farthest cutoff geometric_tail lays panels to: growth near the
 # integrability edge 2s certifies its leftover only very far out
 RADIUS_CAP = 1e40
+OSC_ORDER = 12
+OSC_PANELS = 72
 # datum evaluations per chunk of pair_sums: 2^16 points keep a 3-D cloud
 # (1.5 MiB) and value()'s temporaries in one core's 2 MiB L2.  A pure speed
 # constant: pair_sums gives the same bits for every chunk size.
@@ -208,6 +211,20 @@ def geometric_tail(
     while radius < RADIUS_CAP and leftover(radius) > target:
         radius = min(4.0 * radius, RADIUS_CAP)
     return geometric_edges(start, radius, ratio, width)
+
+
+def half_period_rule(start: float, half: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Panel rule of an alternating tail from start, and its lead-in row count.
+
+    Panels of ratio at most 1.4, on which a steep envelope varies slowly,
+    lead in to max(start, 2 half); OSC_PANELS half-period panels follow.
+    Each panel is a row of OSC_ORDER nodes, as in panel_rule, and
+    averaged_limit takes the partial row sums from row lead on.
+    """
+    stop = max(start, 2.0 * half)
+    lead = math.ceil(math.log(stop / start) / math.log(1.4))
+    edges = np.append(np.geomspace(start, stop, lead + 1)[:-1], stop + half * np.arange(OSC_PANELS + 1))
+    return (*panel_rule(edges, OSC_ORDER), lead)
 
 
 def averaged_limit(partials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -310,6 +310,14 @@ class TestFraclapCommand:
         assert "NaN" not in captured.out and "Infinity" not in captured.out
         assert "finite" in captured.err
 
+    def test_infinite_frequency_exits_two_with_the_reason(self, capsys):
+        code = main(["fraclap", "eval", "--function", "cosine:inf", "--s", "0.6", "--x", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error: cosine frequency must be positive and finite, got inf" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_unexpected_error_exits_two_with_a_message(self, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise RuntimeError("boom")

@@ -425,6 +425,18 @@ class TestGeometricRoute:
         assert abs(res.value - _oracles().kinked_line_flap(0.5, 0.6, x)) <= 1e-8
 
 
+@pytest.mark.parametrize("x", [-1.3, 0.5, 2.9])
+@pytest.mark.parametrize("s", [0.3, 0.6, 0.9])
+@pytest.mark.parametrize("freq", [1e-8, 1e-3, 0.02, 0.1])
+def test_slow_oscillation(freq, s, x):
+    # the half-period rule starts at r0 = 1, far inside the first half
+    # period, and reaches it on geometric panels where t^{-1-2s} is steep
+    res = frac_laplacian(fam.cosine(freq), x, s)
+    error = abs(res.value - _oracles().cosine_flap(freq, s, x))
+    assert error <= res.error_estimate
+    assert error <= 1e-8
+
+
 class TestClassification:
     def test_constant(self):
         for s in (0.3, 0.75):

@@ -74,3 +74,19 @@ def test_growth_entries_refuse_fast_growth(entry):
         r"the integral does not converge unless power < 2s = 1\.5",
     ):
         entry()
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("cosine:inf", r"cosine frequency must be positive and finite, got inf"),
+        ("cosine:nan", r"cosine frequency must be positive and finite, got nan"),
+        ("gaussian:inf", r"gaussian rate must be positive and finite, got inf"),
+        ("gaussian:nan", r"gaussian rate must be positive and finite, got nan"),
+        ("piecewise_linear_1d:nan", r"piecewise_linear_1d left slope must be finite, got nan"),
+    ],
+    ids=["cosine:inf", "cosine:nan", "gaussian:inf", "gaussian:nan", "piecewise_linear_1d:nan"],
+)
+def test_non_finite_family_parameters_refused(spec, message):
+    with pytest.raises(ValueError, match=message):
+        fam.parse_spec(spec)

@@ -584,8 +584,8 @@ class TestPointBlocks:
         assert np.allclose(whole[1], blocked[1], rtol=0.0, atol=1e-14 * scale)
 
     def test_residual_memory_stays_bounded(self):
-        # its operator term is one batch of 2,407 points; worked through in
-        # blocks it peaks at 12.6 MiB, held whole at 58 MiB
+        # its operator term is one batch of 2,023 points; worked through in
+        # blocks it peaks at 11.3 MiB, held whole at 40.2 MiB
         profile_table(1, 0.6)
         profile_table(3, 0.6)
         assert _traced_peak(

@@ -89,6 +89,35 @@ def test_geometric_tail_layout(start, ratio, width, power, target):
     assert cutoff == specfun.RADIUS_CAP or cutoff == 4.0 * start or leftover(cutoff / 4.0) > target
 
 
+@pytest.mark.parametrize(
+    "start, half",
+    [
+        (1.0, 157.0),  # slow oscillation: a long geometric lead-in
+        (0.5, 1.0),  # r0 = half / 2, as fraclap starts its cosine tails
+        (30.0, 3.0),  # the solver's TAIL_CUT, already past two half-periods
+        (2.0, 1.0),  # exactly two half-periods: no lead-in
+    ],
+)
+def test_half_period_rule_layout(start, half):
+    nodes, weights, lead = specfun.half_period_rule(start, half)
+    assert nodes.shape == weights.shape == (lead + specfun.OSC_PANELS, specfun.OSC_ORDER)
+    # each row is one panel: its nodes are centred and its weights add up
+    # to its width, which recovers the edges
+    mids = nodes.mean(axis=1)
+    widths = weights.sum(axis=1)
+    lo, hi = mids - 0.5 * widths, mids + 0.5 * widths
+    assert lo[0] == pytest.approx(start, rel=1e-13)
+    np.testing.assert_allclose(lo[1:], hi[:-1], rtol=1e-13)
+    stop = max(start, 2.0 * half)
+    assert lead == 0 if start >= 2.0 * half else lead > 0
+    if lead:
+        ratios = hi[:lead] / lo[:lead]
+        assert np.all(ratios > 1.0) and np.all(ratios <= 1.4 * (1.0 + 1e-12))
+        assert hi[lead - 1] == pytest.approx(stop, rel=1e-13)
+    np.testing.assert_allclose(widths[lead:], half, rtol=1e-12)
+    assert lo[lead] == pytest.approx(stop, rel=1e-13)
+
+
 @pytest.mark.parametrize("order", [1, 4, 12, 16, 24])
 def test_panel_rule_exact_for_polynomials(order):
     # degree 2n-1 is the exactness limit of an n-point Gauss rule, on
