@@ -3,10 +3,18 @@
 Every family packages one vectorized value evaluator together with the
 structural metadata the operator and solver layers dispatch on: a power
 growth envelope, convexity, Hessian decay, kink points, oscillation
-frequency, and the asymptotic mean of the values far out.  Nothing here
-evaluates derivatives; what the layers need of them is declared as
+frequency, and the far field of its sphere means (FarField).  Nothing
+here evaluates derivatives; what the layers need of them is declared as
 metadata.  A point array has shape (..., dim) and values come back with
 shape (...,).
+
+fraclap's tail and the solver's tail band read the far field the same
+way, through far_leftover: the declared lead a rho^beta and the constant
+term b(x) are subtracted from the sphere means and integrated in closed
+form, and only a remainder that decays goes on panels.  A point whose
+cutoff lies short of where its remainder bound starts keeps the envelope
+bound of data without a declaration.  For an exact field (affine data)
+the solver returns the datum and the 1-D residual has no far field.
 
 Families can also be constructed from compact text of the form
 ``"family:p1,p2"``, which is the notation the command line accepts.
@@ -22,7 +30,9 @@ import numpy as np
 
 __all__ = [
     "GrowthEnvelope",
+    "FarField",
     "FunctionSpec",
+    "far_leftover",
     "as_point",
     "as_integer",
     "require_admissible",
@@ -69,6 +79,89 @@ class GrowthEnvelope:
         return self.amplitude + self.slope * r**self.power
 
 
+@dataclass(frozen=True)
+class FarField:
+    """Declared large-radius form of the sphere means of a datum.
+
+    About a point x, the mean of u over the sphere of radius rho is
+
+        M(x, rho) = lead * rho**power + const(x) + R(x, rho),
+        |R(x, rho)| <= scale(x) * rho**decay  for rho >= start(x),
+
+    with decay < 0, where remainder(pts) returns the pair (scale, start)
+    per point of a (count, dim) array and const(pts) the constant term.
+    remainder None declares R = 0 at every radius.  A field that is exact
+    (no lead and no remainder) has M(x, rho) = const(x) at every radius,
+    so const(x) = u(x) by continuity at rho = 0: the datum has the mean
+    value property, its second differences vanish, and the flow leaves it
+    where it is.  The factories prove their declarations in their
+    docstrings; tests check them against specfun.pair_sums.
+    """
+
+    const: Callable[[np.ndarray], np.ndarray]
+    lead: float = 0.0
+    power: float = 0.0
+    decay: float = -1.0
+    remainder: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
+
+    def __post_init__(self) -> None:
+        if not self.decay < 0.0:
+            raise ValueError("a declared remainder must decay")
+
+    @property
+    def exact(self) -> bool:
+        return self.lead == 0.0 and self.remainder is None
+
+
+def far_leftover(
+    u: FunctionSpec,
+    pts: np.ndarray,
+    tail: Callable[[float, float], float],
+    unit: float = 1.0,
+) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
+    """Per-point bounds on a far integral of u's sphere means past a radius.
+
+    tail(radius, p) bounds the integral of |w(r)| (unit r)^p over r beyond
+    radius, for the caller's radial weight w and sphere radius rho = unit r.
+    The returned leftover(radius) gives, for each point x of pts, a bound
+    on the integral of w(r) (M(x, rho) - sub(x, rho)) beyond radius, and
+    the lead coefficient the point subtracts there (0 where it does not):
+
+      * sub = lead rho^power + const(x) where unit radius >= start(x) and
+        scale(x) tail(radius, decay) is the smaller bound;
+      * otherwise sub = const(x), bounded through the envelope
+        |u| <= A + B |y|^beta: |M - const| <= c0(x) + B k rho^beta with
+        c0(x) = A + B k |x|^beta + |const(x)| and k = max(1, 2^(beta-1)),
+        since |x + rho w|^beta <= k (|x|^beta + rho^beta).
+
+    So each point's leftover is never above the envelope one, and a batch
+    mixing near and far points never moves its cutoff out.  Data without
+    a declared far field take the second branch with const = 0.
+    """
+    env, ff = u.envelope, u.far_field
+    beta = env.power if env.slope > 0.0 else 0.0
+    bump = max(1.0, 2.0 ** (beta - 1.0))
+    const = u.far_const(pts)
+    c0 = env.amplitude + env.slope * bump * np.linalg.norm(pts, axis=1) ** beta + np.abs(const)
+    c1 = env.slope * bump
+    if ff is not None and ff.remainder is not None:
+        scale, start = ff.remainder(pts)
+    else:
+        scale, start = np.zeros(len(pts)), np.zeros(len(pts))
+
+    def leftover(radius: float) -> tuple[np.ndarray, np.ndarray]:
+        bound = c0 * tail(radius, 0.0)
+        if c1 > 0.0:
+            bound = bound + c1 * tail(radius, beta)
+        if ff is None:
+            return bound, np.zeros(len(pts))
+        rem = scale * tail(radius, ff.decay)
+        use = (unit * radius >= start) & (rem <= bound)
+        return np.where(use, rem, bound), np.where(use, ff.lead, 0.0)
+
+    return leftover
+
+
 @dataclass(eq=False)
 class FunctionSpec:
     """A concrete function with its value evaluator and declared structure.
@@ -85,6 +178,9 @@ class FunctionSpec:
     ||D^2 u(x)|| <= coeff * |x| ** (-rate) for |x| >= 1.  Families that are
     not C^2 or whose Hessian does not decay leave it as None.  kink_points
     lists the 1-D corners where u is not C^2; it is empty for smooth data.
+    far_field, when present, declares the large-radius form of the sphere
+    means (FarField); data without one are integrated far out through
+    their envelope alone.
     """
 
     family: str
@@ -97,7 +193,7 @@ class FunctionSpec:
     sup_value: Optional[float] = None
     inf_value: Optional[float] = None
     osc_scale: Optional[float] = None
-    tail_mean: float = 0.0
+    far_field: Optional[FarField] = None
     is_affine: bool = False
     kink_points: tuple[float, ...] = ()
     ruled_directions: tuple[tuple[float, ...], ...] = ()
@@ -117,6 +213,10 @@ class FunctionSpec:
     def at(self, point: Sequence[float] | float) -> float:
         """Value at a single point given as a scalar (1-D) or coordinate sequence."""
         return float(self.value(as_point(point, self.dim)[np.newaxis, :])[0])
+
+    def far_const(self, pts: np.ndarray) -> np.ndarray:
+        """The far field's constant term b(x) at each point of a (count, dim) array; 0 without one."""
+        return self.far_field.const(pts) if self.far_field is not None else np.zeros(len(pts))
 
 
 def as_point(x, dim: int) -> np.ndarray:
@@ -180,6 +280,15 @@ def _sq_norm(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _zero_const(pts: np.ndarray) -> np.ndarray:
+    return np.zeros(len(pts))
+
+
+def _abs_moment(p: float, dim: int) -> float:
+    """E|w_1|^p for a uniform unit direction w in dim >= 2, p > -1."""
+    return math.gamma(0.5 * (p + 1.0)) * math.gamma(0.5 * dim) / (math.sqrt(math.pi) * math.gamma(0.5 * (p + dim)))
+
+
 def _quadratic_exp_amplitude(profile: Callable[[np.ndarray], np.ndarray]) -> float:
     # smallest A with |u| <= A * exp(r^2/4) along the sampled ray; the rate
     # 1/4 is the package convention for polynomially bounded data, giving a
@@ -190,7 +299,7 @@ def _quadratic_exp_amplitude(profile: Callable[[np.ndarray], np.ndarray]) -> flo
 
 
 def constant(c: float, dim: int = 1) -> FunctionSpec:
-    """The constant function u = c."""
+    """The constant function u = c, whose sphere means are c: an exact far field."""
     c = float(c)
 
     def value(pts: np.ndarray) -> np.ndarray:
@@ -207,14 +316,20 @@ def constant(c: float, dim: int = 1) -> FunctionSpec:
         hessian_decay=(0.0, 2.0),
         sup_value=c,
         inf_value=c,
-        tail_mean=c,
+        far_field=FarField(const=value),
         is_affine=True,
         exp_envelope=(abs(c), 0.0),
     )
 
 
 def affine(offset: float, slope: float, dim: int = 1) -> FunctionSpec:
-    """u(x) = offset + slope * x_1.  The slope axis is the first coordinate."""
+    """u(x) = offset + slope * x_1.  The slope axis is the first coordinate.
+
+    The far field is exact: the sphere mean of u about x at radius rho is
+    offset + slope (x_1 + rho E[w_1]) = u(x), because the first coordinate
+    w_1 of a uniform direction averages to zero (the pair sums cancel the
+    slope).  So a = 0, b = u(x) and R = 0 at every radius.
+    """
     offset = float(offset)
     slope = float(slope)
 
@@ -233,7 +348,7 @@ def affine(offset: float, slope: float, dim: int = 1) -> FunctionSpec:
         hessian_decay=(0.0, 1.0),
         sup_value=offset if bounded else None,
         inf_value=offset if bounded else None,
-        tail_mean=offset if bounded else 0.0,
+        far_field=FarField(const=value),
         is_affine=True,
         exp_envelope=(
             _quadratic_exp_amplitude(lambda r: abs(offset) + abs(slope) * r),
@@ -263,7 +378,6 @@ def cosine(freq: float, dim: int = 1) -> FunctionSpec:
         sup_value=1.0,
         inf_value=-1.0,
         osc_scale=freq,
-        tail_mean=0.0,
         exp_envelope=(1.0, 0.0),
     )
 
@@ -295,7 +409,6 @@ def gaussian(rate: float = 1.0, dim: int = 1) -> FunctionSpec:
         hessian_decay=(coeff, 2.0),
         sup_value=1.0,
         inf_value=0.0,
-        tail_mean=0.0,
         exp_envelope=(1.0, 0.0),
     )
 
@@ -306,6 +419,19 @@ def abs_power(power: float, dim: int = 1) -> FunctionSpec:
     Convex exactly when power >= 1 (up to the supported power 2).  Since
     t -> t^{power/2} is subadditive for power <= 2, the envelope constants
     can both be taken equal to 1.
+
+    Far field, for power beta < 2: a = 1, b = 0, q = beta - 2, and
+    C(x) = beta 2^(1-beta) m^2 from rho0(x) = 2m, with m^2 = 1 + |x|^2.
+    Proof: with h = m/rho and c = -x.w/m for a unit direction w,
+    1 + |x + rho w|^2 = rho^2 (1 - 2ch + h^2).  The Gegenbauer generating
+    function (DLMF 18.12.4, lambda = -beta/2) expands
+    g(h) = (1 - 2ch + h^2)^(beta/2) = 1 - beta c h + O(h^2) for h < 1, and
+    c averages to zero over the sphere, so M - rho^beta is rho^beta times
+    the sphere mean of g(h) - 1 + beta c h, which Taylor's theorem bounds
+    by h^2/2 max |g''| on [0, h].  There g'' = beta Q^(beta/2-2)
+    ((beta-1)(tau-c)^2 + 1 - c^2) with Q = 1 - 2c tau + tau^2 >= (1-tau)^2,
+    and the bracket is at most Q in size for 0 < beta <= 2, so
+    |g''| <= beta (1-tau)^(beta-2) <= beta 2^(2-beta) for tau <= 1/2.
     """
     b = float(power)
     if not 0 < b <= 2:
@@ -318,6 +444,10 @@ def abs_power(power: float, dim: int = 1) -> FunctionSpec:
     # ||D^2 u|| <= b (1 + |2-b|) (1+r^2)^{b/2-1} <= b (3-b) r^{b-2} on r >= 1
     decay = (b * (1.0 + abs(2.0 - b)), 2.0 - b) if b < 2 else None
 
+    def remainder(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m2 = 1.0 + _sq_norm(pts)
+        return b * 2.0 ** (1.0 - b) * m2, 2.0 * np.sqrt(m2)
+
     return FunctionSpec(
         family="abs_power",
         params=(b,),
@@ -328,7 +458,7 @@ def abs_power(power: float, dim: int = 1) -> FunctionSpec:
         hessian_decay=decay,
         sup_value=None,
         inf_value=1.0,
-        tail_mean=0.0,
+        far_field=FarField(_zero_const, 1.0, b, b - 2.0, remainder) if b < 2 else None,
         exp_envelope=(
             _quadratic_exp_amplitude(lambda r: (1.0 + r * r) ** (0.5 * b)),
             0.25,
@@ -376,10 +506,41 @@ def ruled(profile_power: float, dim: int = 2) -> FunctionSpec:
     translations must leave the values alone.  The Hessian degenerates along
     the rulings, hence no radial decay can be declared even though the
     profile itself has one.
+
+    Far field, for profile power 1 < beta < 2: a = E|w_1|^beta
+    = Gamma((beta+1)/2) Gamma(d/2) / (sqrt(pi) Gamma((beta+d)/2)), b = 0,
+    q = beta - 2, and C(x) = K m^2 from rho0(x) = 4m, with m^2 = 1 + x_1^2
+    and K = beta 2^(1-beta) E|w_1|^(beta-2)
+    + 2 p (3^(beta+1) - 1) 4^(1-beta) / (beta+1), where p bounds the density
+    of w_1 on |w_1| <= 1/2.  Proof: put z = rho w_1, f(y) = (1 + y^2)^(beta/2)
+    and D(z) = f(x_1 + z) - |z|^beta, so M - a rho^beta = E D(z).  Where
+    |z| >= 2m, f(x_1 + z) = |z|^beta g(h) with h = m/|z| <= 1/2 and
+    c = -x_1 sgn(z)/m, as for abs_power; the term -beta c h |z|^beta is odd
+    in z and averages to zero over the symmetric region, and the rest is at
+    most beta 2^(1-beta) m^2 |z|^(beta-2), whose mean is at most
+    beta 2^(1-beta) m^2 rho^(beta-2) E|w_1|^(beta-2) (finite for beta > 1).
+    Where |z| < 2m, |D(z)| <= (m + |z|)^beta, and for rho >= 4m this region
+    has |w_1| <= 1/2, so its share is at most p/rho times the integral of
+    (m + |z|)^beta over |z| < 2m, 2 m^(beta+1) (3^(beta+1) - 1) / (beta+1),
+    and m^(beta+1)/rho <= 4^(1-beta) m^2 rho^(beta-2) there.  Profiles with
+    beta <= 1 declare no far field.
     """
     if dim < 2:
         raise ValueError("ruled families need dim >= 2")
     base = abs_power(profile_power, dim=1)
+    beta = float(profile_power)
+    far = None
+    if 1.0 < beta < 2.0:
+        density = math.gamma(0.5 * dim) / (math.sqrt(math.pi) * math.gamma(0.5 * (dim - 1)))
+        density *= max(1.0, 0.75 ** (0.5 * (dim - 3)))
+        k = beta * 2.0 ** (1.0 - beta) * _abs_moment(beta - 2.0, dim)
+        k += 2.0 * density * (3.0 ** (beta + 1.0) - 1.0) * 4.0 ** (1.0 - beta) / (beta + 1.0)
+
+        def remainder(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            m2 = 1.0 + pts[:, 0] * pts[:, 0]
+            return k * m2, 4.0 * np.sqrt(m2)
+
+        far = FarField(_zero_const, _abs_moment(beta, dim), beta, beta - 2.0, remainder)
 
     def value(pts: np.ndarray) -> np.ndarray:
         a = _point_array(pts, dim)
@@ -398,7 +559,7 @@ def ruled(profile_power: float, dim: int = 2) -> FunctionSpec:
         hessian_decay=None,
         sup_value=None,
         inf_value=1.0,
-        tail_mean=0.0,
+        far_field=far,
         ruled_directions=rulings,
         exp_envelope=base.exp_envelope,
     )

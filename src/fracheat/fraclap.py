@@ -12,15 +12,20 @@ zone [0, r0], S(t)/t^2 extends continuously to t = 0 for C^2 data, so a
 Gauss-Jacobi rule with weight t^{1-2s} absorbs the singularity exactly;
 its estimate adds one unit of roundoff in the values whose differences
 cancel, divided by t^2, which dominates as s nears 1.  Beyond r0 the
-(u(x) - mean) part of S integrates in closed form, and the rest takes one
-of two routes:
+(u(x) - b(x)) part of S integrates in closed form, with b(x) the constant
+term of the datum's declared far field (families.FarField, 0 without
+one), and the rest takes one of two routes:
 
   * oscillatory bounded data: specfun.half_period_rule's panels, whose
     partial sums are repeatedly averaged until they settle;
   * everything else: specfun.geometric_tail's panels out to the radius at
-    which the declared growth envelope certifies the leftover integral,
-    which sits very far out when the growth is near the integrability
-    edge.
+    which families.far_leftover certifies the leftover integral.  A
+    declared lead a t^beta integrates in closed form too, so only a
+    remainder that decays goes on panels, and the cutoff sits where the
+    remainder bound meets the target.  Where the cutoff falls short of
+    the radius the remainder bound starts at, or for data without a
+    declaration, the growth envelope bounds the leftover, and the cutoff
+    sits very far out when the growth is near the integrability edge.
 
 Classification of definiteness is symbolic, keyed on family structure, and
 never touches quadrature.  All entry points are pure functions.
@@ -37,7 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .families import FunctionSpec, as_point, require_admissible
+from .families import FunctionSpec, as_point, far_leftover, require_admissible
 from .report import VerificationReport
 from .specfun import ABS_TOL, averaged_limit, gamma, geometric_tail, half_period_rule, nested_pair_sums, pair_sums, panel_rule, sphere_rule
 
@@ -188,6 +193,20 @@ def _kink_radii(u: FunctionSpec, x: np.ndarray) -> list[float]:
     return [abs(float(x[0]) - k) for k in u.kink_points]
 
 
+def _origin_radii(x: np.ndarray) -> list[float]:
+    # the families centre their structure on the origin, within about a
+    # unit of it, and the spheres about x cross it near radius |x|: breaks
+    # at |x| and |x| +- 4^k grade the panels toward that crossing, which
+    # a geometric panel many units wide would not resolve
+    c = float(np.linalg.norm(x))
+    out = [c]
+    step = 1.0
+    while step <= c:
+        out += [c - step, c + step]
+        step *= 4.0
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Radial regimes (all values are for the raw radial integral, without the
 # operator prefactor)
@@ -230,36 +249,34 @@ def _tail_band(
     rem_target: float,
 ) -> tuple[float, float]:
     area = 2.0 * float(dwts.sum())
-    mean = u.tail_mean
-    dc = area * (ux - mean) * r0 ** (-2.0 * s) / (2.0 * s)
+    env, ff = u.envelope, u.far_field
+    const = float(u.far_const(x[None, :])[0])
+    dc = area * (ux - const) * r0 ** (-2.0 * s) / (2.0 * s)
 
-    def panel_terms(ts: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        # Gauss terms of t^{-1-2s} (area * mean - pair sums), one row per panel
+    def panel_terms(ts: np.ndarray, ws: np.ndarray, lead: float = 0.0) -> np.ndarray:
+        # Gauss terms of t^{-1-2s} (area * (const + lead t^power) - pair
+        # sums), one row per panel
         flat = ts.ravel()
-        rest = area * mean - pair_sums(u.value, x[None, :], flat, dirs, dwts)[0]
+        sub = area * (const + lead * flat**ff.power) if lead else area * const
+        rest = sub - pair_sums(u.value, x[None, :], flat, dirs, dwts)[0]
         return ws * (flat ** (-1.0 - 2.0 * s) * rest).reshape(ts.shape)
 
-    env = u.envelope
     if halves is not None and env.slope == 0.0:
         ts, ws, lead = halves
         rest, rest_err = map(float, averaged_limit(np.cumsum(panel_terms(ts, ws).sum(axis=1))[lead:]))
         return dc + rest, rest_err + 1e-16 * abs(dc)
 
-    # geometric panels out to where the growth envelope certifies the
-    # leftover: |u| <= A + B |y|^beta bounds the de-meaned values at radius
-    # t by c0 + c1 t^beta, with c1 = 0 for bounded data
-    beta, gap = env.power, 2.0 * s - env.power
-    c0 = area * (abs(mean) + env.amplitude + env.slope * 2.0**beta * float(np.linalg.norm(x)) ** beta)
-    c1 = area * env.slope * 2.0**beta
-
-    def leftover(radius: float) -> float:
-        out = c0 * radius ** (-2.0 * s) / (2.0 * s)
-        return out + c1 * radius ** (-gap) / gap if c1 > 0.0 else out
-
-    ratio = 1.7 if c1 > 0.0 else 1.4
-    edges = _insert_breaks(geometric_tail(r0, ratio, leftover, rem_target), _kink_radii(u, x))
-    rest, check = (float(np.sum(panel_terms(*panel_rule(edges, order)))) for order in (_GEO_ORDER, _GEO_CHECK))
-    return dc + rest, abs(rest - check) + leftover(float(edges[-1]))
+    # geometric panels out to where the far field certifies the leftover;
+    # past the cutoff, t^{-1-2s} integrates t^p to t^{p-2s} / (2s - p)
+    leftover = far_leftover(u, x[None, :], lambda t, p: t ** (p - 2.0 * s) / (2.0 * s - p))
+    ratio = 1.7 if env.slope > 0.0 else 1.4
+    edges = geometric_tail(r0, ratio, lambda t: area * float(leftover(t)[0][0]), rem_target)
+    edges = _insert_breaks(edges, _kink_radii(u, x) + _origin_radii(x))
+    left, lead = (float(v[0]) for v in leftover(float(edges[-1])))
+    if lead:
+        dc -= area * lead * r0 ** (ff.power - 2.0 * s) / (2.0 * s - ff.power)
+    rest, check = (float(np.sum(panel_terms(*panel_rule(edges, order), lead))) for order in (_GEO_ORDER, _GEO_CHECK))
+    return dc + rest, abs(rest - check) + area * left
 
 
 # ---------------------------------------------------------------------------

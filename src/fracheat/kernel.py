@@ -28,9 +28,10 @@ it, so a table node equals f_radial there bit for bit.
 
 Past TAIL_CUT = 30 every route reads the large-radius series, which has
 one copy: tail_series sums it for f_radial, d_f_radial and the tables,
-and tail_integral integrates it beyond TAIL_CUT for kernel_mass and the
-solver's mean tail.  Every table ends at TAIL_CUT, and its constructor
-requires the series there to match the last sample to _CONTINUATION_REL.
+and tail_integral integrates it, against a power of the radius, beyond
+TAIL_CUT for kernel_mass and for the solver's closed-form far field.
+Every table ends at TAIL_CUT, and its constructor requires the series
+there to match the last sample to _CONTINUATION_REL.
 """
 
 from __future__ import annotations
@@ -264,15 +265,22 @@ def tail_series(dim: int, s: float, r: np.ndarray) -> np.ndarray:
     return total
 
 
-def tail_integral(coeffs: tuple[float, ...], s: float, radius: float) -> float:
-    """int_radius^inf sum_k c_k r^(-1-2sk) dr, term by term: the math.fsum
-    of c_k radius^(-2sk) / (2sk) over the nonzero c_k.
+def tail_integral(coeffs: tuple[float, ...], s: float, radius: float, shift: float = 0.0) -> float:
+    """int_radius^inf sum_k c_k r^(shift-1-2sk) dr, term by term: the math.fsum
+    of c_k radius^(shift-2sk) / (2sk - shift) over the nonzero c_k.
 
     With the coefficients of tail_coefficients this is the integral of
-    F(r) r^(dim-1) beyond the radius.
+    F(r) r^(dim-1) r^shift beyond the radius; the signed shift is a power
+    of the radius the series is integrated against, such as a datum's
+    declared growth, and must stay under 2s, where the first term stops
+    converging.
     """
+    if not shift < 2.0 * s:
+        raise ValueError(f"the series integral needs shift < 2s = {2.0 * s:g}, got {shift:g}")
     return math.fsum(
-        c * radius ** (-2.0 * s * k) / (2.0 * s * k) for k, c in enumerate(coeffs, start=1) if c != 0.0
+        c * radius ** (shift - 2.0 * s * k) / (2.0 * s * k - shift)
+        for k, c in enumerate(coeffs, start=1)
+        if c != 0.0
     )
 
 

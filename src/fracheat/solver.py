@@ -14,12 +14,19 @@ shift identity F_N'(r) = -r F_{N+2}(r) turns that into a combination of
 two tabulated profiles, so no numerical differentiation happens.
 
 Beyond the tabulated range the tail band splits the datum as the
-pointwise operator does: its declared mean integrates in closed form
-against the profile's power series, and the rest takes one of two
-routes, specfun.half_period_rule's averaged panels for oscillatory
-bounded data and specfun.geometric_tail's panels out to an
-envelope-certified cutoff for everything else.  What the datum declares
-about itself (mean, oscillation scale, growth envelope) decides the route.
+pointwise operator does, through its declared far field (families.FarField):
+the constant term b(x) and the lead a rho^beta of the sphere means
+integrate in closed form against the profile's power series
+(kernel.tail_integral), and the rest takes one of two routes,
+specfun.half_period_rule's averaged panels for oscillatory bounded data
+and specfun.geometric_tail's panels for everything else.  There only a
+remainder that decays goes on panels, out to the cutoff where
+families.far_leftover certifies each point's leftover: the declared
+remainder bound where the cutoff reaches where it starts, else the growth
+envelope (the envelope alone for data without a declaration).  What the
+datum declares about itself (far field, oscillation scale, growth
+envelope) decides the route.  An exact far field (affine data) has the
+datum itself as its solution at every time, with no quadrature.
 
 In 2-D and 3-D the sphere integral P comes from a direction rule that is
 refined level by level, separately in two radial bands: the body
@@ -53,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .families import FunctionSpec, as_integer, as_point, require_admissible
+from .families import FunctionSpec, as_integer, as_point, far_leftover, require_admissible
 from .fraclap import riesz_constant, second_difference_constants
 from .kernel import TAIL_CUT, KernelParams, profile_table, tail_coefficients, tail_integral
 from .report import VerificationReport
@@ -241,10 +248,11 @@ class _RadialBands:
     The radial line splits at TAIL_CUT into a body band, tabulated profile
     panels, and a tail band, whose route the datum's declarations pick.
     The tables end at TAIL_CUT, so the tail band reads the large-radius
-    series.  Both bands start at the given angular level and sweep the
-    points in blocks of _NODE_BLOCK, keeping for each block what
-    nested_pair_sums returns to keep; the radial nodes never depend on the
-    level.
+    series, against which the declared far field's constant and lead
+    terms integrate in closed form (_const, one entry per point).  Both
+    bands start at the given angular level and sweep the points in blocks
+    of _NODE_BLOCK, keeping for each block what nested_pair_sums returns
+    to keep; the radial nodes never depend on the level.
     """
 
     def __init__(
@@ -261,8 +269,12 @@ class _RadialBands:
         area = float(np.sum(sphere_rule(dim, level)[1]))
         factor, amp = _factor_tables(dim, s, kind)
         pref = _TWO_PI ** (-0.5 * dim)
-        env = u0.envelope
-        mean = u0.tail_mean
+        env, ff = u0.envelope, u0.far_field
+        # the declared far field's constant term, and its lead's power and
+        # per-point coefficient (0 where a point keeps the envelope bound)
+        const = u0.far_const(pts)
+        power = ff.power if ff is not None else 0.0
+        lead = np.zeros(len(pts))
 
         osc = (u0.osc_scale or 0.0) * tsc
         cap = 2.2 * math.pi / osc if osc > 0.0 else math.inf
@@ -285,44 +297,40 @@ class _RadialBands:
         # the accuracy target follows the smallest value scale present
         scale = 1.0 + float(np.min(np.abs(body_part[0])))
         target = 0.25 * (ABS_TOL + REL_TOL * scale)
-        mean_tail = pref * tail_integral(_series(dim, s, kind), s, TAIL_CUT)
-        self._const = area * mean * mean_tail if mean != 0.0 else 0.0
 
         if env.slope == 0.0 and osc > 0.0:
-            nodes, weights, lead = half_period_rule(TAIL_CUT, math.pi / osc)
+            nodes, weights, first = half_period_rule(TAIL_CUT, math.pi / osc)
             rs_t, ws_t = nodes.ravel(), weights.ravel()
             fac_t = factor(rs_t) * ws_t
 
             def tail(surf: np.ndarray, sl: slice) -> tuple[np.ndarray, np.ndarray]:
-                chunks = ((surf - area * mean) * fac_t).reshape(len(surf), *nodes.shape).sum(axis=2)
-                tail_vals, tail_errs = averaged_limit(np.cumsum(chunks, axis=1)[:, lead:])
+                chunks = ((surf - area * const[sl, None]) * fac_t).reshape(len(surf), *nodes.shape).sum(axis=2)
+                tail_vals, tail_errs = averaged_limit(np.cumsum(chunks, axis=1)[:, first:])
                 return pref * tail_vals, pref * tail_errs
 
         else:
-            # geometric panels out to the cutoff where the envelope certifies
+            # geometric panels out to the cutoff where the far field certifies
             # the leftover.  Points share the panels but keep their own
-            # leftover bounds, so a batch mixing near and far points stays
-            # honest everywhere.
-            beta = env.power
-            bump = max(1.0, 2.0 ** (beta - 1.0))
-            c0_vec = area * (env.amplitude + env.slope * bump * np.linalg.norm(pts, axis=1) ** beta + abs(mean))
-            c1 = area * env.slope * bump * tsc**beta
-
-            def leftover(c0, radius: float):
-                out = c0 * _abs_tail(dim, s, kind, radius)
-                return out + c1 * _abs_tail(dim, s, kind, radius, beta) if c1 > 0.0 else out
-
-            c0 = float(np.max(c0_vec))
-            ratio = 1.7 if c1 > 0.0 else 1.4
-            edges_t = geometric_tail(TAIL_CUT, ratio, lambda r: leftover(c0, r), target, cap)
-            left = leftover(c0_vec, float(edges_t[-1]))
+            # leftover bounds and their own choice of subtracting the lead,
+            # so a batch mixing near and far points stays honest everywhere.
+            leftover = far_leftover(u0, pts, lambda r, p: tsc**p * _abs_tail(dim, s, kind, r, p), tsc)
+            ratio = 1.7 if env.slope > 0.0 else 1.4
+            edges_t = geometric_tail(TAIL_CUT, ratio, lambda r: area * float(np.max(leftover(r)[0])), target, cap)
+            left, lead = leftover(float(edges_t[-1]))
+            left = area * left
             rs_t, ws_t = map(np.ravel, panel_rule(edges_t, 16))
             fac_t = factor(rs_t) * ws_t
+            grow = (tsc * rs_t) ** power
 
             def tail(surf: np.ndarray, sl: slice) -> tuple[np.ndarray, np.ndarray]:
-                rest = surf - area * mean
+                rest = surf - area * (const[sl, None] + lead[sl, None] * grow)
                 errs = _TABLE_REL * amp * pref * np.abs(rest) @ np.abs(fac_t)
                 return pref * rest @ fac_t, left[sl] + errs
+
+        # the constant term and the lead past TAIL_CUT, in closed form
+        series = _series(dim, s, kind)
+        lead_tail = tsc**power * tail_integral(series, s, TAIL_CUT, power)
+        self._const = pref * area * (tail_integral(series, s, TAIL_CUT) * const + lead_tail * lead)
 
         self._rhos.append(tsc * rs_t)
         self._reduce.append(tail)
@@ -355,10 +363,8 @@ class _RadialBands:
     def values(self) -> tuple[np.ndarray, np.ndarray]:
         """Values and error estimates, the bands' last drifts included."""
         (body_v, body_e), (tail_v, tail_e) = self._parts
-        if self._const != 0.0:
-            body_v = body_v + self._const
         errs = body_e + tail_e + self.drifts[0] + self.drifts[1]
-        return body_v + tail_v, errs
+        return body_v + self._const + tail_v, errs
 
 
 def _solve_batch(
@@ -371,6 +377,11 @@ def _solve_batch(
     """Convolution values at one finite positive time, with angular refinement."""
     if not 0.0 < t < math.inf:
         raise ValueError(f"convolution requires a finite t > 0, got {t}")
+    if u0.far_field is not None and u0.far_field.exact:
+        # every sphere mean is u(x) and the kernel is a probability density
+        # at every time, so the flow leaves the datum where it is
+        vals = u0.far_const(pts) if kind == "mass" else np.zeros(len(pts))
+        return vals, 2.0**-53 * np.abs(vals)
     if params.dim == 1:
         vals, errs = _RadialBands(u0, pts, t, params, kind, 0).values()
     else:
@@ -520,6 +531,8 @@ def residual_with_estimate(
     half-period panels; for other data to specfun.geometric_tail's cutoff,
     where the datum's uniform second-difference bound, which convolution
     preserves, certifies the far field to 3e-5 (or RADIUS_CAP is reached).
+    Under an exact far field the solution stays the datum, whose second
+    differences vanish, so the far bound is 0 and the cutoff is 4 r_near.
 
     The estimate adds the time derivative's estimate, the value noise
     carried through the near interpolant and the mid-range sum, and twice
@@ -545,9 +558,12 @@ def residual_with_estimate(
     h = r_near / 3.0
 
     # far-field cutoff from a bound that survives convolution: the
-    # second differences of u(., t) obey the datum's own uniform bound
+    # second differences of u(., t) obey the datum's own uniform bound.
+    # Under an exact far field the solution stays the datum, whose second
+    # differences vanish, so there is no far field at all
     target = 3e-5
-    a, b, rate = second_difference_constants(u0)
+    exact = u0.far_field is not None and u0.far_field.exact
+    a, b, rate = (0.0, 0.0, 2.0) if exact else second_difference_constants(u0)
     p = 2.0 * s - 2.0 + rate
     if b > 0.0 and not p > 0.0:
         raise ValueError("declared curvature decay too weak for this order")
@@ -606,7 +622,7 @@ def residual_with_estimate(
     if halves:
         # past r_far: the 4 (u(x) - mean) term in closed form, the pair
         # terms less their mean by averaging over the half-period panels
-        mean, dc = u0.tail_mean, 4.0 * r_far ** (-2.0 * s) / (2.0 * s)
+        mean, dc = float(u0.far_const(pt[None, :])[0]), 4.0 * r_far ** (-2.0 * s) / (2.0 * s)
         weight = half_rs ** (-1.0 - 2.0 * s) * half_ws
         panels = np.sum((pairs[m:].reshape(weight.shape) - 2.0 * mean) * weight, axis=1)
         rest, rest_err = averaged_limit(np.cumsum(panels)[lead:])

@@ -182,6 +182,25 @@ def split_panels(edges: np.ndarray, width: float) -> np.ndarray:
     return np.asarray(out)
 
 
+def _geomspace(start: float, stop: float, num: int) -> np.ndarray:
+    """np.geomspace(start, stop, num) for positive start and stop, bit for bit.
+
+    The same steps as numpy's own (log10 of the ends, a linspace between
+    them, a power of 10, the ends put back), without np.geomspace's
+    argument handling, which took most of a half_period_rule call.
+    """
+    if num == 1:
+        return np.array([float(start)])
+    lo, hi = np.log10(np.float64(start)), np.log10(np.float64(stop))
+    y = np.arange(num, dtype=float)
+    y *= (hi - lo) / (num - 1)
+    y += lo
+    y[-1] = hi
+    out = np.power(10.0, y)
+    out[0], out[-1] = start, stop
+    return out
+
+
 def geometric_edges(start: float, stop: float, ratio: float, width: float = math.inf) -> np.ndarray:
     """At least four geometric panels from start to exactly stop, none wider than width.
 
@@ -189,7 +208,7 @@ def geometric_edges(start: float, stop: float, ratio: float, width: float = math
     ratio at or under ratio; split_panels then applies the width.
     """
     n = max(4, int(math.ceil(math.log(stop / start) / math.log(ratio))))
-    return split_panels(np.geomspace(start, stop, n + 1), width)
+    return split_panels(_geomspace(start, stop, n + 1), width)
 
 
 def geometric_tail(
@@ -223,7 +242,7 @@ def half_period_rule(start: float, half: float) -> tuple[np.ndarray, np.ndarray,
     """
     stop = max(start, 2.0 * half)
     lead = math.ceil(math.log(stop / start) / math.log(1.4))
-    edges = np.append(np.geomspace(start, stop, lead + 1)[:-1], stop + half * np.arange(OSC_PANELS + 1))
+    edges = np.append(_geomspace(start, stop, lead + 1)[:-1], stop + half * np.arange(OSC_PANELS + 1))
     return (*panel_rule(edges, OSC_ORDER), lead)
 
 

@@ -350,7 +350,6 @@ class TestTranslation:
             convex=False,
             sup_value=1.0,
             inf_value=0.0,
-            tail_mean=0.0,
         )
         a = frac_laplacian(base, [0.4], 0.55).value
         b = frac_laplacian(moved, [0.4 + shift], 0.55).value

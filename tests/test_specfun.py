@@ -118,6 +118,22 @@ def test_half_period_rule_layout(start, half):
     assert lo[lead] == pytest.approx(stop, rel=1e-13)
 
 
+def test_lead_in_edges_are_those_of_geomspace():
+    # the rule builds its lead-in without np.geomspace's argument handling;
+    # the edges, and so every node, must keep geomspace's bits
+    rng = np.random.default_rng(2024)
+    for start, half in zip(10.0 ** rng.uniform(-3, 2, 1000), 10.0 ** rng.uniform(-3, 3, 1000)):
+        stop = max(start, 2.0 * half)
+        lead = math.ceil(math.log(stop / start) / math.log(1.4))
+        want = np.geomspace(start, stop, lead + 1)
+        assert np.array_equal(specfun._geomspace(start, stop, lead + 1), want)
+        edges = np.append(want[:-1], stop + half * np.arange(specfun.OSC_PANELS + 1))
+        nodes, weights, got_lead = specfun.half_period_rule(start, half)
+        ref_nodes, ref_weights = specfun.panel_rule(edges, specfun.OSC_ORDER)
+        assert got_lead == lead
+        assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+
+
 @pytest.mark.parametrize("order", [1, 4, 12, 16, 24])
 def test_panel_rule_exact_for_polynomials(order):
     # degree 2n-1 is the exactness limit of an n-point Gauss rule, on
