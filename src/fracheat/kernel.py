@@ -13,18 +13,16 @@ from profiles in shifted dimensions (d_f_radial), large-radius limits
 slow path through the Fourier representation, used as an oracle.
 
 Every value of F on (0, TAIL_CUT] comes from one route, _profile_values,
-which takes a whole array of radii.  It truncates
-the half-line integral once per call and sums Gauss panels: radii up to
-2 pi share one layout with steps of 0.5, and each larger radius sums its
-own half-period panels.  The products of radii and abscissae are formed
-in blocks of at most _PROFILE_BLOCK entries, and no block size moves a
-bit.  The Bessel factors of dims 1 and 3 are their exact cos and sin
-forms, and those of dims 2 and 4 scipy's j0 and j1.  Each radius carries
-the estimate |16-point - 12-point| + tail, and a radius whose estimate
+which takes a whole array of radii and sums them as the rows of one
+specfun.half_line_sums call, so the profile shares the panel layout,
+summation, estimate and refusals of integrate_semi_infinite.  The Bessel
+factors of dims 1 and 3 are their exact cos and sin forms, and those of
+dims 2 and 4 scipy's j0 and j1.  Each radius carries the estimate
+|16-point - 12-point| + tail + rounding floor, and a radius whose estimate
 exceeds max(ABS_TOL, REL_TOL |F|) is refused with QuadratureError; a
-layout too large for _PROFILE_ENTRIES (small s) is refused with ValueError
-before it is allocated.  f_radial, d_f_radial and the table build all use
-it, so a table node equals f_radial there bit for bit.
+layout too large for specfun's entry cap (small s) is refused with
+ValueError before it is allocated.  f_radial, d_f_radial and the table
+build all use it, so a table node equals f_radial there bit for bit.
 
 Past TAIL_CUT = 30 every route reads the large-radius series, which has
 one copy: tail_series sums it for f_radial, d_f_radial and the tables,
@@ -49,31 +47,19 @@ from .families import as_point
 from .report import VerificationReport
 from .specfun import (
     ABS_TOL,
-    GL_NODES_CHECK,
-    GL_NODES_MAIN,
     REL_TOL,
     IntegralResult,
+    QuadratureConfig,
     QuadratureError,
     gamma,
-    panel_edges,
+    half_line_sums,
     panel_rule,
     shared_cache,
-    tail_bound,
-    truncation_radius,
 )
 
 _TWO_PI = 2.0 * math.pi
 _ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
-# up to this radius the half-period pi / r exceeds the 0.5 panel cap, so
-# these radii share one panel layout
-_SHARED_RADIUS = 2.0 * math.pi
-# entries of each block of the radii x abscissae products in the profile sums
-_PROFILE_BLOCK = 1 << 18
-# entries allowed in the largest array of one profile panel layout; past it
-# (every table at s = 0.15, none at s >= 0.25 up to dim 11) the quadrature
-# is refused rather than exhausting memory
-_PROFILE_ENTRIES = 1 << 25
 # terms of the large-radius series, one per Mellin pole
 _TAIL_TERMS = 14
 # the scaled radius where the profile turns from quadrature into the large-r
@@ -153,70 +139,18 @@ def _profile_parts(dim: int, s: float):
     )
 
 
-def _panel_totals(env, osc, radii: np.ndarray, edges: np.ndarray, order: int) -> np.ndarray:
-    # sum over the panels of the order-point Gauss sums of env(rho) osc(r rho),
-    # one total per radius, formed in blocks of at most _PROFILE_BLOCK entries.
-    # Each panel sum adds its node terms one by one in a fixed order and
-    # math.fsum rounds the panel sums exactly, so no block size or batch
-    # composition moves a bit.  fsum reads each row through a memoryview,
-    # one float at a time: a tolist() of every row left the allocator in
-    # a state that later raised radial-1d's peak memory by 12 MB in about
-    # 4 runs of 10
-    x, w = panel_rule(edges, order)
-    weighted = w * env(x)
-    panels = x.shape[0]
-    rows = max(1, _PROFILE_BLOCK // x.size)
-    cols = max(1, _PROFILE_BLOCK // order)
-    sums = np.empty((radii.size, panels))
-    for lo in range(0, radii.size, rows):
-        r = radii[lo : lo + rows, None, None]
-        for plo in range(0, panels, cols):
-            terms = osc(r * x[plo : plo + cols]) * weighted[plo : plo + cols]
-            acc = terms[..., 0]
-            for j in range(1, order):
-                acc = acc + terms[..., j]
-            sums[lo : lo + rows, plo : plo + cols] = acc
-    return np.array([math.fsum(memoryview(row)) for row in sums])
-
-
 def _profile_values(dim: int, s: float, radii: np.ndarray) -> np.ndarray:
-    # F at every positive radius of a 1-D array, by half-period Gauss panel
-    # sums of the half-line integral truncated once for all radii.  Radii up
-    # to _SHARED_RADIUS share the layout with the step capped at 0.5; each
-    # larger radius gets its own half-period layout.  Refused: a layout
-    # whose largest array (radius / step panels times the larger of its
-    # radii and Gauss nodes) passes _PROFILE_ENTRIES, before it is allocated,
-    # and a radius whose estimate |main - check| + tail exceeds
-    # max(ABS_TOL, REL_TOL * |F|)
+    # F at every positive radius of a 1-D array: half_line_sums of the
+    # profile integrand, one row per radius, scaled by the profile's
+    # prefactor; the tail bound of the envelope rho^(d/2) exp(-rho^(2s)) is
+    # charged r^(1 - d/2)
     radii = np.asarray(radii, dtype=float)
-    two_s, power = 2.0 * s, 0.5 * dim
-    radius = truncation_radius(ABS_TOL, two_s, power)
-    shared = np.flatnonzero(radii <= _SHARED_RADIUS)
-    far = np.flatnonzero(radii > _SHARED_RADIUS)
-    entries = max(2.0 * radius * max(shared.size, GL_NODES_MAIN) if shared.size else 0.0,
-                  radius * radii[far].max(initial=0.0) / math.pi * GL_NODES_MAIN)
-    if entries > _PROFILE_ENTRIES:
-        raise ValueError(f"the profile quadrature for dim {dim}, s {s} needs {entries:.3g} entries in one array, "
-                         f"over the cap of {_PROFILE_ENTRIES}")
     env, osc, scale = _profile_parts(dim, s)
-    layouts = [(shared, panel_edges(radius, None))] if shared.size else []
-    layouts += [(np.array([i]), panel_edges(radius, radii[i])) for i in far]
-    main, check = np.empty_like(radii), np.empty_like(radii)
-    evaluations = 0
-    for idx, edges in layouts:
-        main[idx] = _panel_totals(env, osc, radii[idx], edges, GL_NODES_MAIN)
-        check[idx] = _panel_totals(env, osc, radii[idx], edges, GL_NODES_CHECK)
-        evaluations += idx.size * (edges.size - 1) * (GL_NODES_MAIN + GL_NODES_CHECK)
-    factor = scale(radii)
-    values = factor * main
-    errs = np.abs(factor * (main - check)) + radii ** (1.0 - power) * tail_bound(two_s, power, radius)
-    bad = np.flatnonzero(errs > np.maximum(ABS_TOL, REL_TOL * np.abs(values)))
-    if bad.size:
-        i = bad[0]
-        raise QuadratureError(
-            f"profile quadrature at r={radii[i]:.6g} misses its tolerance: estimate {errs[i]:.3g}",
-            IntegralResult(value=float(values[i]), error_estimate=float(errs[i]), evaluations=evaluations),
-        )
+    power = 0.5 * dim
+    values, _, _ = half_line_sums(
+        env, osc, radii, scale(radii), radii ** (1.0 - power), QuadratureConfig(ABS_TOL, REL_TOL),
+        decay_exponent=2.0 * s, poly_power=power, label=f"the profile quadrature for dim {dim}, s {s}",
+    )
     return values
 
 
@@ -310,7 +244,7 @@ def f_radial(params: KernelParams, r: float) -> float:
     taken, and past TAIL_CUT = 30 the large-radius series.  Raises
     QuadratureError when the 16- and 12-point panel sums disagree by more
     than specfun's tolerance, and ValueError when s is so small that the
-    panel layout passes _PROFILE_ENTRIES.  Always positive.
+    panel layout passes specfun's entry cap.  Always positive.
     """
     r = float(r)
     if not 0.0 <= r < math.inf:

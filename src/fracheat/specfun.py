@@ -10,15 +10,18 @@ such a rule, level by level where the rule nests); and an integrator for
 semi-infinite integrands whose decay is controlled by an envelope rho^p *
 exp(-rho^d).  Each caller keeps its own reduction of the panel values.
 
-The integrator has one regime: Gauss panels of at most half an
-oscillation period on the truncated half line, a 16-point sum checked
-against a 12-point one, accumulated with math.fsum so the cancellation
-between half-waves does not eat the result.  A call whose error estimate
-misses its tolerance raises QuadratureError.  The truncation radius, the
-tail bound and the panel edges are public, so the kernel's batched
-profile sums use the same single copy.  ABS_TOL and REL_TOL are the one
-accuracy target of every quadrature in the package.  shared_cache is the
-lru_cache the kernel and solver tables are kept in.
+Every half-line integral has one routine, half_line_sums: a batch of
+rows, one per oscillation rate r, of scale * int env(rho) osc(r rho),
+summed on Gauss panels of at most half an oscillation period on the
+truncated half line.  Each panel adds its 16 node terms in sequence and
+math.fsum adds the panels, so the cancellation between half-waves does
+not eat the result and no batch or block size moves a bit.  The estimate
+is the gap to a 12-point check, the truncated tail and a rounding floor,
+and a row whose estimate misses its tolerance raises QuadratureError.
+integrate_semi_infinite is its one-row case; the kernel's profile is
+the batched one.  ABS_TOL and REL_TOL are the one accuracy target of
+every quadrature in the package.  shared_cache is the lru_cache the
+kernel and solver tables are kept in.
 
 All functions here are safe to call from multiple threads, and all but
 shared_cache are pure.
@@ -54,11 +57,7 @@ __all__ = [
     "pair_sums",
     "nested_pair_sums",
     "shared_cache",
-    "GL_NODES_MAIN",
-    "GL_NODES_CHECK",
-    "truncation_radius",
-    "tail_bound",
-    "panel_edges",
+    "half_line_sums",
     "integrate_semi_infinite",
 ]
 
@@ -89,8 +88,10 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         # the truncation threshold is TAIL_CUT_EPSILON * abs_tol, so a zero
         # abs_tol would push the radius to infinity
-        if self.abs_tol <= 0 or self.rel_tol < 0:
-            raise ValueError("need abs_tol > 0 and rel_tol >= 0")
+        if not 0.0 < self.abs_tol < math.inf:
+            raise ValueError(f"abs_tol must be finite and positive, got {self.abs_tol}")
+        if not 0.0 <= self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and nonnegative, got {self.rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,8 @@ class IntegralResult:
     evaluations: int
 
     def __post_init__(self) -> None:
-        if self.error_estimate < 0:
-            raise ValueError("error_estimate must be non-negative")
+        if not self.error_estimate >= 0:
+            raise ValueError(f"error_estimate must be non-negative, got {self.error_estimate}")
 
 
 class QuadratureError(RuntimeError):
@@ -415,10 +416,21 @@ GL_NODES_MAIN = 16
 GL_NODES_CHECK = 12
 _GRADE_LEVELS = 30  # dyadic refinement toward rho=0; the envelope exponent
                     # d < 2 makes exp(-rho^d) only C^1 at the origin
+# entries of each block of the rates x nodes products in half_line_sums
+_PANEL_BLOCK = 1 << 18
+# entries allowed in the largest array of one half_line_sums layout; past it
+# (every profile table at s = 0.15, none at s >= 0.25 up to dim 11) the
+# quadrature is refused rather than exhausting memory
+_PANEL_ENTRIES = 1 << 25
 
 
+@lru_cache(maxsize=64)
 def truncation_radius(abs_tol: float, decay_exponent: float, poly_power: float) -> float:
-    """Smallest rho with rho^p e^{-rho^d} < TAIL_CUT_EPSILON * abs_tol, then doubled."""
+    """Smallest rho with rho^p e^{-rho^d} < TAIL_CUT_EPSILON * abs_tol, then doubled.
+
+    Cached: its bisection takes about 44 us, a tenth of a one-radius
+    profile sum, and the profile asks for the same few triples on every
+    call."""
     target = TAIL_CUT_EPSILON * max(abs_tol, 1e-280)
 
     def log_env(r: float) -> float:
@@ -450,25 +462,99 @@ def tail_bound(decay_exponent: float, poly_power: float, radius: float) -> float
     return _sps.gamma(q) * _sps.gammaincc(q, radius ** decay_exponent) / decay_exponent
 
 
-def panel_edges(radius: float, osc_scale: float | None) -> np.ndarray:
-    """Panel edges on [0, radius]: half-periods pi / osc_scale, at most 0.5
-    long, after dyadically graded panels toward the origin."""
-    step = math.pi / osc_scale if osc_scale else 0.5
-    step = min(step, 0.5)
+def panel_edges(radius: float, step: float) -> np.ndarray:
+    """Panel edges on [0, radius]: panels step long after dyadically graded
+    panels toward the origin."""
     main = np.arange(step, radius, step)
     graded = step * 0.5 ** np.arange(_GRADE_LEVELS, 0, -1)
     return np.concatenate([[0.0], graded, main, [radius]])
 
 
-def _panel_sum(
-    f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray, n: int
-) -> tuple[float, float, int]:
-    # the n-point Gauss sum over every panel, the sum of its absolute node
-    # terms, and the number of evaluations
-    x, w = panel_rule(edges, n)
-    vals = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    per_panel = np.einsum("ij,ij->i", vals, w)
-    return math.fsum(per_panel.tolist()), float(np.einsum("ij,ij->", np.abs(vals), w)), x.size
+def _rule_sums(env, osc, rates: np.ndarray, edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    # the order-point Gauss sums of env(rho) osc(r rho) over the panels, one
+    # per rate, and the weighted w env.  fsum reads each row through a
+    # memoryview: a tolist() of every row left the allocator in a state that
+    # later raised radial-1d's peak memory by 12 MB in about 4 runs of 10
+    x, w = panel_rule(edges, order)
+    weighted = w * np.asarray(env(x.ravel()), dtype=float).reshape(x.shape)
+    panels = x.shape[0]
+    rows = max(1, _PANEL_BLOCK // x.size)
+    cols = max(1, _PANEL_BLOCK // order)
+    sums = np.empty((rates.size, panels))
+    for lo in range(0, rates.size, rows):
+        r = rates[lo : lo + rows, None, None]
+        for plo in range(0, panels, cols):
+            terms = osc(r * x[plo : plo + cols]) * weighted[plo : plo + cols]
+            acc = terms[..., 0]
+            for j in range(1, order):
+                acc = acc + terms[..., j]
+            sums[lo : lo + rows, plo : plo + cols] = acc
+    return np.array([math.fsum(memoryview(row)) for row in sums]), weighted
+
+
+def half_line_sums(
+    env: Callable[[np.ndarray], np.ndarray],
+    osc: Callable[[np.ndarray], np.ndarray],
+    rates: np.ndarray,
+    scale,
+    tail_scale,
+    cfg: QuadratureConfig,
+    *,
+    decay_exponent: float,
+    poly_power: float,
+    label: str,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Gauss panel sums of scale * int_0^inf env(rho) osc(r rho) drho, one row per rate r.
+
+    rates is a float array, and |osc| <= 1.  The half line is truncated at
+    truncation_radius and cut by panel_edges into half-periods pi / r,
+    capped at 0.5; rows with one step, such as all rows at the cap, share
+    one layout.  env is called with the 1-D array of a layout's nodes and
+    weighted once per layout, osc with the products of rates and nodes in
+    blocks of at most _PANEL_BLOCK entries.  Each panel adds its node terms
+    one by one and math.fsum adds the panels exactly, so neither the block
+    size nor the other rows move a bit.
+
+    A row's estimate is |scale (16-point - 12-point)| + tail_scale *
+    tail_bound + a rounding floor 18 * 2^-53 * |scale| * sum |w_i env(x_i)|
+    over the 16-point nodes.  As |osc| <= 1, this one sum per layout bounds
+    the rounding of the products and of each panel's sum (Higham 2002,
+    Accuracy and Stability of Numerical Algorithms, 4.2).  scale and
+    tail_scale are per-row arrays or floats.  Returns the values, their
+    estimates and the evaluations.
+
+    Raises ValueError, naming label, before any layout is allocated when
+    one would have more than _PANEL_ENTRIES entries (radius / step panels
+    times the larger of its rows and Gauss nodes), and QuadratureError,
+    carrying the first failing row's result, when an estimate is not within
+    max(cfg.abs_tol, cfg.rel_tol * |value|).
+    """
+    radius = truncation_radius(cfg.abs_tol, decay_exponent, poly_power)
+    # min(pi / r, 0.5), with the rows at the cap, r <= 2 pi, on exactly 0.5
+    steps = math.pi / np.maximum(rates, 2.0 * math.pi)
+    layouts = {step: np.flatnonzero(steps == step) for step in set(steps.tolist())}
+    entries = max(radius / step * max(idx.size, GL_NODES_MAIN) for step, idx in layouts.items())
+    if entries > _PANEL_ENTRIES:
+        raise ValueError(f"{label} needs {entries:.3g} entries in one array, over the cap of {_PANEL_ENTRIES}")
+    main, check, magnitude = np.empty_like(rates), np.empty_like(rates), np.empty_like(rates)
+    evaluations = 0
+    for step, idx in layouts.items():
+        edges = panel_edges(radius, step)
+        main[idx], weighted = _rule_sums(env, osc, rates[idx], edges, GL_NODES_MAIN)
+        check[idx], _ = _rule_sums(env, osc, rates[idx], edges, GL_NODES_CHECK)
+        magnitude[idx] = np.abs(weighted).sum()
+        evaluations += idx.size * (edges.size - 1) * (GL_NODES_MAIN + GL_NODES_CHECK)
+    values = scale * main
+    errs = np.abs(scale * (main - check)) + tail_scale * tail_bound(decay_exponent, poly_power, radius)
+    errs += (GL_NODES_MAIN + 2) * 2.0**-53 * np.abs(scale) * magnitude
+    bad = np.flatnonzero(~(errs <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(values))))
+    if bad.size:
+        i = bad[0]
+        raise QuadratureError(
+            f"{label} at r={rates[i]:.6g} misses its tolerance: estimate {errs[i]:.3g}",
+            IntegralResult(float(values[i]), float(errs[i]), evaluations),
+        )
+    return values, errs, evaluations
 
 
 def integrate_semi_infinite(
@@ -479,49 +565,28 @@ def integrate_semi_infinite(
     poly_power: float = 0.0,
     osc_scale: float | None = None,
 ) -> IntegralResult:
-    """Integrate f over [0, infinity) given its decay envelope.
+    """Integrate f over [0, infinity) given its decay envelope: the one-row
+    case of half_line_sums, returned as an IntegralResult.
 
-    The half line is truncated at truncation_radius and cut by
-    panel_edges; the value is the 16-point Gauss sum over the panels.  The
-    error estimate is |16-point - 12-point| + tail_bound + a rounding
-    floor (GL_NODES_MAIN + 2) * 2^-53 * sum |w_i f(x_i)| over the 16-point
-    nodes, which covers the rounding of the products and of each panel's
-    sum (Higham 2002, Accuracy and Stability of Numerical Algorithms, 4.2).
-
-    Parameters
-    ----------
-    f : callable
-        Integrand.  Called only with 1-D numpy arrays of abscissas, once per
-        Gauss rule; must return the integrand values elementwise.
-    cfg : QuadratureConfig
-    decay_exponent, poly_power : float
-        The caller guarantees |f(rho)| <= rho**poly_power *
-        exp(-rho**decay_exponent) up to a moderate constant for large rho.
-        These control where the interval is truncated and the analytic bound
-        added for the discarded tail.
-    osc_scale : float, optional
-        Dominant oscillation rate of f (for a factor J_nu(r * rho) pass r).
-        The panels are then half-periods pi / osc_scale long, capped at 0.5.
-
-    Returns
-    -------
-    IntegralResult
-
-    Raises
-    ------
-    QuadratureError
-        If the error estimate exceeds max(cfg.abs_tol, cfg.rel_tol * |value|).
-        The exception carries the result in ``best``.
+    f is called only with 1-D arrays of abscissas, once per Gauss rule, and
+    returns the integrand elementwise.  The caller guarantees |f(rho)| <=
+    rho**poly_power * exp(-rho**decay_exponent) up to a moderate constant
+    for large rho; these set the truncation and the bound on the discarded
+    tail.  osc_scale is the dominant oscillation rate of f (for a factor
+    J_nu(r * rho) pass r).  Raises ValueError unless decay_exponent is
+    finite and positive, poly_power finite and above -1, and osc_scale
+    None or finite and nonnegative, and QuadratureError, carrying the
+    result in ``best``, when the estimate exceeds max(cfg.abs_tol,
+    cfg.rel_tol * |value|).
     """
-    if decay_exponent <= 0:
-        raise ValueError("decay_exponent must be positive")
-    radius = truncation_radius(cfg.abs_tol, decay_exponent, poly_power)
-    edges = panel_edges(radius, osc_scale)
-    value, magnitude, n_main = _panel_sum(f, edges, GL_NODES_MAIN)
-    check, _, n_check = _panel_sum(f, edges, GL_NODES_CHECK)
-    err = abs(value - check) + tail_bound(decay_exponent, poly_power, radius)
-    err += (GL_NODES_MAIN + 2) * 2.0**-53 * magnitude
-    result = IntegralResult(value, err, n_main + n_check)
-    if err > max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-        raise QuadratureError(f"quadrature misses its tolerance: estimate {err:.3g}", best=result)
-    return result
+    if not 0.0 < decay_exponent < math.inf:
+        raise ValueError(f"decay_exponent must be finite and positive, got {decay_exponent}")
+    if not -1.0 < poly_power < math.inf:
+        raise ValueError(f"poly_power must be finite and above -1, got {poly_power}")
+    if osc_scale is not None and not 0.0 <= osc_scale < math.inf:
+        raise ValueError(f"osc_scale must be None or finite and nonnegative, got {osc_scale}")
+    values, errs, evaluations = half_line_sums(
+        f, np.ones_like, np.array([osc_scale or 0.0]), 1.0, 1.0, cfg,
+        decay_exponent=decay_exponent, poly_power=poly_power, label="integrate_semi_infinite",
+    )
+    return IntegralResult(float(values[0]), float(errs[0]), evaluations)

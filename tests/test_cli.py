@@ -270,7 +270,7 @@ class TestKernelCommand:
         def allocate(*args):
             raise AssertionError("panel_edges was called")
 
-        monkeypatch.setattr("fracheat.kernel.panel_edges", allocate)
+        monkeypatch.setattr("fracheat.specfun.panel_edges", allocate)
         assert main(["kernel", "table", "--dim", "1", "--s", "0.15"]) == 2
         assert "dim 1, s 0.15" in capsys.readouterr().err
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from fracheat import kernel
+from fracheat import kernel, specfun
 from fracheat.kernel import (
     AlphaTable,
     KernelParams,
@@ -29,7 +29,7 @@ from fracheat.kernel import (
 )
 from fracheat.report import VerificationReport
 from fracheat.solver import _TABLE_REL
-from fracheat.specfun import QuadratureError
+from fracheat.specfun import QuadratureConfig, QuadratureError, integrate_semi_infinite
 
 CAUCHY_1D = KernelParams(dim=1, s=0.5)
 CAUCHY_2D = KernelParams(dim=2, s=0.5)
@@ -603,20 +603,53 @@ def test_small_order_is_refused_before_allocating(build, monkeypatch):
     def allocate(*args):
         raise AssertionError("panel_edges was called")
 
-    monkeypatch.setattr(kernel, "panel_edges", allocate)
+    monkeypatch.setattr(specfun, "panel_edges", allocate)
     with pytest.raises(ValueError, match=r"dim \d, s 0.15 needs .* entries"):
         build()
 
 
 def test_block_size_changes_no_bit(monkeypatch):
-    # radii on both sides of the shared layout, several blocks each
+    # radii on both sides of the shared layout, several blocks each, and a
+    # one-row integral whose 400-odd panels span several blocks
     radii = np.geomspace(1e-3, 40.0, 60)
-    for dim in (1, 2, 3):
-        whole = kernel._profile_values(dim, 0.6, radii)
-        monkeypatch.setattr(kernel, "_PROFILE_BLOCK", 999)
-        blocked = kernel._profile_values(dim, 0.6, radii)
-        monkeypatch.undo()
-        assert np.array_equal(whole, blocked)
+
+    def one_row():
+        return integrate_semi_infinite(
+            lambda rho: np.exp(-(rho**1.2)) * np.cos(40.0 * rho), QuadratureConfig(),
+            decay_exponent=1.2, osc_scale=40.0,
+        )
+
+    whole = [kernel._profile_values(dim, 0.6, radii) for dim in (1, 2, 3)] + [one_row()]
+    monkeypatch.setattr(specfun, "_PANEL_BLOCK", 999)
+    blocked = [kernel._profile_values(dim, 0.6, radii) for dim in (1, 2, 3)] + [one_row()]
+    for a, b in zip(whole[:3], blocked[:3]):
+        assert np.array_equal(a, b)
+    assert whole[3] == blocked[3]
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("r", [0.3, 0.9 * 2.0 * math.pi, 1.1 * 2.0 * math.pi, 25.0])
+def test_profile_is_the_batched_case_of_integrate_semi_infinite(dim, r, monkeypatch):
+    # one copy of the panel sum: the one-row integral of the profile
+    # integrand, times the prefactor, is the profile up to the order of
+    # the node products, which the profile's rounding floor 18 * 2^-53 *
+    # |scale| * sum |w env| covers; that sum is the Gauss sum of env
+    s = 0.6
+    env, osc, scale = kernel._profile_parts(dim, s)
+    factor = float(scale(np.array([r]))[0])
+    kw = {"decay_exponent": 2.0 * s, "poly_power": 0.5 * dim}
+    one = integrate_semi_infinite(lambda rho: env(rho) * osc(r * rho), QuadratureConfig(), osc_scale=r, **kw)
+    floor = 18.0 * 2.0**-53 * factor * integrate_semi_infinite(env, QuadratureConfig(), **kw).value
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(specfun.half_line_sums(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(kernel, "half_line_sums", spy)
+    batched = kernel._profile_values(dim, s, np.array([r]))[0]
+    assert abs(factor * one.value - batched) <= floor
+    assert seen[0][2] == one.evaluations
 
 
 def test_unmet_tolerance_is_refused(monkeypatch):

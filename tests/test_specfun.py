@@ -472,6 +472,41 @@ def test_config_validation():
         QuadratureConfig(rel_tol=-1e-3)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("abs_tol", math.nan), ("abs_tol", math.inf), ("rel_tol", math.inf), ("rel_tol", math.nan)]
+)
+def test_config_refuses_non_finite_tolerances(field, value):
+    with pytest.raises(ValueError, match=field):
+        QuadratureConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"decay_exponent": math.inf}, "decay_exponent"),
+        ({"decay_exponent": math.nan}, "decay_exponent"),
+        ({"decay_exponent": 1.0, "poly_power": -5.0}, "poly_power"),
+        ({"decay_exponent": 1.0, "poly_power": -1.0}, "poly_power"),
+        ({"decay_exponent": 1.0, "poly_power": math.inf}, "poly_power"),
+        ({"decay_exponent": 1.0, "osc_scale": math.inf}, "osc_scale"),
+        ({"decay_exponent": 1.0, "osc_scale": -1.0}, "osc_scale"),
+        ({"decay_exponent": 1.0, "osc_scale": math.nan}, "osc_scale"),
+    ],
+    ids=["decay-inf", "decay-nan", "power-minus-5", "power-minus-1", "power-inf", "osc-inf", "osc-negative", "osc-nan"],
+)
+def test_integrate_semi_infinite_refuses_what_it_cannot_bound(cfg, kwargs, name):
+    # each of these once returned a NaN estimate, raised a bare
+    # ZeroDivisionError or laid panels at negative abscissae
+    with pytest.raises(ValueError, match=name):
+        integrate_semi_infinite(lambda r: np.exp(-r), cfg, **kwargs)
+
+
+@pytest.mark.parametrize("estimate", [math.nan, -1e-300])
+def test_result_refuses_an_estimate_that_is_not_nonnegative(estimate):
+    with pytest.raises(ValueError, match="error_estimate"):
+        IntegralResult(1.0, estimate, 1)
+
+
 @given(st.floats(min_value=1.0, max_value=6.0))
 @settings(max_examples=40, deadline=None)
 def test_quadrature_scaled_exponential(a):
