@@ -14,15 +14,11 @@ slow path through the Fourier representation, used as an oracle.
 
 Every value of F on (0, TAIL_CUT] comes from one route, _profile_values,
 which takes a whole array of radii and sums them as the rows of one
-specfun.half_line_sums call, so the profile shares the panel layout,
-summation, estimate and refusals of integrate_semi_infinite.  The Bessel
-factors of dims 1 and 3 are their exact cos and sin forms, and those of
-dims 2 and 4 scipy's j0 and j1.  Each radius carries the estimate
-|16-point - 12-point| + tail + rounding floor, and a radius whose estimate
-exceeds max(ABS_TOL, REL_TOL |F|) is refused with QuadratureError; a
-layout too large for specfun's entry cap (small s) is refused with
-ValueError before it is allocated.  f_radial, d_f_radial and the table
-build all use it, so a table node equals f_radial there bit for bit.
+specfun.half_line_sums call, with the estimate and refusals of
+integrate_semi_infinite.  The Bessel factors of dims 1 and 3 are their
+exact cos and sin forms, and those of dims 2 and 4 scipy's j0 and j1.
+f_radial, d_f_radial and the table build all use it, so a table node
+equals f_radial there bit for bit.
 
 Past TAIL_CUT = 30 every route reads the large-radius series, which has
 one copy: tail_series sums it for f_radial, d_f_radial and the tables,
@@ -225,7 +221,8 @@ def _profile_array(dim: int, s: float, radii: np.ndarray) -> np.ndarray:
     far = radii > TAIL_CUT
     mid = (radii > 0.0) & ~far
     out[radii == 0.0] = _profile_zero(dim, s)
-    out[far] = tail_series(dim, s, radii[far])
+    if far.any():
+        out[far] = tail_series(dim, s, radii[far])
     if mid.any():
         out[mid] = _profile_values(dim, s, radii[mid])
     return out

@@ -10,18 +10,12 @@ such a rule, level by level where the rule nests); and an integrator for
 semi-infinite integrands whose decay is controlled by an envelope rho^p *
 exp(-rho^d).  Each caller keeps its own reduction of the panel values.
 
-Every half-line integral has one routine, half_line_sums: a batch of
-rows, one per oscillation rate r, of scale * int env(rho) osc(r rho),
-summed on Gauss panels of at most half an oscillation period on the
-truncated half line.  Each panel adds its 16 node terms in sequence and
-math.fsum adds the panels, so the cancellation between half-waves does
-not eat the result and no batch or block size moves a bit.  The estimate
-is the gap to a 12-point check, the truncated tail and a rounding floor,
-and a row whose estimate misses its tolerance raises QuadratureError.
-integrate_semi_infinite is its one-row case; the kernel's profile is
-the batched one.  ABS_TOL and REL_TOL are the one accuracy target of
-every quadrature in the package.  shared_cache is the lru_cache the
-kernel and solver tables are kept in.
+Every half-line integral has one routine, half_line_sums, a batch of
+half-period Gauss panel sums checked against a 12-point rule:
+integrate_semi_infinite is its one-row case and the kernel's profile the
+batched one.  ABS_TOL and REL_TOL are the one accuracy target of every
+quadrature in the package.  shared_cache is the lru_cache the kernel and
+solver tables are kept in.
 
 All functions here are safe to call from multiple threads, and all but
 shared_cache are pure.
@@ -57,7 +51,6 @@ __all__ = [
     "pair_sums",
     "nested_pair_sums",
     "shared_cache",
-    "half_line_sums",
     "integrate_semi_infinite",
 ]
 
@@ -418,19 +411,16 @@ _GRADE_LEVELS = 30  # dyadic refinement toward rho=0; the envelope exponent
                     # d < 2 makes exp(-rho^d) only C^1 at the origin
 # entries of each block of the rates x nodes products in half_line_sums
 _PANEL_BLOCK = 1 << 18
+# the largest rate whose half-period pi / r reaches the 0.5 panel cap
+_SHARED_RATE = 2.0 * math.pi
 # entries allowed in the largest array of one half_line_sums layout; past it
 # (every profile table at s = 0.15, none at s >= 0.25 up to dim 11) the
 # quadrature is refused rather than exhausting memory
 _PANEL_ENTRIES = 1 << 25
 
 
-@lru_cache(maxsize=64)
 def truncation_radius(abs_tol: float, decay_exponent: float, poly_power: float) -> float:
-    """Smallest rho with rho^p e^{-rho^d} < TAIL_CUT_EPSILON * abs_tol, then doubled.
-
-    Cached: its bisection takes about 44 us, a tenth of a one-radius
-    profile sum, and the profile asks for the same few triples on every
-    call."""
+    """Smallest rho with rho^p e^{-rho^d} < TAIL_CUT_EPSILON * abs_tol, then doubled."""
     target = TAIL_CUT_EPSILON * max(abs_tol, 1e-280)
 
     def log_env(r: float) -> float:
@@ -508,20 +498,21 @@ def half_line_sums(
 
     rates is a float array, and |osc| <= 1.  The half line is truncated at
     truncation_radius and cut by panel_edges into half-periods pi / r,
-    capped at 0.5; rows with one step, such as all rows at the cap, share
-    one layout.  env is called with the 1-D array of a layout's nodes and
-    weighted once per layout, osc with the products of rates and nodes in
-    blocks of at most _PANEL_BLOCK entries.  Each panel adds its node terms
-    one by one and math.fsum adds the panels exactly, so neither the block
-    size nor the other rows move a bit.
+    capped at 0.5: the rows at the cap, r <= 2 pi, share one layout, and
+    every other row has its own.  env is called with the 1-D array of a
+    layout's nodes and weighted once per layout, osc with the products of
+    rates and nodes in blocks of at most _PANEL_BLOCK entries.  Each panel
+    adds its node terms one by one and math.fsum adds the panels exactly,
+    so neither the block size nor the other rows move a bit.
 
     A row's estimate is |scale (16-point - 12-point)| + tail_scale *
-    tail_bound + a rounding floor 18 * 2^-53 * |scale| * sum |w_i env(x_i)|
-    over the 16-point nodes.  As |osc| <= 1, this one sum per layout bounds
-    the rounding of the products and of each panel's sum (Higham 2002,
-    Accuracy and Stability of Numerical Algorithms, 4.2).  scale and
-    tail_scale are per-row arrays or floats.  Returns the values, their
-    estimates and the evaluations.
+    tail_bound + a rounding floor 18 * 2^-53 * |scale| * sum |w_i env(x_i)
+    osc(r x_i)| over the 16-point nodes, which covers the rounding of the
+    products and of each panel's sum (Higham 2002, Accuracy and Stability
+    of Numerical Algorithms, 4.2).  As |osc| <= 1, one sum of |w_i env(x_i)|
+    per layout bounds it; only a row this bound would refuse, as where osc
+    ~ (r rho)^nu near the origin, sums its own terms.  scale and tail_scale
+    are per-row arrays or floats.  Returns values, estimates, evaluations.
 
     Raises ValueError, naming label, before any layout is allocated when
     one would have more than _PANEL_ENTRIES entries (radius / step panels
@@ -530,29 +521,41 @@ def half_line_sums(
     max(cfg.abs_tol, cfg.rel_tol * |value|).
     """
     radius = truncation_radius(cfg.abs_tol, decay_exponent, poly_power)
-    # min(pi / r, 0.5), with the rows at the cap, r <= 2 pi, on exactly 0.5
-    steps = math.pi / np.maximum(rates, 2.0 * math.pi)
-    layouts = {step: np.flatnonzero(steps == step) for step in set(steps.tolist())}
-    entries = max(radius / step * max(idx.size, GL_NODES_MAIN) for step, idx in layouts.items())
+    shared = np.flatnonzero(rates <= _SHARED_RATE)
+    layouts = [(0.5, shared)] if shared.size else []
+    layouts += [(math.pi / float(rates[i]), np.array([i])) for i in np.flatnonzero(~(rates <= _SHARED_RATE))]
+    entries = max((radius / step * max(idx.size, GL_NODES_MAIN) for step, idx in layouts), default=0.0)
     if entries > _PANEL_ENTRIES:
         raise ValueError(f"{label} needs {entries:.3g} entries in one array, over the cap of {_PANEL_ENTRIES}")
     main, check, magnitude = np.empty_like(rates), np.empty_like(rates), np.empty_like(rates)
     evaluations = 0
-    for step, idx in layouts.items():
+    for step, idx in layouts:
         edges = panel_edges(radius, step)
         main[idx], weighted = _rule_sums(env, osc, rates[idx], edges, GL_NODES_MAIN)
         check[idx], _ = _rule_sums(env, osc, rates[idx], edges, GL_NODES_CHECK)
         magnitude[idx] = np.abs(weighted).sum()
         evaluations += idx.size * (edges.size - 1) * (GL_NODES_MAIN + GL_NODES_CHECK)
     values = scale * main
+    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(values))
     errs = np.abs(scale * (main - check)) + tail_scale * tail_bound(decay_exponent, poly_power, radius)
-    errs += (GL_NODES_MAIN + 2) * 2.0**-53 * np.abs(scale) * magnitude
-    bad = np.flatnonzero(~(errs <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(values))))
+    floor = (GL_NODES_MAIN + 2) * 2.0**-53 * np.abs(scale)
+    loose = ~(errs + floor * magnitude <= tol)
+    for step, idx in layouts if loose.any() else []:
+        idx = idx[loose[idx]]
+        if idx.size:
+            edges = panel_edges(radius, step)
+            magnitude[idx], _ = _rule_sums(lambda x: abs(env(x)), lambda z: abs(osc(z)),
+                                           rates[idx], edges, GL_NODES_MAIN)
+            evaluations += idx.size * (edges.size - 1) * GL_NODES_MAIN
+    errs += floor * magnitude
+    bad = np.flatnonzero(~(errs <= tol))
     if bad.size:
         i = bad[0]
+        # a NaN estimate is carried as an unbounded one
+        err = float(errs[i]) if errs[i] >= 0.0 else math.inf
         raise QuadratureError(
             f"{label} at r={rates[i]:.6g} misses its tolerance: estimate {errs[i]:.3g}",
-            IntegralResult(float(values[i]), float(errs[i]), evaluations),
+            IntegralResult(float(values[i]), err, evaluations),
         )
     return values, errs, evaluations
 
@@ -568,8 +571,8 @@ def integrate_semi_infinite(
     """Integrate f over [0, infinity) given its decay envelope: the one-row
     case of half_line_sums, returned as an IntegralResult.
 
-    f is called only with 1-D arrays of abscissas, once per Gauss rule, and
-    returns the integrand elementwise.  The caller guarantees |f(rho)| <=
+    f is called only with 1-D arrays of abscissas and returns the
+    integrand elementwise.  The caller guarantees |f(rho)| <=
     rho**poly_power * exp(-rho**decay_exponent) up to a moderate constant
     for large rho; these set the truncation and the bound on the discarded
     tail.  osc_scale is the dominant oscillation rate of f (for a factor

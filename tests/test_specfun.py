@@ -507,6 +507,15 @@ def test_result_refuses_an_estimate_that_is_not_nonnegative(estimate):
         IntegralResult(1.0, estimate, 1)
 
 
+def test_nan_integrand_is_a_quadrature_refusal(cfg):
+    # a NaN estimate is a miss, and the refusal names the integral and
+    # carries the NaN estimate as an unbounded one
+    with pytest.raises(QuadratureError, match="integrate_semi_infinite at r=0 misses its tolerance") as excinfo:
+        integrate_semi_infinite(lambda r: np.full_like(r, np.nan), cfg, decay_exponent=1.0)
+    assert excinfo.value.best.error_estimate == math.inf
+    assert math.isnan(excinfo.value.best.value)
+
+
 @given(st.floats(min_value=1.0, max_value=6.0))
 @settings(max_examples=40, deadline=None)
 def test_quadrature_scaled_exponential(a):
