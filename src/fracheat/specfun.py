@@ -544,7 +544,7 @@ def half_line_sums(
         idx = idx[loose[idx]]
         if idx.size:
             edges = panel_edges(radius, step)
-            magnitude[idx], _ = _rule_sums(lambda x: abs(env(x)), lambda z: abs(osc(z)),
+            magnitude[idx], _ = _rule_sums(lambda x: np.abs(env(x)), lambda z: np.abs(osc(z)),
                                            rates[idx], edges, GL_NODES_MAIN)
             evaluations += idx.size * (edges.size - 1) * GL_NODES_MAIN
     errs += floor * magnitude
