@@ -169,7 +169,9 @@ class FunctionSpec:
     value takes an array of shape (..., dim) and returns shape (...,).  It
     may receive a view that is not C-contiguous, such as the (n, dim)
     transpose that specfun.pair_sums passes, whose coordinates are
-    contiguous columns.
+    contiguous columns.  value never writes into its argument: that view
+    is a buffer pair_sums refills for every chunk.  It may work in place
+    on arrays it made itself.
     The metadata fields are promises the quadrature and classification
     code relies on; factories in this module set them honestly and tests
     spot-check the promises.
@@ -272,11 +274,15 @@ def _sq_norm(a: np.ndarray) -> np.ndarray:
 
     Below 8 coordinates numpy's sum also adds in order, so the bits equal
     those of np.sum(a * a, axis=-1) in any memory order; this form skips
-    the (..., dim) temporary and the reduction over a short axis.
+    the (..., dim) temporary and the reduction over a short axis, and every
+    square after the first goes through one scratch array.  The result is
+    a new array, which callers may overwrite.
     """
     out = a[..., 0] * a[..., 0]
-    for k in range(1, a.shape[-1]):
-        out += a[..., k] * a[..., k]
+    if a.shape[-1] > 1:
+        square = np.empty_like(out)
+        for k in range(1, a.shape[-1]):
+            out += np.multiply(a[..., k], a[..., k], out=square)
     return out
 
 
@@ -389,8 +395,11 @@ def gaussian(rate: float = 1.0, dim: int = 1) -> FunctionSpec:
         raise ValueError(f"gaussian rate must be positive and finite, got {rate!r}")
 
     def value(pts: np.ndarray) -> np.ndarray:
-        a = _point_array(pts, dim)
-        return np.exp(-rate * _sq_norm(a))
+        # scaled and exponentiated in the sum's own array; a single point's
+        # sum is a scalar, which stays one
+        sq = _sq_norm(_point_array(pts, dim))
+        sq *= -rate
+        return np.exp(sq, out=sq if sq.ndim else None)
 
     # ||D^2 u|| = exp(-rate r^2) max(|4 rate^2 r^2 - 2 rate|, 2 rate); the
     # declared decay coefficient is the sampled max of r^2 * ||D^2 u|| on
@@ -438,8 +447,9 @@ def abs_power(power: float, dim: int = 1) -> FunctionSpec:
         raise ValueError("power must lie in (0, 2]")
 
     def value(pts: np.ndarray) -> np.ndarray:
-        a = _point_array(pts, dim)
-        return (1.0 + _sq_norm(a)) ** (0.5 * b)
+        m2 = _sq_norm(_point_array(pts, dim))
+        m2 += 1.0
+        return m2 ** (0.5 * b)
 
     # ||D^2 u|| <= b (1 + |2-b|) (1+r^2)^{b/2-1} <= b (3-b) r^{b-2} on r >= 1
     decay = (b * (1.0 + abs(2.0 - b)), 2.0 - b) if b < 2 else None

@@ -51,6 +51,7 @@ from .specfun import (
     half_line_sums,
     panel_rule,
     shared_cache,
+    tail_bound,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -138,13 +139,24 @@ def _profile_parts(dim: int, s: float):
 def _profile_values(dim: int, s: float, radii: np.ndarray) -> np.ndarray:
     # F at every positive radius of a 1-D array: half_line_sums of the
     # profile integrand, one row per radius, scaled by the profile's
-    # prefactor; the tail bound of the envelope rho^(d/2) exp(-rho^(2s)) is
-    # charged r^(1 - d/2)
+    # prefactor r^-nu, nu = d/2 - 1
     radii = np.asarray(radii, dtype=float)
     env, osc, scale = _profile_parts(dim, s)
     power = 0.5 * dim
+    nu = power - 1.0
+
+    def tail(radius: float):
+        # r^-nu times the integral of rho^(d/2) exp(-rho^(2s)) |J_nu(r rho)|
+        # past radius.  |J_nu(z)| <= (z/2)^nu / Gamma(nu + 1) (DLMF 10.14.4,
+        # nu >= -1/2) cancels the r^-nu, which near the origin of high dims
+        # is huge.  Away from the origin |J_nu| <= 1 (DLMF 10.14.1) is the
+        # smaller charge, but it holds only for nu >= 0, so not in 1-D
+        cancelled = 2.0**-nu / gamma(nu + 1.0) * tail_bound(2.0 * s, dim - 1.0, radius)
+        bounded = radii**-nu * tail_bound(2.0 * s, power, radius) if nu >= 0.0 else math.inf
+        return np.minimum(bounded, cancelled)
+
     values, _, _ = half_line_sums(
-        env, osc, radii, scale(radii), radii ** (1.0 - power), QuadratureConfig(ABS_TOL, REL_TOL),
+        env, osc, radii, scale(radii), tail, QuadratureConfig(ABS_TOL, REL_TOL),
         decay_exponent=2.0 * s, poly_power=power, label=f"the profile quadrature for dim {dim}, s {s}",
     )
     return values

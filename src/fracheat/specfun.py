@@ -317,29 +317,55 @@ def pair_sums(
     directions, so no sum depends on where the chunk edges fall, and the
     result is the same bit for bit for every chunk size.
 
-    Each chunk's cloud is one (dim, count, radii, 2 * dirs) array, filled
-    one coordinate at a time: the x + rho d points take the first half of
-    the last axis and the x - rho d points the second.  The datum receives
-    it as the (points, dim) view cloud.reshape(dim, -1).T, which is not
+    Each chunk's cloud is one (dim, count, radii, 2 * dirs) array: the
+    x + rho d points take the first half of the last axis and the
+    x - rho d points the second.  It is filled one coordinate at a time by
+    one contiguous add of the points' coordinate and the chunk's
+    (radii, 2 * dirs) signed steps rho [d, -d]; x + (-rho d) is x - rho d
+    bit for bit.  A single point (count 1) skips the steps, which would be
+    as large as its cloud, and writes the two outer sums x +- rho d
+    straight into the cloud's halves.  The datum receives the
+    cloud as the (points, dim) view cloud.reshape(dim, -1).T, which is not
     C-contiguous: each coordinate is a contiguous column.  One buffer of
-    about _PAIR_CHUNK * dim floats is allocated per call and reused by
-    every chunk, so concurrent calls share nothing.
+    about _PAIR_CHUNK * dim floats, and for several points one of the
+    signed steps, are allocated per call and reused by every chunk, so
+    concurrent calls share nothing; value() must not write into its
+    argument.
+
+    Over several directions each row is reduced by an einsum.  With one
+    direction (1-D) each pair is reduced as v+ w + v- w, the order of that
+    einsum's two-term sum, and then + 0.0, which turns a -0.0 sum into the
+    einsum's +0.0 and moves no other bit.
     """
     count, dim = pts.shape
     nd = len(dirs)
-    w2 = np.concatenate([dwts, dwts])
     out = np.empty((count, rhos.size))
     block = max(1, _PAIR_CHUNK // (2 * nd * count))
-    buf = np.empty(dim * count * min(block, rhos.size) * 2 * nd)
+    width = min(block, rhos.size)
+    buf = np.empty(dim * count * width * 2 * nd)
+    steps = np.empty((width, 2 * nd)) if count > 1 else None
+    w2 = np.concatenate([dwts, dwts]) if nd > 1 else None
     for lo in range(0, rhos.size, block):
         sub = rhos[lo : lo + block]
         cloud = buf[: dim * count * sub.size * 2 * nd].reshape(dim, count, sub.size, 2 * nd)
         for k in range(dim):
-            step = sub[:, None] * dirs[None, :, k]
-            np.add(pts[:, k, None, None], step, out=cloud[k, :, :, :nd])
-            np.subtract(pts[:, k, None, None], step, out=cloud[k, :, :, nd:])
+            if count == 1:
+                step = sub[:, None] * dirs[:, k]
+                np.add(pts[0, k], step, out=cloud[k, 0, :, :nd])
+                np.subtract(pts[0, k], step, out=cloud[k, 0, :, nd:])
+            else:
+                step = steps[: sub.size]
+                np.multiply(sub[:, None], dirs[:, k], out=step[:, :nd])
+                np.negative(step[:, :nd], out=step[:, nd:])
+                np.add(pts[:, k, None, None], step, out=cloud[k])
         vals = value(cloud.reshape(dim, -1).T).reshape(count, sub.size, -1)
-        out[:, lo : lo + block] = np.einsum("ijk,k->ij", vals, w2)
+        if nd > 1:
+            out[:, lo : lo + block] = np.einsum("ijk,k->ij", vals, w2)
+        else:
+            scaled = vals * dwts[0]
+            sums = out[:, lo : lo + block]
+            np.add(scaled[..., 0], scaled[..., 1], out=sums)
+            sums += 0.0
     return out
 
 
@@ -487,7 +513,7 @@ def half_line_sums(
     osc: Callable[[np.ndarray], np.ndarray],
     rates: np.ndarray,
     scale,
-    tail_scale,
+    tail: Callable[[float], np.ndarray | float],
     cfg: QuadratureConfig,
     *,
     decay_exponent: float,
@@ -505,14 +531,16 @@ def half_line_sums(
     adds its node terms one by one and math.fsum adds the panels exactly,
     so neither the block size nor the other rows move a bit.
 
-    A row's estimate is |scale (16-point - 12-point)| + tail_scale *
-    tail_bound + a rounding floor 18 * 2^-53 * |scale| * sum |w_i env(x_i)
+    A row's estimate is |scale (16-point - 12-point)| + tail(radius) + a
+    rounding floor 18 * 2^-53 * |scale| * sum |w_i env(x_i)
     osc(r x_i)| over the 16-point nodes, which covers the rounding of the
     products and of each panel's sum (Higham 2002, Accuracy and Stability
     of Numerical Algorithms, 4.2).  As |osc| <= 1, one sum of |w_i env(x_i)|
     per layout bounds it; only a row this bound would refuse, as where osc
-    ~ (r rho)^nu near the origin, sums its own terms.  scale and tail_scale
-    are per-row arrays or floats.  Returns values, estimates, evaluations.
+    ~ (r rho)^nu near the origin, sums its own terms.  scale is a per-row
+    array or a float, and tail(radius) bounds |scale * int_radius^inf env(rho)
+    osc(r rho) drho| per row, as an array or a float, at the truncation
+    radius.  Returns values, estimates, evaluations.
 
     Raises ValueError, naming label, before any layout is allocated when
     one would have more than _PANEL_ENTRIES entries (radius / step panels
@@ -537,7 +565,7 @@ def half_line_sums(
         evaluations += idx.size * (edges.size - 1) * (GL_NODES_MAIN + GL_NODES_CHECK)
     values = scale * main
     tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(values))
-    errs = np.abs(scale * (main - check)) + tail_scale * tail_bound(decay_exponent, poly_power, radius)
+    errs = np.abs(scale * (main - check)) + tail(radius)
     floor = (GL_NODES_MAIN + 2) * 2.0**-53 * np.abs(scale)
     loose = ~(errs + floor * magnitude <= tol)
     for step, idx in layouts if loose.any() else []:
@@ -589,7 +617,8 @@ def integrate_semi_infinite(
     if osc_scale is not None and not 0.0 <= osc_scale < math.inf:
         raise ValueError(f"osc_scale must be None or finite and nonnegative, got {osc_scale}")
     values, errs, evaluations = half_line_sums(
-        f, np.ones_like, np.array([osc_scale or 0.0]), 1.0, 1.0, cfg,
+        f, np.ones_like, np.array([osc_scale or 0.0]), 1.0,
+        lambda radius: tail_bound(decay_exponent, poly_power, radius), cfg,
         decay_exponent=decay_exponent, poly_power=poly_power, label="integrate_semi_infinite",
     )
     return IntegralResult(float(values[0]), float(errs[0]), evaluations)

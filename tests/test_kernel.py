@@ -652,25 +652,30 @@ def test_profile_is_the_batched_case_of_integrate_semi_infinite(dim, r, monkeypa
     assert seen[0][2] == one.evaluations
 
 
-@pytest.mark.parametrize("dim", range(3, 10))
-def test_profile_near_the_origin_meets_its_taylor_series(dim):
+@pytest.mark.parametrize(
+    "dim, s",
+    [pytest.param(dim, 0.75, id=str(dim)) for dim in range(3, 10)]
+    + [pytest.param(dim, s, id=f"{dim}-s{s}") for dim, s in ((7, 0.4), (8, 0.4), (9, 0.4), (9, 0.6))],
+)
+def test_profile_near_the_origin_meets_its_taylor_series(dim, s):
     # near the origin the prefactor r^-nu is huge while the Bessel factor
     # is about (r rho)^nu, so the rounding floor has to follow the node
-    # terms rather than |w env|.  F(r) = F_d(0) - r^2 F_(d+2)(0) / 2 + ...,
-    # D^2 F(r) = -F_(d+2)(0) + 3 r^2 F_(d+4)(0) / 2 + ... and
-    # D^4 F(0) = 3 F_(d+4)(0), where F_d(0) is the removable limit
-    s = 0.75
+    # terms rather than |w env|, and the tail charge has to cancel r^-nu
+    # through |J_nu(z)| <= (z/2)^nu / Gamma(nu + 1).  F(r) = F_d(0) -
+    # r^2 F_(d+2)(0) / 2 + r^4 F_(d+4)(0) / 8 - r^6 F_(d+6)(0) / 48 + ...,
+    # where F_d(0) is the removable limit, so D^2 F(r) = -F_(d+2)(0) +
+    # 3 r^2 F_(d+4)(0) / 2 + ... and D^4 F(r) = 3 F_(d+4)(0) - 15 r^2
+    # F_(d+6)(0) / 2 + ...; d_f_radial reads dims up to d + 8
     params = KernelParams(dim=dim, s=s)
-    f0, f2, f4 = (kernel._profile_zero(dim + k, s) for k in (0, 2, 4))
+    f0, f2, f4, f6 = (kernel._profile_zero(dim + k, s) for k in (0, 2, 4, 6))
     for r in (1e-8, 1e-5):
         x = np.zeros(dim)
         x[0] = r
         taylor = f0 - 0.5 * r**2 * f2
         assert f_radial(params, r) == pytest.approx(taylor, rel=1e-8, abs=1e-10)
         assert heat_kernel(params, x, 1.0) == pytest.approx((2.0 * math.pi) ** (-0.5 * dim) * taylor, rel=1e-8)
-    r = 1e-5
-    assert d_f_radial(params, 2, r) == pytest.approx(-f2 + 1.5 * r**2 * f4, rel=1e-8)
-    assert d_f_radial(params, 4, r) == pytest.approx(3.0 * f4, rel=1e-8)
+        assert d_f_radial(params, 2, r) == pytest.approx(-f2 + 1.5 * r**2 * f4, rel=1e-8)
+        assert d_f_radial(params, 4, r) == pytest.approx(3.0 * f4 - 7.5 * r**2 * f6, rel=1e-8)
 
 
 def test_unmet_tolerance_is_refused(monkeypatch):

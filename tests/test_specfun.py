@@ -247,18 +247,63 @@ def _pair_case(dim, count, seed=0):
     return pts, rhos, dirs, dwts
 
 
-@pytest.mark.parametrize("family", ["cosine", "gaussian"])
-@pytest.mark.parametrize("count", [1, 3, 9])
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_pair_sums_matches_concatenate_reference_bit_for_bit(monkeypatch, dim, count, family):
-    # cosine reads one column of the cloud, gaussian the norm of each row
-    u = fam.parse_spec(f"{family}:0.7", dim=dim)
+# cosine reads one column of the cloud, gaussian the norm of each row,
+# abs_power a power of that norm and ruled abs_power of the first column.
+# In 1-D the rule's weight is 2; a weight of 0.6 rounds each product, so
+# the pair's two-term sum must keep einsum's order, and
+# piecewise_linear_1d:0 is -0.0 on the negative half-line, whose pair sums
+# einsum returns as +0.0
+_REFERENCE_CASES = [
+    pytest.param(dim, count, f"{family}:0.7", 1.0, id=f"{dim}-{count}-{family}")
+    for dim in (1, 2, 3)
+    for count in (1, 3, 9)
+    for family in ("cosine", "gaussian", "abs_power", "ruled")
+    if dim > 1 or family != "ruled"
+] + [
+    pytest.param(1, count, spec, 0.3, id=f"1-{count}-{spec}-weight0.6")
+    for count in (1, 3, 9)
+    for spec in ("cosine:0.7", "abs_power:0.7", "piecewise_linear_1d:0")
+]
+
+
+@pytest.mark.parametrize("dim, count, spec, factor", _REFERENCE_CASES)
+def test_pair_sums_matches_concatenate_reference_bit_for_bit(monkeypatch, dim, count, spec, factor):
+    u = fam.parse_spec(spec, dim=dim)
     pts, rhos, dirs, dwts = _pair_case(dim, count)
+    dwts = factor * dwts
     # blocks of 3 radii: chunks of 3, 3, 3 and a ragged 1
     monkeypatch.setattr(specfun, "_PAIR_CHUNK", 2 * len(dirs) * count * 3 + 1)
     got = pair_sums(u.value, pts, rhos, dirs, dwts)
     assert got.shape == (count, rhos.size)
-    assert np.array_equal(got, _pair_sums_reference(u.value, pts, rhos, dirs, dwts))
+    want = _pair_sums_reference(u.value, pts, rhos, dirs, dwts)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _accepts(name, dim):
+    try:
+        fam.parse_spec(_value_spec(name), dim=dim)
+    except ValueError:
+        return False
+    return True
+
+
+def _value_spec(name):
+    return name + ":" + ",".join(["0.7"] * fam._FACTORIES[name][1])
+
+
+@pytest.mark.parametrize(
+    "name, dim", [(name, dim) for name in fam._FACTORIES for dim in (1, 2, 3) if _accepts(name, dim)]
+)
+def test_value_never_writes_into_its_argument(name, dim):
+    # pair_sums reuses its cloud buffer for every chunk and hands value()
+    # the (points, dim) view cloud.T, whose coordinates are contiguous rows
+    u = fam.parse_spec(_value_spec(name), dim=dim)
+    cloud = np.random.default_rng(3).uniform(-3.0, 3.0, (dim, 257))
+    before = cloud.copy()
+    got = u.value(cloud.T)
+    assert np.array_equal(cloud, before)
+    assert np.array_equal(got, u.value(np.ascontiguousarray(cloud.T)))
 
 
 _CHUNKS = (1 << 8, 1 << 16, 1 << 24)
