@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -30,14 +31,7 @@ import numpy as np
 from . import families as fam
 from .families import as_integer, require_admissible
 from .fraclap import classify_definiteness, frac_laplacian, vanish_at_infinity_check
-from .kernel import (
-    KernelParams,
-    heat_kernel,
-    kernel_gradient,
-    kernel_time_derivative,
-    profile_table,
-    verify_kernel_bounds,
-)
+from .kernel import KernelParams, kernel_derivatives, kernel_envelope, profile_table, verify_kernel_bounds
 from .solver import (
     GridSpec,
     envelope_propagate,
@@ -259,7 +253,6 @@ def _cmd_kernel(args) -> int:
     if args.action == "eval":
         pts = _points(args.x, args.dim)
         times = _floats(args.t)
-        sp = params.scaling_power
         headers = (
             ["N", "s"]
             + [f"x{i + 1}" for i in range(args.dim)]
@@ -269,20 +262,11 @@ def _cmd_kernel(args) -> int:
         )
         rows = []
         lo_seen, hi_seen = math.inf, -math.inf
-        for t in times:
-            for x in pts:
-                p = heat_kernel(params, x, t)
-                grad = kernel_gradient(params, x, t)
-                pt = kernel_time_derivative(params, x, t)
-                nx = float(np.linalg.norm(x))
-                envelope = t ** (-args.dim * sp)
-                if nx > 0.0:
-                    envelope = min(envelope, t * nx ** (-args.dim - 2.0 * args.s))
-                ratio = p / envelope
-                lo_seen, hi_seen = min(lo_seen, ratio), max(hi_seen, ratio)
-                rows.append(
-                    [args.dim, args.s, *x, t, p, *grad, pt, lo_seen, hi_seen]
-                )
+        samples = kernel_derivatives(params, pts, times)
+        for (t, x), (p, grad, pt) in zip(itertools.product(times, pts), samples):
+            ratio = p / kernel_envelope(params, float(np.linalg.norm(x)), t)
+            lo_seen, hi_seen = min(lo_seen, ratio), max(hi_seen, ratio)
+            rows.append([args.dim, args.s, *x, t, p, *grad, pt, lo_seen, hi_seen])
         emit_table((headers, rows), args.out)
         return 0
     if args.action == "table":

@@ -223,11 +223,13 @@ def _near_band(
 ) -> tuple[float, float]:
     area = 2.0 * float(dwts.sum())
     scale = (0.5 * r0) ** (2.0 - 2.0 * s)
+    # both rules' nodes in one pair_sums call, whose columns are independent
+    rules = [_jacobi_rule(order, 1.0 - 2.0 * s) for order in (_NEAR_NODES, _NEAR_CHECK)]
+    nodes = 0.5 * r0 * (1.0 + np.concatenate([xs for xs, _ in rules]))
+    sums = pair_sums(u.value, x[None, :], nodes, dirs, dwts)[0]
     out = []
-    for order in (_NEAR_NODES, _NEAR_CHECK):
-        xs, ws = _jacobi_rule(order, 1.0 - 2.0 * s)
-        ts = 0.5 * r0 * (1.0 + xs)
-        pairs = pair_sums(u.value, x[None, :], ts, dirs, dwts)[0]
+    for (_, ws), part in zip(rules, (slice(_NEAR_NODES), slice(_NEAR_NODES, None))):
+        ts, pairs = nodes[part], sums[part]
         value = scale * float(np.dot(ws, (area * ux - pairs) / (ts * ts)))
         # the second differences cancel to O(t^2) from O(1) values, so one
         # unit of rounding in those values, divided by t^2, can dominate
@@ -275,7 +277,10 @@ def _tail_band(
     left, lead = (float(v[0]) for v in leftover(float(edges[-1])))
     if lead:
         dc -= area * lead * r0 ** (ff.power - 2.0 * s) / (2.0 * s - ff.power)
-    rest, check = (float(np.sum(panel_terms(*panel_rule(edges, order), lead))) for order in (_GEO_ORDER, _GEO_CHECK))
+    # one pair_sums call for both rules; np.sum adds a flat run as its 2-D rule
+    rules = [panel_rule(edges, order) for order in (_GEO_ORDER, _GEO_CHECK)]
+    terms = panel_terms(*(np.concatenate([rule[i].ravel() for rule in rules]) for i in (0, 1)), lead)
+    rest, check = float(np.sum(terms[: rules[0][1].size])), float(np.sum(terms[rules[0][1].size :]))
     return dc + rest, abs(rest - check) + area * left
 
 

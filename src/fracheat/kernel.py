@@ -6,7 +6,8 @@ The kernel in dimension d is a rescaling of a single radial profile,
 
 where F is the Hankel-type transform of exp(-rho^(2s)).  Everything here
 is a view of F: point evaluation (f_radial), derivative ladders built
-from profiles in shifted dimensions (d_f_radial), large-radius limits
+from profiles in shifted dimensions (d_f_radial), the kernel and its
+derivatives at many (x, t) (kernel_derivatives), large-radius limits
 (ell_limit), an interpolation table for bulk evaluation
 (RadialProfileTable), and the two-sided envelope check
 (verify_kernel_bounds).  heat_kernel_fourier is a deliberately separate
@@ -18,7 +19,10 @@ specfun.half_line_sums call, with the estimate and refusals of
 integrate_semi_infinite.  The Bessel factors of dims 1 and 3 are their
 exact cos and sin forms, and those of dims 2 and 4 scipy's j0 and j1.
 f_radial, d_f_radial and the table build all use it, so a table node
-equals f_radial there bit for bit.
+equals f_radial there bit for bit.  f_radial, d_f_radial and
+kernel_derivatives read each shifted-dimension profile F_{d+2j} once per
+batch, in one call over its distinct radii; heat_kernel, kernel_gradient
+and kernel_time_derivative are the one-point cases of kernel_derivatives.
 
 Past TAIL_CUT = 30 every route reads the large-radius series, which has
 one copy: tail_series sums it for f_radial, d_f_radial and the tables,
@@ -31,6 +35,7 @@ there to match the last sample to _CONTINUATION_REL.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -240,25 +245,19 @@ def _profile_array(dim: int, s: float, radii: np.ndarray) -> np.ndarray:
     return out
 
 
-def _profile_value(dim: int, s: float, r: float) -> float:
-    return float(_profile_array(dim, s, np.array([r]))[0])
-
-
-def f_radial(params: KernelParams, r: float) -> float:
-    """Radial kernel profile at a finite scaled radius r >= 0.
+def f_radial(params: KernelParams, r):
+    """Radial kernel profile at finite scaled radii r >= 0, a float or an array.
 
     The value is the half-line Bessel-weighted integral of exp(-rho^(2s))
     with the r^((2-d)/2) prefactor, summed over Gauss panels by the same
     batched route that builds the tables; at r=0 the removable limit is
-    taken, and past TAIL_CUT = 30 the large-radius series.  Raises
+    taken, and past TAIL_CUT = 30 the large-radius series.  An array of
+    radii gives an array of its shape, as d_f_radial does.  Raises
     QuadratureError when the 16- and 12-point panel sums disagree by more
     than specfun's tolerance, and ValueError when s is so small that the
     panel layout passes specfun's entry cap.  Always positive.
     """
-    r = float(r)
-    if not 0.0 <= r < math.inf:
-        raise ValueError(f"radius must be finite and nonnegative, got {r}")
-    return _profile_value(params.dim, params.s, r)
+    return d_f_radial(params, 0, r)
 
 
 # ---------------------------------------------------------------------------
@@ -302,24 +301,48 @@ def alpha_coeffs(k: int) -> AlphaTable:
     return AlphaTable(k, coeff)
 
 
-def d_f_radial(params: KernelParams, k: int, r: float) -> float:
+def _checked_radii(r, positive: bool) -> np.ndarray:
+    radii = np.asarray(r, dtype=float)
+    ok = (radii > 0.0 if positive else radii >= 0.0) & (radii < math.inf)
+    if not ok.all():
+        need = "derivative ladder needs a finite r > 0" if positive else "radius must be finite and nonnegative"
+        raise ValueError(f"{need}, got {float(radii[~ok].flat[0])}")
+    return radii
+
+
+def _ladder(params: KernelParams, orders, radii: np.ndarray) -> np.ndarray:
+    # D^k F_d at every radius of a checked 1-D array, one row per k of
+    # orders (k = 0: F_d), each F_{d+2j} one _profile_array call over the
+    # distinct radii; terms keep the one-radius order and Python's pow,
+    # whose bits numpy's vectorized power does not always match
+    ladders = [alpha_coeffs(k).coefficients if k else {0: 1.0} for k in orders]
+    distinct, where = np.unique(radii, return_inverse=True)
+    profiles = {j: _profile_array(params.dim + 2 * j, params.s, distinct)[where] for j in sorted(set().union(*ladders))}
+    out = np.zeros((len(ladders), radii.size))
+    for row, k, coeffs in zip(out, orders, ladders):
+        for j, c in sorted(coeffs.items()):
+            row += (-1.0) ** j * c * np.array([r ** (2 * j - k) for r in radii.tolist()]) * profiles[j]
+    return out
+
+
+def d_f_radial(params: KernelParams, k, r):
     """k-th derivative of the radial profile, via the shifted-dimension
-    ladder at a finite r > 0; k=0 is plain evaluation, which also takes
+    ladder at finite r > 0; k=0 is plain evaluation, which also takes
     r = 0, and orders above 4 are not needed by any bound check and are
-    rejected."""
-    if k == 0:
-        return f_radial(params, r)
-    if k < 0 or k > 4:
+    rejected.
+
+    r is a float, which gives a float, or an array, which gives an array
+    of its shape; a sequence of orders k adds a leading axis, one row per
+    order.  Each F_{d+2j} the orders read is one batched call over the
+    distinct radii, and each value equals its one-radius call bit for bit.
+    """
+    orders = list(k) if np.ndim(k) else [k]
+    if not all(0 <= order <= 4 for order in orders):
         raise ValueError("derivative order must lie in 0..4")
-    r = float(r)
-    if not 0.0 < r < math.inf:
-        raise ValueError(f"derivative ladder needs a finite r > 0, got {r}")
-    table = alpha_coeffs(k)
-    total = 0.0
-    for j, c in sorted(table.coefficients.items()):
-        prof = _profile_value(params.dim + 2 * j, params.s, r)
-        total += (-1.0) ** j * c * r ** (2 * j - k) * prof
-    return total
+    radii = _checked_radii(r, positive=any(orders))
+    out = _ladder(params, orders, radii.ravel()).reshape(len(orders), *radii.shape)
+    out = out if np.ndim(k) else out[0]
+    return float(out) if out.ndim == 0 else out
 
 
 def ell_limit(params: KernelParams, k: int = 0) -> float:
@@ -349,55 +372,58 @@ def ell_limit(params: KernelParams, k: int = 0) -> float:
 # kernel evaluation and derivatives
 
 
+def kernel_derivatives(params: KernelParams, points, times, order: int = 1) -> list[tuple]:
+    """The kernel and its derivatives at every (t, x) of times x points.
+
+    One tuple per pair, times outer: (p,) for order 0, (p, grad p, p_t)
+    for 1, and (p, grad p, p_t, Hessian) for 2.  The rungs D^k F, k <=
+    order, at all scaled radii |x| t^(-1/(2s)) come from one ladder, so
+    F_d, F_{d+2} and F_{d+4} take one batched call each.  The gradient is
+    zero at the origin, p_t = -(d p + x . grad p) / (2 s t) by scaling,
+    and the Hessian is D2F on the x-direction and DF/r on its complement.
+    """
+    dim, sp = params.dim, params.scaling_power
+    times = [_check_time(t) for t in times]
+    points = [as_point(x, dim) for x in points]
+    cases = [(t, x, float(np.linalg.norm(x))) for t in times for x in points]
+    radii = [nx * t ** (-sp) for t, _, nx in cases]
+    rungs = _ladder(params, range(order + 1), _checked_radii(radii, positive=False))
+    out = []
+    for (t, x, nx), r, d in zip(cases, radii, rungs.T.tolist()):
+        sample = (t ** (-dim * sp) * _TWO_PI ** (-0.5 * dim) * d[0],)
+        if order >= 1:
+            grad = np.zeros(dim) if nx == 0.0 else t ** (-(dim + 1) * sp) * _TWO_PI ** (-0.5 * dim) * d[1] * (x / nx)
+            sample += (grad, -(dim * sample[0] + float(np.dot(x, grad))) / (2.0 * params.s * t))
+        if order >= 2:
+            pref = t ** (-(dim + 2) * sp) * _TWO_PI ** (-0.5 * dim)
+            if nx == 0.0:
+                # D2F(0) = -F_{d+2}(0) on every direction
+                sample += (pref * d[2] * np.eye(dim),)
+            else:
+                outer = np.outer(x / nx, x / nx)
+                sample += (pref * (d[2] * outer + (d[1] / r) * (np.eye(dim) - outer)),)
+        out.append(sample)
+    return out
+
+
 def heat_kernel(params: KernelParams, x, t: float) -> float:
     """Kernel value p(x, t) > 0 for t > 0."""
-    t = _check_time(t)
-    x = as_point(x, params.dim)
-    sp = params.scaling_power
-    r = float(np.linalg.norm(x)) * t ** (-sp)
-    return t ** (-params.dim * sp) * _TWO_PI ** (-0.5 * params.dim) * f_radial(params, r)
+    return kernel_derivatives(params, [x], [t], 0)[0][0]
 
 
 def kernel_gradient(params: KernelParams, x, t: float) -> np.ndarray:
     """Spatial gradient of the kernel; zero at the origin by symmetry."""
-    t = _check_time(t)
-    x = as_point(x, params.dim)
-    nx = float(np.linalg.norm(x))
-    if nx == 0.0:
-        return np.zeros(params.dim)
-    sp = params.scaling_power
-    r = nx * t ** (-sp)
-    df = d_f_radial(params, 1, r)
-    scale = t ** (-(params.dim + 1) * sp) * _TWO_PI ** (-0.5 * params.dim)
-    return scale * df * (x / nx)
+    return kernel_derivatives(params, [x], [t])[0][1]
 
 
 def kernel_time_derivative(params: KernelParams, x, t: float) -> float:
     """Time derivative of the kernel, through the scaling identity
     p_t = -(d p + x . grad p) / (2 s t)."""
-    t = _check_time(t)
-    x = as_point(x, params.dim)
-    p = heat_kernel(params, x, t)
-    g = kernel_gradient(params, x, t)
-    return -(params.dim * p + float(np.dot(x, g))) / (2.0 * params.s * t)
+    return kernel_derivatives(params, [x], [t])[0][2]
 
 
 def _kernel_hessian(params: KernelParams, x, t: float) -> np.ndarray:
-    # radial Hessian: D2F on the x-direction, DF/r on its complement
-    t = _check_time(t)
-    x = as_point(x, params.dim)
-    sp = params.scaling_power
-    pref = t ** (-(params.dim + 2) * sp) * _TWO_PI ** (-0.5 * params.dim)
-    nx = float(np.linalg.norm(x))
-    if nx == 0.0:
-        curv = -_profile_value(params.dim + 2, params.s, 0.0)
-        return pref * curv * np.eye(params.dim)
-    r = nx * t ** (-sp)
-    d1 = d_f_radial(params, 1, r)
-    d2 = d_f_radial(params, 2, r)
-    xh = x / nx
-    outer = np.outer(xh, xh)
-    return pref * (d2 * outer + (d1 / r) * (np.eye(params.dim) - outer))
+    return kernel_derivatives(params, [x], [t], 2)[0][3]
 
 
 # ---------------------------------------------------------------------------
@@ -536,12 +562,9 @@ class RadialProfileTable:
 
     def evaluate(self, r) -> np.ndarray:
         """Vectorized profile lookup for finite r >= 0."""
-        r = np.asarray(r, dtype=float)
+        r = _checked_radii(r, positive=False)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
-        bad = ~((r >= 0.0) & (r < math.inf))
-        if bad.any():
-            raise ValueError(f"radius must be finite and nonnegative, got {r[bad][0]}")
         out = np.empty_like(r)
         small = r < self._r_first
         big = r > self._r_last
@@ -606,19 +629,24 @@ def kernel_mass(params: KernelParams, t: float) -> float:
     return bulk + tail
 
 
+def kernel_envelope(params: KernelParams, nx: float, t: float, k: int = 0) -> float:
+    """The scaling envelope min(t^(-(d+k)/(2s)), t |x|^(-(d+2s+k))) of the
+    order-k derivatives of the kernel at |x| = nx; its t-power at the origin."""
+    first = t ** (-(params.dim + k) * params.scaling_power)
+    return first if nx == 0.0 else min(first, t * nx ** (-(params.dim + 2.0 * params.s + k)))
+
+
 def verify_kernel_bounds(params: KernelParams, points=None) -> VerificationReport:
     """Measure the kernel against its two-sided scaling envelope.
 
     For each sampled x and each t of _BOUND_TIMES the kernel, its first
     two derivative orders, and its time derivative are divided by the
     matching envelope min(t-power, |x|-power); the report carries the
-    extreme ratios.  The
-    check passes when the kernel ratio stays inside the window
-    (_RATIO_FLOOR, _RATIO_CEILING) and every derivative ratio stays under
-    _RATIO_CEILING, i.e. no vanishing and no blow-up anywhere on the grid.
+    extreme ratios.  It passes when the kernel ratio stays inside
+    (_RATIO_FLOOR, _RATIO_CEILING) and every derivative ratio under
+    _RATIO_CEILING: no vanishing and no blow-up anywhere on the grid.
     """
-    dim, s = params.dim, params.s
-    sp = params.scaling_power
+    dim, s, sp = params.dim, params.s, params.scaling_power
     if points is None:
         dirs = np.eye(dim)
         radii = np.concatenate([[0.0], np.geomspace(0.05, 50.0, 13)])
@@ -626,45 +654,24 @@ def verify_kernel_bounds(params: KernelParams, points=None) -> VerificationRepor
         if dim >= 2:
             points.append(np.full(dim, 10.0 / math.sqrt(dim)))
 
-    def envelope(nx: float, t: float, k: int) -> float:
-        first = t ** (-(dim + k) * sp)
-        if nx == 0.0:
-            return first
-        return min(first, t * nx ** (-(dim + 2.0 * s + k)))
-
-    p_lo = (math.inf, None)
-    p_hi = (-math.inf, None)
-    g_hi = (-math.inf, None)
-    h_hi = (-math.inf, None)
-    t_hi = (-math.inf, None)
-    for t in _BOUND_TIMES:
-        for x in points:
-            x = as_point(x, dim)
-            nx = float(np.linalg.norm(x))
-            where = (*x, t)
-            ratio = heat_kernel(params, x, t) / envelope(nx, t, 0)
-            if ratio < p_lo[0]:
-                p_lo = (ratio, where)
-            if ratio > p_hi[0]:
-                p_hi = (ratio, where)
-            grad = kernel_gradient(params, x, t)
-            ratio = float(np.max(np.abs(grad))) / envelope(nx, t, 1)
-            if ratio > g_hi[0]:
-                g_hi = (ratio, where)
-            hess = _kernel_hessian(params, x, t)
-            ratio = float(np.max(np.abs(hess))) / envelope(nx, t, 2)
-            if ratio > h_hi[0]:
-                h_hi = (ratio, where)
-            pt = kernel_time_derivative(params, x, t)
-            env_t = t ** (-dim * sp - 1.0) if nx == 0.0 else min(t ** (-dim * sp - 1.0), nx ** (-(dim + 2.0 * s)))
-            ratio = abs(pt) / env_t
-            if ratio > t_hi[0]:
-                t_hi = (ratio, where)
-
+    points = [as_point(x, dim) for x in points]
+    samples = kernel_derivatives(params, points, _BOUND_TIMES, 2)
+    rows = []
+    for (t, x), (p, grad, pt, hess) in zip(itertools.product(_BOUND_TIMES, points), samples):
+        nx = float(np.linalg.norm(x))
+        env_t = t ** (-dim * sp - 1.0) if nx == 0.0 else min(t ** (-dim * sp - 1.0), nx ** (-(dim + 2.0 * s)))
+        rows.append((
+            (*x, t),
+            p / kernel_envelope(params, nx, t, 0),
+            float(np.max(np.abs(grad))) / kernel_envelope(params, nx, t, 1),
+            float(np.max(np.abs(hess))) / kernel_envelope(params, nx, t, 2),
+            abs(pt) / env_t,
+        ))
+    # min and max keep the first of equal extremes, in the order sampled
+    lowest = min(rows, key=lambda row: row[1])
     report = VerificationReport(suite="kernel-bounds")
-    report.add("kernel-ratio-lower", p_lo[0], _RATIO_FLOOR, 0.0, p_lo[0] > _RATIO_FLOOR, p_lo[1])
-    report.add("kernel-ratio-upper", p_hi[0], _RATIO_CEILING, 0.0, p_hi[0] < _RATIO_CEILING, p_hi[1])
-    report.add("gradient-ratio", g_hi[0], _RATIO_CEILING, 0.0, g_hi[0] < _RATIO_CEILING, g_hi[1])
-    report.add("hessian-ratio", h_hi[0], _RATIO_CEILING, 0.0, h_hi[0] < _RATIO_CEILING, h_hi[1])
-    report.add("time-derivative-ratio", t_hi[0], _RATIO_CEILING, 0.0, t_hi[0] < _RATIO_CEILING, t_hi[1])
+    report.add("kernel-ratio-lower", lowest[1], _RATIO_FLOOR, 0.0, lowest[1] > _RATIO_FLOOR, lowest[0])
+    for i, name in enumerate(("kernel-ratio-upper", "gradient-ratio", "hessian-ratio", "time-derivative-ratio"), 1):
+        worst = max(rows, key=lambda row: row[i])
+        report.add(name, worst[i], _RATIO_CEILING, 0.0, worst[i] < _RATIO_CEILING, worst[0])
     return report

@@ -11,6 +11,7 @@ reports.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import TYPE_CHECKING, Callable
 
@@ -33,6 +34,7 @@ from .kernel import (
     ell_limit,
     f_radial,
     heat_kernel,
+    kernel_derivatives,
     kernel_mass,
     profile_table,
     verify_kernel_bounds,
@@ -66,20 +68,18 @@ def suite_kernel_closed_form(cfg: "RunConfig") -> VerificationReport:
     """Half-order kernel against its rational closed form in 1-D and 2-D."""
     report = VerificationReport(suite="kernel-closed-form")
     radii = np.concatenate([[0.0], np.geomspace(0.1, 50.0, 16)])
+    times = (0.1, 1.0, 10.0)
     for dim in (1, 2):
         params = KernelParams(dim=dim, s=0.5)
         # c_1 = 1/pi, c_2 = 1/(2 pi): the Cauchy family in dim dimensions
         const = math.gamma(0.5 * (dim + 1)) / math.pi ** (0.5 * (dim + 1))
+        points = radii[:, None] * np.eye(dim)[0]
         worst, worst_at = 0.0, (0.0, 0.0)
-        for t in (0.1, 1.0, 10.0):
-            for r in radii:
-                x = np.zeros(dim)
-                x[0] = r
-                p = heat_kernel(params, x, t)
-                truth = const * t / (t * t + r * r) ** (0.5 * (dim + 1))
-                rel = abs(p / truth - 1.0)
-                if rel > worst:
-                    worst, worst_at = rel, (r, t)
+        for (t, r), (p,) in zip(itertools.product(times, radii), kernel_derivatives(params, points, times, 0)):
+            truth = const * t / (t * t + r * r) ** (0.5 * (dim + 1))
+            rel = abs(p / truth - 1.0)
+            if rel > worst:
+                worst, worst_at = rel, (r, t)
         report.add(
             name=f"dim-{dim}",
             measured=worst,
@@ -134,8 +134,7 @@ def suite_asymptotic_constants(cfg: "RunConfig") -> VerificationReport:
         for s in (0.55, 0.75):
             params = KernelParams(dim=dim, s=s)
             worst, worst_k = 0.0, 0
-            for k in (0, 1, 2):
-                val = f_radial(params, r) if k == 0 else d_f_radial(params, k, r)
+            for k, val in enumerate(d_f_radial(params, (0, 1, 2), r).tolist()):
                 scaled = r ** (dim + 2.0 * s + k) * val
                 rel = abs(scaled / ell_limit(params, k) - 1.0)
                 if rel > worst:
@@ -167,9 +166,14 @@ def suite_derivative_recursion(cfg: "RunConfig") -> VerificationReport:
     """Radial derivative ladder against finite differences and its tables."""
     report = VerificationReport(suite="derivative-recursion")
     params = KernelParams(dim=1, s=0.6)
+    radii, steps = (0.7, 1.3, 2.1), (1e-3, 2e-3)
+    # the stencils of the two steps overlap: each radius is evaluated once
+    stencil = sorted({r + j * h for r in radii for h in steps for j in range(-2, 3)})
+    profile = dict(zip(stencil, f_radial(params, np.array(stencil)).tolist()))
+    ladder = d_f_radial(params, (1, 2, 3), np.array(radii)).tolist()
 
     def central(k: int, r: float, h: float) -> float:
-        f = [f_radial(params, r + j * h) for j in range(-2, 3)]
+        f = [profile[r + j * h] for j in range(-2, 3)]
         if k == 1:
             return (f[3] - f[1]) / (2.0 * h)
         if k == 2:
@@ -178,11 +182,11 @@ def suite_derivative_recursion(cfg: "RunConfig") -> VerificationReport:
 
     worst, worst_at = 0.0, (0.0, 0.0)
     for k in (1, 2, 3):
-        for r in (0.7, 1.3, 2.1):
+        for r, value in zip(radii, ladder[k - 1]):
             # Richardson over h = 1e-3 and 2e-3 cancels the central stencils'
             # h^2 term, so the gap measures the ladder and not the stencil
-            fd = (4.0 * central(k, r, 1e-3) - central(k, r, 2e-3)) / 3.0
-            rel = abs(d_f_radial(params, k, r) / fd - 1.0)
+            fd = (4.0 * central(k, r, steps[0]) - central(k, r, steps[1])) / 3.0
+            rel = abs(value / fd - 1.0)
             if rel > worst:
                 worst, worst_at = rel, (float(k), r)
     report.add(

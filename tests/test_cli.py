@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracheat.cli import emit_table, main, parse_config
+from fracheat.kernel import KernelParams, heat_kernel, kernel_gradient, kernel_time_derivative
 from fracheat.report import VerificationReport
 from fracheat.suites import SUITES
 
@@ -256,6 +257,30 @@ class TestKernelCommand:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows[0][:5] == ["N", "s", "x1", "x2", "t"]
         assert len(rows) == 5
+
+    @pytest.mark.parametrize(
+        "dim, s, x", [(1, 0.6, "0;0.4;-2.5;35"), (2, 0.75, "0,0;1,0;3,4;-0.2,0.1"), (3, 0.55, "0,0,0;1,-2,2;30,1,0")]
+    )
+    def test_eval_equals_the_per_point_public_functions(self, dim, s, x, capsys):
+        # the CSV of one batched evaluation, byte for byte the CSV of a
+        # per-point loop of heat_kernel, kernel_gradient and kernel_time_derivative
+        params = KernelParams(dim=dim, s=s)
+        sp = params.scaling_power
+        points = [np.array([float(v) for v in p.split(",")]) for p in x.split(";")]
+        rows, lo, hi = [], math.inf, -math.inf
+        for t in (0.1, 1.0, 10.0):
+            for pt in points:
+                p = heat_kernel(params, pt, t)
+                nx = float(np.linalg.norm(pt))
+                envelope = t ** (-dim * sp) if nx == 0.0 else min(t ** (-dim * sp), t * nx ** (-dim - 2.0 * s))
+                lo, hi = min(lo, p / envelope), max(hi, p / envelope)
+                grad = kernel_gradient(params, pt, t)
+                rows.append([dim, s, *pt, t, p, *grad, kernel_time_derivative(params, pt, t), lo, hi])
+        headers = ["N", "s", *[f"x{i + 1}" for i in range(dim)], "t", "p", *[f"g{i + 1}" for i in range(dim)]]
+        emit_table((headers + ["p_t", "ratio_lower", "ratio_upper"], rows), None)
+        expected = capsys.readouterr().out
+        assert main(["kernel", "eval", "--dim", str(dim), "--s", str(s), "--x", x, "--t", "0.1,1,10"]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_table_goes_to_file(self, tmp_path):
         path = tmp_path / "tab.csv"

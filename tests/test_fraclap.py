@@ -12,6 +12,7 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import j0
 
 from fracheat import families as fam
+from fracheat import fraclap
 from fracheat.fraclap import (
     ClassificationResult,
     ClassificationUnsupported,
@@ -290,6 +291,21 @@ class TestResultStructure:
         assert res.value == res.near_part + res.tail_part
         assert res.split_radius > 0
         assert res.error_estimate >= 0
+
+    @pytest.mark.parametrize("spec", ["cosine:1", "gaussian:1", "abs_power:1.2"])
+    def test_each_band_reads_the_datum_in_one_pair_sums_call(self, spec, monkeypatch):
+        # the near band's two Jacobi rules (48 + 32 nodes) in one call, and
+        # the tail's two geometric rules, or its half-period rule, in one
+        radii = []
+        real = fraclap.pair_sums
+
+        def counting(value, pts, rhos, dirs, dwts):
+            radii.append(rhos.size)
+            return real(value, pts, rhos, dirs, dwts)
+
+        monkeypatch.setattr(fraclap, "pair_sums", counting)
+        frac_laplacian(fam.parse_spec(spec), [0.7], 0.75)
+        assert len(radii) == 2 and radii[0] == 80
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
 """Kernel-layer tests: closed forms, oracles, ladders, tables, bounds."""
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from fracheat import kernel, specfun
+from fracheat.cli import parse_config
 from fracheat.kernel import (
     AlphaTable,
     KernelParams,
@@ -18,6 +21,7 @@ from fracheat.kernel import (
     f_radial,
     heat_kernel,
     heat_kernel_fourier,
+    kernel_derivatives,
     kernel_gradient,
     kernel_mass,
     kernel_time_derivative,
@@ -30,6 +34,7 @@ from fracheat.kernel import (
 from fracheat.report import VerificationReport
 from fracheat.solver import _TABLE_REL
 from fracheat.specfun import QuadratureConfig, QuadratureError, integrate_semi_infinite
+from fracheat.suites import SUITES
 
 CAUCHY_1D = KernelParams(dim=1, s=0.5)
 CAUCHY_2D = KernelParams(dim=2, s=0.5)
@@ -589,6 +594,74 @@ def test_derivative_ladder_reads_the_series_far_out(k):
     assert d_f_radial(params, k, r) == pytest.approx(ladder, rel=1e-12, abs=0.0)
 
 
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).ravel().tolist()
+
+
+# radii at 0, in (0, 2 pi], where the rows share one panel layout, in
+# (2 pi, 30], where each row has its own, and past 30, where the series
+# takes over; mixed, out of order, and with a repeat
+MIXED_RADII = np.array([3.7, 0.0, 45.0, 0.25, 12.5, 2.0 * math.pi, 30.0, 1e-3, 80.0, 7.0, 0.25])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_array_calls_match_scalar_calls_bit_for_bit(dim):
+    params = KernelParams(dim=dim, s=0.6)
+    assert _bits(f_radial(params, MIXED_RADII)) == _bits([f_radial(params, float(r)) for r in MIXED_RADII])
+    positive = MIXED_RADII[MIXED_RADII > 0.0]
+    rows = d_f_radial(params, (0, 1, 2, 3, 4), positive)
+    assert rows.shape == (5, positive.size)
+    for k, row in enumerate(rows):
+        scalar = _bits([d_f_radial(params, k, float(r)) for r in positive])
+        assert _bits(row) == scalar
+        assert _bits(d_f_radial(params, k, positive)) == scalar
+    # an array keeps its shape, a float gives a float
+    grid = positive[:6].reshape(2, 3)
+    assert _bits(d_f_radial(params, 2, grid)) == _bits(d_f_radial(params, 2, grid.ravel()))
+    assert d_f_radial(params, 2, grid).shape == (2, 3)
+    assert type(f_radial(params, 1.5)) is float
+    assert type(d_f_radial(params, 3, 1.5)) is float
+    # each term in the one-radius order, with Python's pow on floats: the
+    # series radii are cheap, and numpy's vectorized power would move bits
+    far = np.geomspace(31.0, 900.0, 60)
+    for k in range(1, 5):
+        ladder = [
+            sum((-1.0) ** j * c * r ** (2 * j - k) * f_radial(KernelParams(dim=dim + 2 * j, s=0.6), r)
+                for j, c in sorted(alpha_coeffs(k).coefficients.items()))
+            for r in far.tolist()
+        ]
+        assert _bits(d_f_radial(params, k, far)) == _bits(ladder)
+
+
+@pytest.mark.parametrize(
+    "k, bad", [(0, math.nan), (0, -0.5), (0, math.inf), (2, math.nan), (2, -0.5), (2, 0.0)]
+)
+def test_array_with_a_bad_radius_is_refused_with_the_scalar_message(k, bad):
+    with pytest.raises(ValueError) as scalar:
+        d_f_radial(CAUCHY_1D, k, bad)
+    with pytest.raises(ValueError) as array:
+        d_f_radial(CAUCHY_1D, k, np.array([0.5, bad, 2.0, bad]))
+    assert str(array.value) == str(scalar.value)
+    if k == 0:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
+            f_radial(CAUCHY_1D, [0.5, bad])
+
+
+@pytest.mark.parametrize("dim, s", [(1, 0.55), (2, 0.75), (3, 0.6)])
+def test_batched_kernel_derivatives_match_one_point_calls_bit_for_bit(dim, s):
+    params = KernelParams(dim=dim, s=s)
+    rng = np.random.default_rng(dim)
+    points = [np.zeros(dim), *rng.uniform(-3.0, 3.0, size=(4, dim)), np.full(dim, 40.0)]
+    times = (0.1, 1.0, 10.0)
+    batch = kernel_derivatives(params, points, times, 2)
+    for (t, x), (p, grad, pt, hess) in zip(itertools.product(times, points), batch):
+        assert _bits(p) == _bits(heat_kernel(params, x, t))
+        assert _bits(grad) == _bits(kernel_gradient(params, x, t))
+        assert _bits(pt) == _bits(kernel_time_derivative(params, x, t))
+        assert _bits(hess) == _bits(_kernel_hessian(params, x, t))
+    assert [len(sample) for sample in kernel_derivatives(params, points[:2], times[:1], 0)] == [1, 1]
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -717,3 +790,166 @@ def test_bounds_report_roundtrip():
     clone = VerificationReport.from_json(report.to_json())
     assert clone.to_json() == report.to_json()
     assert clone.overall_pass
+
+
+# ---------------------------------------------------------------------------
+# each profile value once per call, and the kernel suites' reports
+
+
+KERNEL_SUITES = ("kernel-closed-form", "kernel-bounds", "asymptotic-constants", "derivative-recursion")
+
+
+def _record_profile_calls(monkeypatch) -> list[tuple[int, float, np.ndarray]]:
+    calls = []
+    real = kernel._profile_array
+
+    def counting(dim, s, radii):
+        calls.append((dim, s, radii.copy()))
+        return real(dim, s, radii)
+
+    monkeypatch.setattr(kernel, "_profile_array", counting)
+    return calls
+
+
+def _assert_no_row_twice(calls):
+    for _, _, radii in calls:
+        assert radii.size and np.unique(radii).size == radii.size
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_bound_check_reads_each_shifted_profile_once(dim, monkeypatch):
+    calls = _record_profile_calls(monkeypatch)
+    verify_kernel_bounds(KernelParams(dim=dim, s=0.6))
+    assert [(d, s) for d, s, _ in calls] == [(dim, 0.6), (dim + 2, 0.6), (dim + 4, 0.6)]
+    _assert_no_row_twice(calls)
+
+
+@pytest.mark.parametrize("name", KERNEL_SUITES)
+def test_kernel_suites_read_each_shifted_profile_once(name, monkeypatch):
+    # the kernel's version of the solver's once-per-batch direction check
+    calls = _record_profile_calls(monkeypatch)
+    SUITES[name](parse_config("{}"))
+    keys = sorted((d, s) for d, s, _ in calls)
+    if name == "asymptotic-constants":
+        # seven kernels, each reading its own F_d, F_(d+2) and F_(d+4) at
+        # r = 200 once; kernels of different dims share shifted profiles
+        expected = [(d + 2 * j, s) for d in (1, 2, 3) for s in (0.55, 0.75) for j in range(3)] + [(1, 0.5)]
+        assert keys == sorted(expected)
+    else:
+        assert len(set(keys)) == len(keys)
+    _assert_no_row_twice(calls)
+
+
+def _old_bounds(params, points):
+    # verify_kernel_bounds as a per-point loop of the one-point calls
+    dim, s, sp = params.dim, params.s, params.scaling_power
+
+    def envelope(nx, t, k):
+        first = t ** (-(dim + k) * sp)
+        return first if nx == 0.0 else min(first, t * nx ** (-(dim + 2.0 * s + k)))
+
+    p_lo, p_hi, g_hi, h_hi, t_hi = (math.inf, None), *[(-math.inf, None)] * 4
+    for t in (0.1, 1.0, 10.0):
+        for x in points:
+            x = np.asarray(x, dtype=float)
+            nx = float(np.linalg.norm(x))
+            where = (*x, t)
+            ratio = heat_kernel(params, x, t) / envelope(nx, t, 0)
+            p_lo = (ratio, where) if ratio < p_lo[0] else p_lo
+            p_hi = (ratio, where) if ratio > p_hi[0] else p_hi
+            ratio = float(np.max(np.abs(kernel_gradient(params, x, t)))) / envelope(nx, t, 1)
+            g_hi = (ratio, where) if ratio > g_hi[0] else g_hi
+            ratio = float(np.max(np.abs(_kernel_hessian(params, x, t)))) / envelope(nx, t, 2)
+            h_hi = (ratio, where) if ratio > h_hi[0] else h_hi
+            env_t = t ** (-dim * sp - 1.0) if nx == 0.0 else min(t ** (-dim * sp - 1.0), nx ** (-(dim + 2.0 * s)))
+            ratio = abs(kernel_time_derivative(params, x, t)) / env_t
+            t_hi = (ratio, where) if ratio > t_hi[0] else t_hi
+    return [
+        ("kernel-ratio-lower", p_lo, 1e-8, p_lo[0] > 1e-8),
+        ("kernel-ratio-upper", p_hi, 1e8, p_hi[0] < 1e8),
+        ("gradient-ratio", g_hi, 1e8, g_hi[0] < 1e8),
+        ("hessian-ratio", h_hi, 1e8, h_hi[0] < 1e8),
+        ("time-derivative-ratio", t_hi, 1e8, t_hi[0] < 1e8),
+    ]
+
+
+def _old_suite_reports(cfg) -> dict[str, VerificationReport]:
+    # the four kernel suites as per-point loops of scalar calls
+    out = {name: VerificationReport(suite=name) for name in KERNEL_SUITES}
+    radii = np.concatenate([[0.0], np.geomspace(0.1, 50.0, 16)])
+    for dim in (1, 2):
+        params = KernelParams(dim=dim, s=0.5)
+        const = math.gamma(0.5 * (dim + 1)) / math.pi ** (0.5 * (dim + 1))
+        worst, worst_at = 0.0, (0.0, 0.0)
+        for t in (0.1, 1.0, 10.0):
+            for r in radii:
+                x = np.zeros(dim)
+                x[0] = r
+                rel = abs(heat_kernel(params, x, t) / (const * t / (t * t + r * r) ** (0.5 * (dim + 1))) - 1.0)
+                if rel > worst:
+                    worst, worst_at = rel, (r, t)
+        out["kernel-closed-form"].add(f"dim-{dim}", worst, 0.0, 1e-6, worst <= 1e-6, worst_at)
+
+    rng = np.random.default_rng(cfg.seed)
+    for dim, s in ((1, 0.55), (2, 0.75), (3, 0.6)):
+        radii = np.sort(rng.uniform(0.05, 50.0, size=8))
+        points = [radii[i] * np.eye(dim)[i % dim] for i in range(len(radii))]
+        for name, (ratio, where), bound, passed in _old_bounds(KernelParams(dim=dim, s=s), points):
+            out["kernel-bounds"].add(f"dim-{dim}-s-{s:g}/{name}", ratio, bound, 0.0, passed, where)
+
+    r = 200.0
+    for dim in (1, 2, 3):
+        for s in (0.55, 0.75):
+            params = KernelParams(dim=dim, s=s)
+            worst, worst_k = 0.0, 0
+            for k in (0, 1, 2):
+                val = f_radial(params, r) if k == 0 else d_f_radial(params, k, r)
+                rel = abs(r ** (dim + 2.0 * s + k) * val / ell_limit(params, k) - 1.0)
+                if rel > worst:
+                    worst, worst_k = rel, k
+            out["asymptotic-constants"].add(f"dim-{dim}-s-{s:g}", worst, 0.0, 0.02, worst <= 0.02, (float(worst_k), r))
+    target = math.sqrt(2.0 / math.pi)
+    rel = abs(200.0 ** 2.0 * f_radial(KernelParams(dim=1, s=0.5), 200.0) / target - 1.0)
+    out["asymptotic-constants"].add("dim-1-s-0.5-order-0", rel, target, 0.02, rel <= 0.02, (0.0, 200.0))
+
+    params = KernelParams(dim=1, s=0.6)
+
+    def central(k, r, h):
+        f = [f_radial(params, r + j * h) for j in range(-2, 3)]
+        if k == 1:
+            return (f[3] - f[1]) / (2.0 * h)
+        if k == 2:
+            return (f[3] - 2.0 * f[2] + f[1]) / h**2
+        return (f[4] - 2.0 * f[3] + 2.0 * f[1] - f[0]) / (2.0 * h**3)
+
+    worst, worst_at = 0.0, (0.0, 0.0)
+    for k in (1, 2, 3):
+        for r in (0.7, 1.3, 2.1):
+            fd = (4.0 * central(k, r, 1e-3) - central(k, r, 2e-3)) / 3.0
+            rel = abs(d_f_radial(params, k, r) / fd - 1.0)
+            if rel > worst:
+                worst, worst_at = rel, (float(k), r)
+    report = out["derivative-recursion"]
+    report.add("matches-finite-differences", worst, 0.0, 1e-4, worst <= 1e-4, worst_at)
+    pat2, pat3 = alpha_coeffs(2).coefficients, alpha_coeffs(3).coefficients
+    gap = max(abs(pat2[1] - 1.0), abs(pat2[2] - 1.0), abs(pat3[2] - 3.0), abs(pat3[3] - 1.0))
+    report.add("coefficient-patterns", gap, 0.0, 0.0, gap == 0.0 and len(pat2) == 2 and len(pat3) == 2)
+    return out
+
+
+def test_bound_check_keeps_the_first_of_equal_extremes():
+    # x and -x tie in every ratio; the report names the one sampled first
+    points = [[0.0, 0.0], [1.5, -0.5], [-1.5, 0.5], [20.0, 0.0], [-20.0, 0.0]]
+    report = verify_kernel_bounds(CAUCHY_2D, points=points)
+    reference = VerificationReport(suite="kernel-bounds")
+    for name, (ratio, where), bound, passed in _old_bounds(CAUCHY_2D, points):
+        reference.add(name, ratio, bound, 0.0, passed, where)
+    assert report.to_json() == reference.to_json()
+
+
+@pytest.mark.parametrize("seed", [0, 21])
+def test_kernel_suite_reports_equal_the_per_point_loops(seed):
+    cfg = parse_config(f'{{"seed": {seed}}}')
+    reference = _old_suite_reports(cfg)
+    for name in KERNEL_SUITES:
+        assert SUITES[name](cfg).to_json() == reference[name].to_json(), name
