@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import families as fam
-from .families import as_integer, require_admissible
+from .families import as_integer
 from .fraclap import classify_definiteness, frac_laplacian, vanish_at_infinity_check
 from .kernel import KernelParams, kernel_derivatives, kernel_envelope, profile_table, verify_kernel_bounds
 from .solver import (
@@ -54,16 +54,12 @@ DATUM_GRAMMAR = (
 class RunConfig:
     """Validated run description shared by the suite runner."""
 
-    params: KernelParams
-    grid: GridSpec
-    datum: str
     suites: tuple[str, ...]
     out: str
     seed: int
 
 
-_CONFIG_KEYS = {"N", "dim", "s", "datum", "grid", "suites", "out", "seed"}
-_GRID_KEYS = {"box", "counts", "times"}
+_CONFIG_KEYS = {"suites", "out", "seed"}
 
 
 def _build_config(raw: dict) -> RunConfig:
@@ -72,42 +68,6 @@ def _build_config(raw: dict) -> RunConfig:
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ValueError(f"config field {sorted(unknown)[0]!r} is not recognized")
-    if "N" in raw and "dim" in raw and raw["N"] != raw["dim"]:
-        raise ValueError("config fields N and dim disagree")
-    dim = as_integer(raw.get("dim", raw.get("N", 1)), "config field " + ("dim" if "dim" in raw else "N"))
-    s = float(raw.get("s", 0.75))
-    try:
-        params = KernelParams(dim=dim, s=s)
-    except ValueError as e:
-        raise ValueError(f"config field s/dim: {e}") from None
-
-    datum = str(raw.get("datum", "cosine:1"))
-    try:
-        u0 = _datum(datum, dim)
-    except (ValueError, TypeError) as e:
-        raise ValueError(f"config field datum: {e}") from None
-    try:
-        require_admissible(u0, s)
-    except ValueError as e:
-        raise ValueError(f"config field datum: {e}") from None
-
-    graw = dict(raw.get("grid", {}))
-    unknown = set(graw) - _GRID_KEYS
-    if unknown:
-        raise ValueError(f"config field grid.{sorted(unknown)[0]}: not recognized")
-    box = graw.get("box", [[-3.0, 3.0]] * dim)
-    counts = graw.get("counts", [25] * dim if dim == 1 else [9] * dim)
-    times = graw.get("times", [0.25, 1.0])
-    try:
-        grid = GridSpec(
-            dim=dim,
-            box=tuple(tuple(b) for b in box),
-            counts=tuple(counts),
-            times=tuple(times),
-        )
-    except (ValueError, TypeError) as e:
-        raise ValueError(f"config field grid: {e}") from None
-
     suites = tuple(raw.get("suites", list(SUITES)))
     for name in suites:
         if name not in SUITES:
@@ -116,9 +76,6 @@ def _build_config(raw: dict) -> RunConfig:
                 f"config field suites: unknown suite {name!r} (known: {known})"
             )
     return RunConfig(
-        params=params,
-        grid=grid,
-        datum=datum,
         suites=suites,
         out=str(raw.get("out", "artifacts")),
         seed=as_integer(raw.get("seed", 0), "config field seed"),
@@ -128,10 +85,10 @@ def _build_config(raw: dict) -> RunConfig:
 def parse_config(text: str) -> RunConfig:
     """Validated RunConfig from a JSON document, defaults filled in.
 
-    Accepts the keys N (or dim), s, datum, grid {box, counts, times},
-    suites, out, and seed; every other key, a malformed value, an order
-    outside (0, 1), or a datum growing too fast for that order is
-    rejected with the offending field named.
+    Accepts the keys suites (default: every suite), out (default
+    "artifacts") and seed (default 0), the only settings a suite reads;
+    every other key or a malformed value is rejected with the offending
+    field named.
     """
     return _build_config(_decode_config(text))
 
@@ -282,8 +239,10 @@ def _cmd_kernel(args) -> int:
 def _cmd_fraclap(args) -> int:
     u0 = fam.parse_spec(args.function)
     if args.action == "eval":
-        x = _points(args.x, u0.dim)[0]
-        res = frac_laplacian(u0, x, args.s)
+        pts = _points(args.x, u0.dim)
+        if len(pts) != 1:
+            raise ValueError(f"fraclap eval takes one point, got {len(pts)}")
+        res = frac_laplacian(u0, pts[0], args.s)
         payload = {
             "error_estimate": res.error_estimate,
             "near_part": res.near_part,
@@ -377,17 +336,9 @@ def _cmd_verify(args) -> int:
         except ValueError as e:
             raise ValueError(f"{args.config}: {e}") from None
     # flags override file values
-    for key, val in (
-        ("dim", args.dim),
-        ("s", args.s),
-        ("datum", args.datum),
-        ("out", args.out),
-        ("seed", args.seed),
-    ):
+    for key, val in (("out", args.out), ("seed", args.seed)):
         if val is not None:
             raw[key] = val
-    if args.dim is not None:
-        raw.pop("N", None)  # the flag overrides the file's N as well as its dim
     if args.suites:
         raw["suites"] = list(args.suites)
     cfg = _build_config(raw)
@@ -490,8 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="solver threads, a positive integer (default: FRACHEAT_THREADS or 1)",
     )
 
+    # no abbreviations: --s would otherwise be read as --seed
     verify = sub.add_parser(
         "verify",
+        allow_abbrev=False,
         help="run named verification suites and write their reports",
         description=(
             "Runs each named suite (all when none are given), writes "
@@ -510,9 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("suites", nargs="*", help="suite names (default: all)")
     verify.add_argument("--config", default=None, help="JSON config file")
-    verify.add_argument("--dim", type=int, default=None)
-    verify.add_argument("--s", type=float, default=None)
-    verify.add_argument("--datum", default=None)
     verify.add_argument("--out", default=None)
     verify.add_argument("--seed", type=int, default=None)
 

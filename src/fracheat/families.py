@@ -196,7 +196,6 @@ class FunctionSpec:
     inf_value: Optional[float] = None
     osc_scale: Optional[float] = None
     far_field: Optional[FarField] = None
-    is_affine: bool = False
     kink_points: tuple[float, ...] = ()
     ruled_directions: tuple[tuple[float, ...], ...] = ()
     exp_envelope: Optional[tuple[float, float]] = None
@@ -208,6 +207,12 @@ class FunctionSpec:
         if not self.label:
             args = ",".join(f"{p:g}" for p in self.params)
             self.label = f"{self.family}:{args}" if args else self.family
+
+    @property
+    def is_affine(self) -> bool:
+        """Whether the far field is exact, so every sphere mean is u(x) and
+        the flow leaves this datum where it is (constant and affine data)."""
+        return self.far_field is not None and self.far_field.exact
 
     def __call__(self, points: np.ndarray | Sequence[float]) -> np.ndarray:
         return self.value(np.asarray(points, dtype=float))
@@ -323,7 +328,6 @@ def constant(c: float, dim: int = 1) -> FunctionSpec:
         sup_value=c,
         inf_value=c,
         far_field=FarField(const=value),
-        is_affine=True,
         exp_envelope=(abs(c), 0.0),
     )
 
@@ -355,7 +359,6 @@ def affine(offset: float, slope: float, dim: int = 1) -> FunctionSpec:
         sup_value=offset if bounded else None,
         inf_value=offset if bounded else None,
         far_field=FarField(const=value),
-        is_affine=True,
         exp_envelope=(
             _quadratic_exp_amplitude(lambda r: abs(offset) + abs(slope) * r),
             0.25 if slope else 0.0,

@@ -377,7 +377,7 @@ def _solve_batch(
     """Convolution values at one finite positive time, with angular refinement."""
     if not 0.0 < t < math.inf:
         raise ValueError(f"convolution requires a finite t > 0, got {t}")
-    if u0.far_field is not None and u0.far_field.exact:
+    if u0.is_affine:
         # every sphere mean is u(x) and the kernel is a probability density
         # at every time, so the flow leaves the datum where it is
         vals = u0.far_const(pts) if kind == "mass" else np.zeros(len(pts))
@@ -562,8 +562,7 @@ def residual_with_estimate(
     # Under an exact far field the solution stays the datum, whose second
     # differences vanish, so there is no far field at all
     target = 3e-5
-    exact = u0.far_field is not None and u0.far_field.exact
-    a, b, rate = (0.0, 0.0, 2.0) if exact else second_difference_constants(u0)
+    a, b, rate = (0.0, 0.0, 2.0) if u0.is_affine else second_difference_constants(u0)
     p = 2.0 * s - 2.0 + rate
     if b > 0.0 and not p > 0.0:
         raise ValueError("declared curvature decay too weak for this order")

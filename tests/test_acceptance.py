@@ -11,7 +11,7 @@ import pytest
 from fracheat.cli import parse_config
 from fracheat.suites import SUITES
 
-CONFIG = parse_config('{"N": 1, "s": 0.75, "datum": "cosine:1"}')
+CONFIG = parse_config("{}")
 
 
 def _run(number: int, name: str):

@@ -4,12 +4,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fracheat
 from fracheat.cli import emit_table, main, parse_config
 from fracheat.kernel import KernelParams, heat_kernel, kernel_gradient, kernel_time_derivative
 from fracheat.report import VerificationReport
@@ -18,29 +23,26 @@ from fracheat.suites import SUITES
 
 class TestParseConfig:
     def test_minimal_config_fills_defaults(self):
-        cfg = parse_config('{"N": 1, "s": 0.75, "datum": "cosine:1"}')
-        assert cfg.params.dim == 1
-        assert cfg.params.s == 0.75
-        assert cfg.datum == "cosine:1"
-        assert cfg.grid.box == ((-3.0, 3.0),)
-        assert cfg.grid.counts == (25,)
-        assert cfg.grid.times == (0.25, 1.0)
+        cfg = parse_config("{}")
         assert cfg.suites == tuple(SUITES)
         assert cfg.out == "artifacts"
         assert cfg.seed == 0
 
-    def test_two_dim_default_grid_is_coarser(self):
-        cfg = parse_config('{"dim": 2, "s": 0.75, "datum": "ruled:1.2"}')
-        assert cfg.grid.counts == (9, 9)
-        assert cfg.grid.box == ((-3.0, 3.0), (-3.0, 3.0))
-
-    def test_order_outside_unit_interval_is_rejected(self):
-        with pytest.raises(ValueError, match="config field s/dim"):
-            parse_config('{"N": 1, "s": 1.2, "datum": "cosine:1"}')
-
-    def test_datum_growing_too_fast_is_rejected(self):
-        with pytest.raises(ValueError, match="does not converge"):
-            parse_config('{"N": 1, "s": 0.75, "datum": "abs_power:1.6"}')
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"N": 1}',
+            '{"dim": 2}',
+            '{"s": 0.75}',
+            '{"datum": "cosine:1"}',
+            '{"grid": {"counts": [9]}}',
+        ],
+        ids=["N", "dim", "s", "datum", "grid"],
+    )
+    def test_fields_no_suite_reads_are_refused_by_name(self, text):
+        name = next(iter(json.loads(text)))
+        with pytest.raises(ValueError, match=f"config field '{name}' is not recognized"):
+            parse_config(text)
 
     def test_unknown_field_is_named(self):
         with pytest.raises(ValueError, match="'bogus' is not recognized"):
@@ -48,11 +50,7 @@ class TestParseConfig:
 
     def test_unknown_suite_is_named(self):
         with pytest.raises(ValueError, match="unknown suite 'nope'"):
-            parse_config('{"s": 0.5, "suites": ["nope"]}')
-
-    def test_dim_aliases_must_agree(self):
-        with pytest.raises(ValueError, match="N and dim disagree"):
-            parse_config('{"N": 1, "dim": 2, "s": 0.5}')
+            parse_config('{"suites": ["nope"]}')
 
     def test_malformed_json_reports_position(self):
         with pytest.raises(ValueError, match="line 1 column"):
@@ -62,9 +60,20 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="JSON object"):
             parse_config("[1, 2]")
 
-    def test_explicit_grid_is_validated(self):
-        with pytest.raises(ValueError, match="config field grid"):
-            parse_config('{"s": 0.5, "grid": {"box": [[3, -3]]}}')
+
+def test_importing_the_cli_leaves_scipy_signal_unloaded():
+    # a fresh process, so no other test's imports count
+    src = str(Path(fracheat.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = "import sys, fracheat.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestEmitTable:
@@ -153,34 +162,40 @@ class TestVerifyCommand:
         assert data["overall_pass"] is False
 
     def test_config_error_exits_two(self, tmp_path, capsys):
-        code = main(["verify", "definiteness", "--s", "1.2", "--out", str(tmp_path)])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_flags_override_config_file(self, tmp_path):
         cfg_file = tmp_path / "c.json"
-        cfg_file.write_text('{"s": 0.6, "datum": "cosine:1"}')
-        code = main(
-            ["verify", "definiteness", "--config", str(cfg_file), "--s", "1.5",
-             "--out", str(tmp_path / "o")]
-        )
+        cfg_file.write_text('{"suites": ["nope"]}')
+        code = main(["verify", "--config", str(cfg_file), "--out", str(tmp_path)])
         assert code == 2
+        assert "error: config field suites: unknown suite 'nope'" in capsys.readouterr().err
 
-    def test_dim_flag_overrides_config_n(self, tmp_path, monkeypatch):
+    def test_flags_override_config_file(self, tmp_path, monkeypatch):
         seen = []
 
         def record(cfg):
-            seen.append(cfg.params.dim)
+            seen.append((cfg.seed, cfg.out))
             return VerificationReport(suite="record")
 
         monkeypatch.setitem(SUITES, "record", record)
+        out = str(tmp_path / "o")
         cfg_file = tmp_path / "c.json"
-        cfg_file.write_text('{"N": 1, "s": 0.6}')
-        code = main(
-            ["verify", "record", "--config", str(cfg_file), "--dim", "2", "--out", str(tmp_path / "o")]
-        )
+        cfg_file.write_text('{"seed": 5, "out": "elsewhere"}')
+        code = main(["verify", "record", "--config", str(cfg_file), "--seed", "7", "--out", out])
         assert code == 0
-        assert seen == [2]
+        assert seen == [(7, out)]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--dim", "2"], ["--s", "0.3"], ["--s", "3"], ["--datum", "cosine:1"]],
+        ids=["dim", "s", "s-integral", "datum"],
+    )
+    def test_removed_flags_exit_two(self, tmp_path, monkeypatch, flags):
+        # --s 3 must not be taken as an abbreviation of --seed
+        ran = []
+        monkeypatch.setitem(SUITES, "definiteness", lambda cfg: ran.append(cfg))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "definiteness", *flags, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert ran == []
 
     @pytest.mark.parametrize(
         "text, reason",
@@ -199,12 +214,9 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "text, reason",
         [
-            ('{"dim": 1.5}', "config field dim must be an integer, got 1.5"),
-            ('{"N": true}', "config field N must be an integer, got True"),
             ('{"seed": 1.9}', "config field seed must be an integer, got 1.9"),
-            ('{"grid": {"counts": [2.7]}}', "config field grid: grid counts must be an integer, got 2.7"),
         ],
-        ids=["fractional-dim", "bool-n", "fractional-seed", "fractional-count"],
+        ids=["fractional-seed"],
     )
     def test_non_integral_config_field_exits_two(self, tmp_path, capsys, text, reason):
         # int() would truncate each of these silently
@@ -341,6 +353,19 @@ class TestFraclapCommand:
         assert code == 2
         assert captured.out == ""
         assert "error: cosine frequency must be positive and finite, got inf" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "function, x, count",
+        [("cosine:1", "0.5,1.5", 2), ("cosine:1", "", 0), ("ruled:1.2", "0.3,0.2;1,1", 2)],
+        ids=["two-1d", "none", "two-2d"],
+    )
+    def test_eval_takes_exactly_one_point(self, function, x, count, capsys):
+        code = main(["fraclap", "eval", "--function", function, "--s", "0.75", "--x", x])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"error: fraclap eval takes one point, got {count}" in captured.err
         assert "Traceback" not in captured.err
 
     def test_unexpected_error_exits_two_with_a_message(self, monkeypatch, capsys):

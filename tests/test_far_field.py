@@ -216,3 +216,15 @@ def test_affine_residual_needs_no_far_field(monkeypatch):
     assert est <= 3e-5
     assert abs(val) <= est
     assert max(radii) < 10.0
+
+
+@pytest.mark.parametrize("name", sorted(fam._FACTORIES))
+def test_is_affine_reads_the_exact_far_field(name):
+    # the one declaration that the flow leaves a datum where it is: constant
+    # and affine (slope 0 included) data, and no other family
+    factory, nargs = fam._FACTORIES[name]
+    for args in ([0.5, 0.0, 1.2][:nargs], [2.0, 1.0][:nargs]):
+        u = factory(*args)
+        ff = u.far_field
+        assert u.is_affine == (ff is not None and ff.exact)
+        assert u.is_affine == (name in ("constant", "affine"))

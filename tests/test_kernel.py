@@ -953,3 +953,20 @@ def test_kernel_suite_reports_equal_the_per_point_loops(seed):
     reference = _old_suite_reports(cfg)
     for name in KERNEL_SUITES:
         assert SUITES[name](cfg).to_json() == reference[name].to_json(), name
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 101, 24001])
+def test_semigroup_convolution_equals_scipy_fftconvolve_bit_for_bit(n):
+    # the semigroup suite convolves through numpy's FFT so that the CLI
+    # never loads scipy.signal; padded to scipy's length, its "same"
+    # window is scipy's to the last bit
+    from scipy.signal import fftconvolve
+
+    from fracheat.suites import _convolve_same
+
+    rng = np.random.default_rng(n)
+    a, b = rng.random(n), np.exp(-rng.random(n) * 30.0)
+    got = _convolve_same(a, b)
+    want = fftconvolve(a, b, mode="same")
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from fracheat import families as fam
-from fracheat.cli import parse_config
 from fracheat.fraclap import frac_laplacian
 from fracheat.kernel import (
     KernelParams,
@@ -62,7 +61,6 @@ GROWTH_ENTRIES = {
         GridSpec(dim=1, box=((-1.0, 1.0),), counts=(3,), times=(0.5,)),
         KernelParams(dim=1, s=0.75),
     ),
-    "parse_config": lambda: parse_config(f'{{"N": 1, "s": 0.75, "datum": "{FAST}"}}'),
 }
 
 
