@@ -210,6 +210,9 @@ def _cmd_kernel(args) -> int:
     if args.action == "eval":
         pts = _points(args.x, args.dim)
         times = _floats(args.t)
+        for name, text, values in (("--x", args.x, pts), ("--t", args.t, times)):
+            if not values:
+                raise ValueError(f"kernel eval needs at least one value in {name}, got {text!r}")
         headers = (
             ["N", "s"]
             + [f"x{i + 1}" for i in range(args.dim)]

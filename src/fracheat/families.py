@@ -16,6 +16,17 @@ cutoff lies short of where its remainder bound starts keeps the envelope
 bound of data without a declaration.  For an exact field (affine data)
 the solver returns the datum and the 1-D residual has no far field.
 
+Constant, affine, abs_power (power < 2), ruled (1 < power < 2), gaussian
+and piecewise_linear_1d declare a far field; cosine and the other powers
+do not.  A decaying datum declares no lead and no constant, only a
+remainder bound, so its tail stops where the datum has run out: the
+gaussian's 3-D tail band at t = 1 has 80 radii where the envelope laid
+528 out to 1.96e6, all of them exact zeros.  The kinked line's sphere
+means are exactly its lead and constant past |x|, so its remainder is 0
+from there on.  A family may also declare the rounding error of its
+values (rounding), which the operator's near band charges for u(x):
+every node shares it, divided by t^2.
+
 Families can also be constructed from compact text of the form
 ``"family:p1,p2"``, which is the notation the command line accepts.
 """
@@ -182,7 +193,9 @@ class FunctionSpec:
     lists the 1-D corners where u is not C^2; it is empty for smooth data.
     far_field, when present, declares the large-radius form of the sphere
     means (FarField); data without one are integrated far out through
-    their envelope alone.
+    their envelope alone.  rounding, when present, maps a (count, dim)
+    point array and its values to a bound on the rounding error of each
+    value; without it a value is charged half an ulp, 2^-53 |u|.
     """
 
     family: str
@@ -199,6 +212,7 @@ class FunctionSpec:
     kink_points: tuple[float, ...] = ()
     ruled_directions: tuple[tuple[float, ...], ...] = ()
     exp_envelope: Optional[tuple[float, float]] = None
+    rounding: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -392,7 +406,30 @@ def cosine(freq: float, dim: int = 1) -> FunctionSpec:
 
 
 def gaussian(rate: float = 1.0, dim: int = 1) -> FunctionSpec:
-    """u(x) = exp(-rate * |x|^2)."""
+    """u(x) = exp(-rate * |x|^2).
+
+    Far field: a = 0, b = 0, q = -8, and C(x) = exp(-g^2) rho0^8 from
+    rho0(x) = |x| + g / sqrt(rate), with g = 8.  Proof: for rho >= rho0
+    every point y = x + rho w of the sphere has |y| >= rho - |x| >= g /
+    sqrt(rate), so 0 <= M(x, rho) <= exp(-rate (rho - |x|)^2).  The log of
+    that bound over rho^q, -rate (rho - |x|)^2 - q log(rho), has the
+    derivative -2 rate (rho - |x|) - q / rho, which is <= 0 there because
+    2 rate (rho - |x|) rho >= 2 g^2 >= -q.  So the bound falls faster
+    than rho^q from rho0 on, where it equals C(x) rho0^q.  At x = 0 the
+    mean is exp(-rate rho^2), and the bound is tight at rho0.  Where
+    rho0^8 leaves the float range the remainder starts at infinity.
+    Past |y| of about 27.3 / sqrt(rate) the datum underflows to 0, so
+    the panels the declaration saves held exact zeros.
+
+    Rounding: value forms |x|^2 from dim products and dim - 1 sums of
+    positive terms and scales it by -rate, a relative error of at most
+    (dim + 1) 2^-53 to first order, which exp turns into a relative error
+    of rate |x|^2 (dim + 1) 2^-53 in u; exp itself adds under one ulp.
+    So 2^-52 |u| (1 + (dim + 1) rate |x|^2) bounds it, twice over in the
+    growing term: more than the half ulp charged by default, which matters
+    because the operator's near band multiplies the rounding of u(x) by
+    its sum of w / t^2.
+    """
     rate = float(rate)
     if not 0.0 < rate < math.inf:
         raise ValueError(f"gaussian rate must be positive and finite, got {rate!r}")
@@ -411,6 +448,21 @@ def gaussian(rate: float = 1.0, dim: int = 1) -> FunctionSpec:
     norms = np.exp(-rate * r * r) * np.maximum(np.abs(4 * rate**2 * r**2 - 2 * rate), 2 * rate)
     coeff = float((r * r * norms).max()) * 1.01
 
+    g, decay = 8.0, -8.0
+
+    def remainder(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(over="ignore"):
+            start = np.sqrt(_sq_norm(pts)) + g / math.sqrt(rate)
+            scale = math.exp(-g * g) * start**-decay
+        far = np.isfinite(scale)
+        return np.where(far, scale, 0.0), np.where(far, start, math.inf)
+
+    def rounding(pts: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        sq = _sq_norm(pts)
+        sq *= (dim + 1) * rate
+        sq += 1.0
+        return 2.0**-52 * np.abs(vals) * sq
+
     return FunctionSpec(
         family="gaussian",
         params=(rate,),
@@ -421,7 +473,9 @@ def gaussian(rate: float = 1.0, dim: int = 1) -> FunctionSpec:
         hessian_decay=(coeff, 2.0),
         sup_value=1.0,
         inf_value=0.0,
+        far_field=FarField(_zero_const, decay=decay, remainder=remainder),
         exp_envelope=(1.0, 0.0),
+        rounding=rounding,
     )
 
 
@@ -484,6 +538,13 @@ def piecewise_linear_1d(left_slope: float) -> FunctionSpec:
 
     Convex when left_slope <= 1.  Not C^2, so no Hessian decay is declared
     and quadrature at the corner itself is refused upstream.
+
+    Far field: a = (1 - lam)/2, beta = 1, b(x) = (1 + lam) x / 2, and a
+    remainder of 0 from rho0(x) = |x|, with lam = left_slope.  Proof: for
+    rho >= |x|, x + rho >= 0 >= x - rho, so the mean of the two values is
+    ((x + rho) + lam (x - rho)) / 2 = (1 - lam)/2 rho + (1 + lam)/2 x
+    exactly.  At lam = 1 the datum is the line u = x, whose field is exact
+    at every radius: a = 0 and b = u.
     """
     lam = float(left_slope)
     if not math.isfinite(lam):
@@ -493,6 +554,14 @@ def piecewise_linear_1d(left_slope: float) -> FunctionSpec:
         a = _point_array(pts, 1)
         x = a[..., 0]
         return np.where(x >= 0.0, x, lam * x)
+
+    def const(pts: np.ndarray) -> np.ndarray:
+        return 0.5 * (1.0 + lam) * pts[:, 0]
+
+    def remainder(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros(len(pts)), np.abs(pts[:, 0])
+
+    far = FarField(const=value) if lam == 1.0 else FarField(const, 0.5 * (1.0 - lam), 1.0, remainder=remainder)
 
     return FunctionSpec(
         family="piecewise_linear_1d",
@@ -504,6 +573,7 @@ def piecewise_linear_1d(left_slope: float) -> FunctionSpec:
         hessian_decay=None,
         sup_value=None,
         inf_value=0.0 if lam <= 0.0 else None,
+        far_field=far,
         kink_points=(0.0,),
         exp_envelope=(
             _quadratic_exp_amplitude(lambda r: max(1.0, abs(lam)) * r),

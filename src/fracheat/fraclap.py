@@ -10,8 +10,10 @@ rule reduces everything to a radial integral of t^{-1-2s} * S(t), where
 S(t) is the spherical sum of second differences at radius t.  On the near
 zone [0, r0], S(t)/t^2 extends continuously to t = 0 for C^2 data, so a
 Gauss-Jacobi rule with weight t^{1-2s} absorbs the singularity exactly;
-its estimate adds one unit of roundoff in the values whose differences
-cancel, divided by t^2, which dominates as s nears 1.  Beyond r0 the
+its estimate adds the rounding of the values whose differences cancel,
+divided by t^2, which dominates as s nears 1: half an ulp of each pair
+sum, and the rounding the datum declares for u(x) (FunctionSpec.rounding),
+which every node shares.  Beyond r0 the
 (u(x) - b(x)) part of S integrates in closed form, with b(x) the constant
 term of the datum's declared far field (families.FarField, 0 without
 one), and the rest takes one of two routes:
@@ -22,10 +24,13 @@ one), and the rest takes one of two routes:
     which families.far_leftover certifies the leftover integral.  A
     declared lead a t^beta integrates in closed form too, so only a
     remainder that decays goes on panels, and the cutoff sits where the
-    remainder bound meets the target.  Where the cutoff falls short of
-    the radius the remainder bound starts at, or for data without a
-    declaration, the growth envelope bounds the leftover, and the cutoff
-    sits very far out when the growth is near the integrability edge.
+    remainder bound meets the target: for decaying data, such as the
+    gaussian, just past where the datum has run out, and for the kinked
+    line, whose means are exact past |x|, just past |x|.  Where the
+    cutoff falls short of the radius the remainder bound starts at, or
+    for data without a declaration, the growth envelope bounds the
+    leftover, and the cutoff sits very far out when the growth is near
+    the integrability edge.
 
 Classification of definiteness is symbolic, keyed on family structure, and
 never touches quadrature.  All entry points are pure functions.
@@ -64,6 +69,10 @@ _GEO_ORDER = 24
 _GEO_CHECK = 16
 # vanish_at_infinity_check's bound on the far-to-near magnitude ratio
 _DECAY_FRACTION = 0.1
+# the smallest split radius: the near band divides by t^2 on nodes down to
+# about 1e-6 r0 (s near 1), and the tail multiplies by r0^(-2s), so below
+# about 1e-145 the float range runs out; 1e-100 keeps a wide margin
+_MIN_SPLIT = 1e-100
 
 
 def riesz_constant(dim: int, s: float) -> float:
@@ -223,6 +232,8 @@ def _near_band(
 ) -> tuple[float, float]:
     area = 2.0 * float(dwts.sum())
     scale = (0.5 * r0) ** (2.0 - 2.0 * s)
+    # u(x)'s rounding in units of 2^-53: |u(x)| unless the datum declares more
+    ux_units = abs(ux) if u.rounding is None else 2.0**53 * float(u.rounding(x[None, :], np.array([ux]))[0])
     # both rules' nodes in one pair_sums call, whose columns are independent
     rules = [_jacobi_rule(order, 1.0 - 2.0 * s) for order in (_NEAR_NODES, _NEAR_CHECK)]
     nodes = 0.5 * r0 * (1.0 + np.concatenate([xs for xs, _ in rules]))
@@ -231,9 +242,11 @@ def _near_band(
     for (_, ws), part in zip(rules, (slice(_NEAR_NODES), slice(_NEAR_NODES, None))):
         ts, pairs = nodes[part], sums[part]
         value = scale * float(np.dot(ws, (area * ux - pairs) / (ts * ts)))
-        # the second differences cancel to O(t^2) from O(1) values, so one
-        # unit of rounding in those values, divided by t^2, can dominate
-        floor = 2.0**-53 * scale * float(np.dot(ws, (abs(area * ux) + np.abs(pairs)) / (ts * ts)))
+        # the second differences cancel to O(t^2) from O(1) values, so the
+        # rounding of those values, divided by t^2, can dominate: half an
+        # ulp of each pair sum, and u(x)'s own rounding, which every node
+        # shares
+        floor = 2.0**-53 * scale * float(np.dot(ws, (area * ux_units + np.abs(pairs)) / (ts * ts)))
         out.append((value, floor))
     (main, floor), (check, _) = out
     return main, abs(main - check) + floor
@@ -299,7 +312,8 @@ def frac_laplacian(
     callers can see where the value came from.  The angular rule and the
     tail cutoff aim at specfun's ABS_TOL on the value.  Families whose
     declared growth beats the order are rejected before any quadrature
-    runs, as is evaluation exactly on a corner of a piecewise family.
+    runs, as is evaluation exactly on a corner of a piecewise family, and
+    data that vary on a scale finer than _MIN_SPLIT.
     """
     if not 0.0 < s < 1.0:
         raise ValueError("order s must lie in (0, 1)")
@@ -314,6 +328,12 @@ def frac_laplacian(
     r0 = 1.0 if u.osc_scale is None else min(1.0, math.pi / (2.0 * u.osc_scale))
     if kinks:
         r0 = min(r0, 0.5 * min(kinks))
+    if r0 < _MIN_SPLIT:
+        raise ValueError(
+            f"{u.label} varies on too fine a scale for the operator: its split radius "
+            f"{r0:.3g} is below {_MIN_SPLIT:g}, and the near band's weight 1/t^2 on radii "
+            "under it runs out of the float range"
+        )
     pref = 0.5 * riesz_constant(u.dim, s)
     halves = None if u.osc_scale is None else half_period_rule(r0, math.pi / u.osc_scale)
     dirs, dwts, ang_err = _angular_rule(

@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,7 @@ from .specfun import (
 )
 
 _TWO_PI = 2.0 * math.pi
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 # terms of the large-radius series, one per Mellin pole
@@ -103,6 +105,13 @@ class KernelParams:
     def scaling_power(self) -> float:
         """The exponent 1/(2s) tying space to time."""
         return 1.0 / (2.0 * self.s)
+
+
+def _small_time(params: KernelParams, t: float) -> str:
+    return (
+        f"time t={t:g} is too small for the kernel in dim {params.dim} at s={params.s:g}: "
+        "its values and derivatives at that time leave the float range"
+    )
 
 
 def _check_time(t: float) -> float:
@@ -381,9 +390,16 @@ def kernel_derivatives(params: KernelParams, points, times, order: int = 1) -> l
     F_d, F_{d+2} and F_{d+4} take one batched call each.  The gradient is
     zero at the origin, p_t = -(d p + x . grad p) / (2 s t) by scaling,
     and the Hessian is D2F on the x-direction and DF/r on its complement.
+    A time at which any of these leaves the float range is refused by
+    name, before its scale factors are formed where they would overflow.
     """
     dim, sp = params.dim, params.scaling_power
     times = [_check_time(t) for t in times]
+    for t in times:
+        # the largest scale factor t^(-(d + order)/(2s)) overflows for a small
+        # t; its log is checked, with a unit of margin, before any power
+        if (dim + order) * sp * -math.log(t) >= _LOG_FLOAT_MAX - 1.0:
+            raise ValueError(_small_time(params, t))
     points = [as_point(x, dim) for x in points]
     cases = [(t, x, float(np.linalg.norm(x))) for t in times for x in points]
     radii = [nx * t ** (-sp) for t, _, nx in cases]
@@ -402,6 +418,8 @@ def kernel_derivatives(params: KernelParams, points, times, order: int = 1) -> l
             else:
                 outer = np.outer(x / nx, x / nx)
                 sample += (pref * (d[2] * outer + (d[1] / r) * (np.eye(dim) - outer)),)
+        if not all(np.all(np.isfinite(v)) for v in sample):
+            raise ValueError(_small_time(params, t))
         out.append(sample)
     return out
 

@@ -316,6 +316,16 @@ class TestKernelCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["overall_pass"] is True
 
+    @pytest.mark.parametrize("flag", ["--x", "--t"])
+    @pytest.mark.parametrize("text", ["", ","])
+    def test_eval_refuses_an_empty_list(self, flag, text, capsys):
+        code = main(["kernel", "eval", "--dim", "1", "--s", "0.6", flag, text])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"error: kernel eval needs at least one value in {flag}, got {text!r}" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_wrong_coordinate_count_exits_two(self, capsys):
         code = main(["kernel", "eval", "--dim", "2", "--s", "0.5", "--x", "1"])
         assert code == 2

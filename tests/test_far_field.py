@@ -1,4 +1,4 @@
-"""The declared far fields of the growing families and the routes that read them.
+"""The declared far fields of the data families and the routes that read them.
 
 Each declaration promises |M(x, rho) - a rho^beta - b(x)| <= C(x) rho^q for
 rho >= rho0(x), with M the sphere mean of the datum about x.  The means
@@ -12,6 +12,7 @@ resolves the datum's feature there at every radius up to 1e12.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -66,7 +67,9 @@ DECLARED = [
     (fam.constant(2.0, dim=d), d) for d in (1, 2, 3)
 ] + [(fam.affine(0.5, 1.0, dim=d), d) for d in (1, 2, 3)] + [
     (fam.abs_power(b, dim=d), d) for b in (1.2, 0.75) for d in (1, 2, 3)
-] + [(fam.ruled(b, dim=d), d) for b in (1.2, 1.6) for d in (2, 3)]
+] + [(fam.ruled(b, dim=d), d) for b in (1.2, 1.6) for d in (2, 3)] + [
+    (fam.gaussian(a, dim=d), d) for a in (1.0, 0.25) for d in (1, 2, 3)
+] + [(fam.piecewise_linear_1d(lam), 1) for lam in (0.5, -0.5, 2.0)]
 
 
 @pytest.mark.parametrize("u, dim", DECLARED, ids=[f"{u.label}-{d}d" for u, d in DECLARED])
@@ -92,19 +95,60 @@ def test_declared_remainder_bounds_the_sphere_means(u, dim):
     assert used > 0 or ff.lead == 0.0
 
 
+def _remainder_holds(u, ff, x1: float, rho: float) -> bool:
+    """Whether far field ff's remainder bound holds for u about (x1, 0, ...) at radius rho."""
+    pt = np.zeros((1, u.dim))
+    pt[0, 0] = x1
+    mean, floor = _means(u, x1, rho)
+    gap = abs(mean - ff.lead * rho**ff.power - float(ff.const(pt)[0]))
+    return gap <= float(ff.remainder(pt)[0][0]) * rho**ff.decay + floor
+
+
+REMAINDERS = [fam.abs_power(1.2, dim=2), fam.ruled(1.2, dim=2), fam.ruled(1.6, dim=3)] + [
+    fam.gaussian(a, dim=d) for a in (1.0, 0.25) for d in (1, 2, 3)
+] + [fam.piecewise_linear_1d(lam) for lam in (0.5, -0.5, 2.0)]
+
+
 def test_remainder_bound_holds_where_it_starts():
     # the remainder branch itself, checked where it starts to apply, for
-    # points whose cutoff sits just past rho0(x)
-    for u in (fam.abs_power(1.2, dim=2), fam.ruled(1.2, dim=2), fam.ruled(1.6, dim=3)):
-        ff = u.far_field
+    # points whose cutoff sits just past rho0(x); a declaration that starts
+    # at 0 (the kinked line about its corner) is checked from rho = 1
+    for u in REMAINDERS:
         for x1 in POINTS[:5]:
             pt = np.zeros((1, u.dim))
             pt[0, 0] = x1
-            scale, start = ff.remainder(pt)
-            for rho in start[0] * np.array([1.0, 1.5, 3.0, 10.0]):
-                mean, floor = _means(u, x1, rho)
-                gap = abs(mean - ff.lead * rho**ff.power - float(u.far_const(pt)[0]))
-                assert gap <= scale[0] * rho**ff.decay + floor
+            start = float(u.far_field.remainder(pt)[1][0])
+            for rho in (start or 1.0) * np.array([1.0, 1.5, 3.0, 10.0]):
+                assert _remainder_holds(u, u.far_field, x1, rho), (u.label, u.dim, x1, rho)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("rate", [1.0, 0.25])
+def test_a_cut_gaussian_constant_fails(rate, dim):
+    # at x = 0 the mean is exp(-rate rho^2), which meets the bound at
+    # rho0 = g / sqrt(rate): half the constant no longer bounds it
+    u = fam.gaussian(rate, dim=dim)
+    ff = u.far_field
+
+    def halved(pts):
+        scale, start = ff.remainder(pts)
+        return 0.5 * scale, start
+
+    rho = float(ff.remainder(np.zeros((1, dim)))[1][0])
+    assert _remainder_holds(u, ff, 0.0, rho)
+    assert not _remainder_holds(u, dataclasses.replace(ff, remainder=halved), 0.0, rho)
+
+
+@pytest.mark.parametrize("lam", [0.5, -0.5, 2.0])
+def test_a_perturbed_kinked_line_lead_fails(lam):
+    # the declared field is exact past |x|, so a lead off by a part in a
+    # million leaves a gap far above the rounding floor
+    u = fam.piecewise_linear_1d(lam)
+    ff = u.far_field
+    moved = dataclasses.replace(ff, lead=ff.lead * (1.0 + 1e-6))
+    for x1 in (0.7, -3.0):
+        assert _remainder_holds(u, ff, x1, 10.0)
+        assert not _remainder_holds(u, moved, x1, 10.0)
 
 
 @pytest.mark.parametrize(
@@ -120,8 +164,10 @@ def test_declared_families(u, exact):
     assert u.far_field is not None and u.far_field.exact == exact
 
 
+# the ids keep the case names these had when gaussian (u1) and
+# piecewise_linear_1d (u4) were still on the list, before both declared fields
 @pytest.mark.parametrize(
-    "u", [fam.cosine(1.0), fam.gaussian(1.0), fam.abs_power(2.0), fam.ruled(0.8), fam.piecewise_linear_1d(0.5)]
+    "u", [fam.cosine(1.0), fam.abs_power(2.0), fam.ruled(0.8)], ids=["u0", "u2", "u3"]
 )
 def test_undeclared_families_keep_the_envelope(u):
     assert u.far_field is None
@@ -158,6 +204,26 @@ def test_ruled_2d_tail_band_is_short():
     grid = GridSpec(2, ((-2.0, 2.0), (-2.0, 2.0)), (3, 3), (1.0,))
     bands = _RadialBands(fam.ruled(1.2, dim=2), grid.nodes(), 1.0, KernelParams(dim=2, s=0.75), "mass", 2)
     assert bands._rhos[1].size < 300
+
+
+def test_gaussian_3d_tail_band_is_short():
+    # the envelope alone laid 528 tail radii out to 1.96e6 here, every term
+    # an exact zero past |y| = 27.3
+    grid = GridSpec(3, ((-1.0, 1.0),) * 3, (2, 2, 2), (1.0,))
+    bands = _RadialBands(fam.gaussian(1.0, dim=3), grid.nodes(), 1.0, KernelParams(dim=3, s=0.75), "mass", 1)
+    assert bands._rhos[1].size <= 80
+
+
+def test_straight_kinked_line_is_affine():
+    # at left slope 1 the kinked line is the line u = x: an exact field,
+    # whose flow leaves the datum where it is
+    u0 = fam.piecewise_linear_1d(1.0)
+    assert u0.is_affine
+    pts = np.array([[-0.587], [0.3], [1.7]])
+    for kind, exact in (("mass", pts[:, 0]), ("rate", np.zeros(3))):
+        vals, ests = _solve_batch(u0, pts, 1.01, KernelParams(dim=1, s=0.55), kind)
+        assert np.array_equal(vals, exact)
+        assert np.all(ests <= 2.0**-53 * np.abs(exact))
 
 
 @pytest.mark.parametrize("x", [-0.587, 0.3, 1.7])

@@ -423,6 +423,24 @@ def test_estimate_covers_near_band_rounding(spec, x):
     assert abs(res.value - truth) <= res.error_estimate
 
 
+@pytest.mark.parametrize("s", [0.6, 0.9])
+@pytest.mark.parametrize("spec", ["gaussian:1", "piecewise_linear_1d:0.5"])
+def test_declared_far_fields_keep_the_estimate_bounding_the_error(spec, s):
+    # the declared far fields stop the tail where the datum has run out,
+    # so the estimate is the near band's and the tail's own, with no
+    # envelope slack left over.  The points are the benchmark's radial-1d
+    # draw, off the corner; past |x| = 3 the gaussian's Fourier-side oracle
+    # is itself off by about 1e-16, more than the estimate there
+    oracles = _oracles()
+    rng = np.random.default_rng(2016)
+    xs = rng.uniform(0.05, 3.0, size=24) * rng.choice([-1.0, 1.0], size=24)
+    u = fam.parse_spec(spec)
+    for x in xs:
+        truth = oracles.gaussian_flap(1.0, 1, s, abs(x)) if spec.startswith("gaussian") else oracles.kinked_line_flap(0.5, s, x)
+        res = frac_laplacian(u, x, s)
+        assert abs(res.value - truth) <= res.error_estimate, x
+
+
 class TestGeometricRoute:
     """The one non-oscillatory tail route, against closed forms."""
 

@@ -2,14 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from fracheat import families as fam
+from fracheat.cli import main
 from fracheat.fraclap import frac_laplacian
 from fracheat.kernel import (
     KernelParams,
     heat_kernel,
     heat_kernel_fourier,
+    kernel_derivatives,
     kernel_gradient,
     kernel_time_derivative,
 )
@@ -88,3 +91,38 @@ def test_growth_entries_refuse_fast_growth(entry):
 def test_non_finite_family_parameters_refused(spec, message):
     with pytest.raises(ValueError, match=message):
         fam.parse_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["kernel", "eval", "--dim", "1", "--s", "0.6", "--x", "1", "--t", "1e-300"],
+            "time t=1e-300 is too small for the kernel in dim 1 at s=0.6: "
+            "its values and derivatives at that time leave the float range",
+        ),
+        (
+            ["fraclap", "eval", "--function", "cosine:1e300", "--s", "0.6", "--x", "0.5"],
+            "cosine:1e+300 varies on too fine a scale for the operator: its split radius "
+            "1.57e-300 is below 1e-100",
+        ),
+    ],
+    ids=["kernel-tiny-time", "fraclap-huge-frequency"],
+)
+def test_overflowing_scales_are_refused_by_name(argv, message, capsys):
+    # both overflowed in a power, and left through the unforeseen-error path
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "OverflowError" not in err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_kernel_derivatives_refuse_a_time_whose_scale_overflows(order):
+    # the order-k scale factor t^(-(1 + k)/1.2) overflows below about
+    # t = 1e-185 (k = 1) and 1e-123 (k = 2) in dim 1 at s = 0.6
+    with pytest.raises(ValueError, match=r"time t=1e-300 is too small for the kernel in dim 1 at s=0\.6"):
+        kernel_derivatives(PARAMS, [[1.0]], [1e-300], order)
+    sample = kernel_derivatives(PARAMS, [[1.0]], [1e-100], order)[0]
+    assert all(np.all(np.isfinite(v)) for v in sample)
