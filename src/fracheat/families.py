@@ -8,24 +8,14 @@ here evaluates derivatives; what the layers need of them is declared as
 metadata.  A point array has shape (..., dim) and values come back with
 shape (...,).
 
-fraclap's tail and the solver's tail band read the far field the same
-way, through far_leftover: the declared lead a rho^beta and the constant
-term b(x) are subtracted from the sphere means and integrated in closed
-form, and only a remainder that decays goes on panels.  A point whose
-cutoff lies short of where its remainder bound starts keeps the envelope
-bound of data without a declaration.  For an exact field (affine data)
-the solver returns the datum and the 1-D residual has no far field.
-
-Constant, affine, abs_power (power < 2), ruled (1 < power < 2), gaussian
-and piecewise_linear_1d declare a far field; cosine and the other powers
-do not.  A decaying datum declares no lead and no constant, only a
-remainder bound, so its tail stops where the datum has run out: the
-gaussian's 3-D tail band at t = 1 has 80 radii where the envelope laid
-528 out to 1.96e6, all of them exact zeros.  The kinked line's sphere
-means are exactly its lead and constant past |x|, so its remainder is 0
-from there on.  A family may also declare the rounding error of its
-values (rounding), which the operator's near band charges for u(x):
-every node shares it, divided by t^2.
+FarBand is the one far tail of the operator and the solver: it reads the
+far field through far_leftover and owns the route, cutoff, subtraction
+and closed form (see its docstring).  Constant, affine, abs_power
+(power < 2), ruled (1 < power < 2), gaussian and piecewise_linear_1d
+declare a far field; cosine and the other powers do not.  A family may
+also declare the rounding error of its values (rounding), which the
+operator's near band charges for u(x): every node shares it, divided by
+t^2.
 
 Families can also be constructed from compact text of the form
 ``"family:p1,p2"``, which is the notation the command line accepts.
@@ -35,15 +25,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+from .specfun import averaged_limit, geometric_tail, half_period_rule, panel_rule, tail_integral
 
 __all__ = [
     "GrowthEnvelope",
     "FarField",
     "FunctionSpec",
     "far_leftover",
+    "FarBand",
     "as_point",
     "as_integer",
     "require_admissible",
@@ -125,15 +119,12 @@ class FarField:
 
 
 def far_leftover(
-    u: FunctionSpec,
-    pts: np.ndarray,
-    tail: Callable[[float, float], float],
-    unit: float = 1.0,
+    u: FunctionSpec, pts: np.ndarray, tail: Callable[[float, float], float], unit: float = 1.0
 ) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
     """Per-point bounds on a far integral of u's sphere means past a radius.
 
-    tail(radius, p) bounds the integral of |w(r)| (unit r)^p over r beyond
-    radius, for the caller's radial weight w and sphere radius rho = unit r.
+    tail(radius, p) bounds the integral of |w(r)| r^p over r beyond radius,
+    for the caller's radial weight w and sphere radius rho = unit r.
     The returned leftover(radius) gives, for each point x of pts, a bound
     on the integral of w(r) (M(x, rho) - sub(x, rho)) beyond radius, and
     the lead coefficient the point subtracts there (0 where it does not):
@@ -153,24 +144,126 @@ def far_leftover(
     beta = env.power if env.slope > 0.0 else 0.0
     bump = max(1.0, 2.0 ** (beta - 1.0))
     const = u.far_const(pts)
-    c0 = env.amplitude + env.slope * bump * np.linalg.norm(pts, axis=1) ** beta + np.abs(const)
+    c0 = env.amplitude + env.slope * bump * np.sqrt(_sq_norm(pts)) ** beta + np.abs(const)
     c1 = env.slope * bump
-    if ff is not None and ff.remainder is not None:
-        scale, start = ff.remainder(pts)
-    else:
-        scale, start = np.zeros(len(pts)), np.zeros(len(pts))
+    declared = ff is not None and ff.remainder is not None
+    scale, start = ff.remainder(pts) if declared else (np.zeros(len(pts)), np.zeros(len(pts)))
+    # rho^p = unit^p r^p, with each power of the unit taken once
+    grow = unit**beta if c1 > 0.0 else 0.0
+    shrink = unit**ff.decay if ff is not None else 0.0
 
     def leftover(radius: float) -> tuple[np.ndarray, np.ndarray]:
         bound = c0 * tail(radius, 0.0)
         if c1 > 0.0:
-            bound = bound + c1 * tail(radius, beta)
+            bound = bound + c1 * (grow * tail(radius, beta))
         if ff is None:
             return bound, np.zeros(len(pts))
-        rem = scale * tail(radius, ff.decay)
+        rem = scale * (shrink * tail(radius, ff.decay))
         use = (unit * radius >= start) & (rem <= bound)
         return np.where(use, rem, bound), np.where(use, ff.lead, 0.0)
 
     return leftover
+
+
+class FarBand:
+    """The far tail of a batch of points past a start radius, for the operator and the solver.
+
+    For each point x of pts, a (count, dim) array, the band is
+
+        scale * int_start^inf weight(r) S(x, unit r) dr,
+
+    with S(x, rho) the caller's sum of the datum over a direction rule of
+    total weight area on the sphere of radius rho about x, and weight(r) =
+    sum_k series[k-1] r^(-1-2sk) past start: r^(-1-2s), (1,) and unit 1 in
+    fraclap, the profile factor F(r) r^(N-1), its large-radius series and
+    unit t^(1/2s) in the solver.  The part area (const(x) + lead(x)
+    rho^power) of S that the far field declares integrates in closed form
+    (closed, per point); the rest goes on panels at the sphere radii rhos,
+    and reduce turns the caller's sums there into values and estimates.
+
+      * Bounded oscillating data (FunctionSpec.bounded_oscillation) take
+        the averaged route: half_period_rule's panels of half-period
+        pi / (osc_scale unit), less const(x), whose partial row sums are
+        averaged (averaged_limit); the last step is the estimate.
+      * All other data take the geometric route: geometric_tail's panels
+        (edges) of ratio 1.7 for growing data, else 1.4, no wider than 2.2
+        half-periods, out to the cutoff where far_leftover certifies area
+        times each point's leftover under target, with the breaks strictly
+        inside added.  A point whose cutoff reaches the start of its
+        remainder bound subtracts its lead too, so a decaying datum's
+        cutoff sits just past where it has run out; the others keep the
+        envelope bound, far out for growth near the integrability edge.
+        The first of orders gives the values; the estimate adds the
+        leftover, the gap to the second order if any, and rel times the
+        sum of |terms| for a weight of relative accuracy rel.  An exact
+        field (constant, affine) lays no panels and leaves nothing over.
+    """
+
+    def __init__(
+        self, u: FunctionSpec, pts: np.ndarray, s: float, start: float, unit: float,
+        weight: Callable[[np.ndarray], np.ndarray], series: tuple[float, ...], scale: float, rel: float,
+        area: float, target: float, orders: tuple[int, ...], breaks: Sequence[float] = (),
+    ) -> None:
+        self.area, self.scale, self.rel, self._grow = area, scale, rel, None
+        ff, self._const = u.far_field, u.far_const(pts)
+        self.route = "averaged" if u.bounded_oscillation else "geometric"
+        lead, self.edges = None, None
+        if self.route == "averaged":
+            nodes, ws, self._first = half_period_rule(start, math.pi / (u.osc_scale * unit))
+            self._shape = nodes.shape
+            rs, ws = nodes.ravel(), ws.ravel()
+        else:
+            leftover = far_leftover(u, pts, partial(tail_integral, tuple(abs(scale * c) for c in series), s), unit)
+            if u.is_affine:
+                edges = np.array([float(start)])
+            else:
+                width = 2.2 * math.pi / (u.osc_scale * unit) if u.osc_scale else math.inf
+                ratio = 1.7 if u.envelope.slope > 0.0 else 1.4
+                # the batch's worst leftover; a single point reads its own
+                worst = np.max if len(pts) > 1 else (lambda b: b[0])
+                edges = geometric_tail(start, ratio, lambda r: area * float(worst(leftover(r)[0])), target, width)
+                inside = [b for b in breaks if edges[0] < b < edges[-1]]
+                if inside:
+                    edges = np.unique(np.concatenate([edges, inside]))
+            left, lead = leftover(float(edges[-1]))
+            self.edges, self._left = edges, area * left
+            rules = [panel_rule(edges, order) for order in orders]
+            self._cut = rules[0][0].size
+            rs, ws = (np.concatenate([rule[i].ravel() for rule in rules]) for i in (0, 1))
+        self.rhos = rs if unit == 1.0 else unit * rs
+        self._fac = weight(rs) * ws
+        closed = tail_integral(series, s, start) * self._const
+        if ff is not None and ff.lead and lead.any():
+            self._lead, self._grow = lead, self.rhos**ff.power
+            closed = closed + unit**ff.power * tail_integral(series, s, start, ff.power) * lead
+        self.closed = scale * area * closed
+
+    @staticmethod
+    def reach(u: FunctionSpec, start: float) -> Optional[float]:
+        """The averaged route's last radius from start at unit 1; None on the
+        geometric route, whose cutoff depends on the rule's area."""
+        if not u.bounded_oscillation:
+            return None
+        return float(half_period_rule(start, math.pi / u.osc_scale)[0][-1, -1])
+
+    def reduce(self, sums: np.ndarray, sl: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Panel values and estimates of the points pts[sl] from their sums at rhos."""
+        # one expression, so that no (points x radii) temporary outlives it
+        sub = self._const[sl, None]
+        rest = sums - self.area * (sub if self._grow is None else sub + self._lead[sl, None] * self._grow)
+        if self.route == "averaged":
+            rest *= self._fac
+            rows = rest.reshape(len(sums), *self._shape).sum(axis=2)
+            vals, errs = averaged_limit(np.cumsum(rows, axis=1)[:, self._first :])
+            return self.scale * vals, self.scale * errs
+        main, fac = rest[:, : self._cut], self._fac[: self._cut]
+        vals = self.scale * main @ fac
+        errs = self._left[sl]
+        if self.rel:
+            errs = errs + self.rel * self.scale * np.abs(main) @ np.abs(fac)
+        if self._cut < rest.shape[1]:
+            errs = errs + np.abs(vals - self.scale * rest[:, self._cut :] @ self._fac[self._cut :])
+        return vals, errs
 
 
 @dataclass(eq=False)
@@ -221,6 +314,12 @@ class FunctionSpec:
         if not self.label:
             args = ",".join(f"{p:g}" for p in self.params)
             self.label = f"{self.family}:{args}" if args else self.family
+
+    @property
+    def bounded_oscillation(self) -> bool:
+        """Whether the datum oscillates without growing, so that its far
+        integrals settle by averaging over half-periods (FarBand)."""
+        return bool(self.osc_scale) and self.envelope.slope == 0.0
 
     @property
     def is_affine(self) -> bool:

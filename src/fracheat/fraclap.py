@@ -13,24 +13,10 @@ Gauss-Jacobi rule with weight t^{1-2s} absorbs the singularity exactly;
 its estimate adds the rounding of the values whose differences cancel,
 divided by t^2, which dominates as s nears 1: half an ulp of each pair
 sum, and the rounding the datum declares for u(x) (FunctionSpec.rounding),
-which every node shares.  Beyond r0 the
-(u(x) - b(x)) part of S integrates in closed form, with b(x) the constant
-term of the datum's declared far field (families.FarField, 0 without
-one), and the rest takes one of two routes:
-
-  * oscillatory bounded data: specfun.half_period_rule's panels, whose
-    partial sums are repeatedly averaged until they settle;
-  * everything else: specfun.geometric_tail's panels out to the radius at
-    which families.far_leftover certifies the leftover integral.  A
-    declared lead a t^beta integrates in closed form too, so only a
-    remainder that decays goes on panels, and the cutoff sits where the
-    remainder bound meets the target: for decaying data, such as the
-    gaussian, just past where the datum has run out, and for the kinked
-    line, whose means are exact past |x|, just past |x|.  Where the
-    cutoff falls short of the radius the remainder bound starts at, or
-    for data without a declaration, the growth envelope bounds the
-    leftover, and the cutoff sits very far out when the growth is near
-    the integrability edge.
+which every node shares.  Beyond r0 the 2u(x) term integrates in closed
+form, and the pair sums go to families.FarBand, the far tail this module
+shares with the solver, with breaks at the kinks and graded toward the
+radius where the spheres cross the origin.
 
 Classification of definiteness is symbolic, keyed on family structure, and
 never touches quadrature.  All entry points are pure functions.
@@ -47,9 +33,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .families import FunctionSpec, as_point, far_leftover, require_admissible
+from .families import FarBand, FunctionSpec, as_point, require_admissible
 from .report import VerificationReport
-from .specfun import ABS_TOL, averaged_limit, gamma, geometric_tail, half_period_rule, nested_pair_sums, pair_sums, panel_rule, sphere_rule
+from .specfun import ABS_TOL, gamma, nested_pair_sums, pair_sums, sphere_rule
 
 __all__ = [
     "Definiteness",
@@ -184,16 +170,10 @@ def _angular_rule(
 
 
 @lru_cache(maxsize=64)
-def _jacobi_rule(order: int, weight_exp: float) -> tuple[np.ndarray, np.ndarray]:
-    x, w = roots_jacobi(order, 0.0, weight_exp)
-    return np.asarray(x), np.asarray(w)
-
-
-def _insert_breaks(edges: np.ndarray, breaks: Sequence[float]) -> np.ndarray:
-    inside = [t for t in breaks if edges[0] < t < edges[-1]]
-    if not inside:
-        return edges
-    return np.unique(np.concatenate([edges, np.asarray(inside)]))
+def _near_rules(s: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """1 + x at the nodes x of the main, then the check Gauss-Jacobi rule of weight (1 + x)^(1-2s), and their weights."""
+    rules = [roots_jacobi(order, 0.0, 1.0 - 2.0 * s) for order in (_NEAR_NODES, _NEAR_CHECK)]
+    return 1.0 + np.concatenate([xs for xs, _ in rules]), [np.asarray(ws) for _, ws in rules]
 
 
 def _kink_radii(u: FunctionSpec, x: np.ndarray) -> list[float]:
@@ -228,18 +208,18 @@ def _near_band(
     s: float,
     dirs: np.ndarray,
     dwts: np.ndarray,
+    area: float,
     r0: float,
 ) -> tuple[float, float]:
-    area = 2.0 * float(dwts.sum())
     scale = (0.5 * r0) ** (2.0 - 2.0 * s)
     # u(x)'s rounding in units of 2^-53: |u(x)| unless the datum declares more
     ux_units = abs(ux) if u.rounding is None else 2.0**53 * float(u.rounding(x[None, :], np.array([ux]))[0])
     # both rules' nodes in one pair_sums call, whose columns are independent
-    rules = [_jacobi_rule(order, 1.0 - 2.0 * s) for order in (_NEAR_NODES, _NEAR_CHECK)]
-    nodes = 0.5 * r0 * (1.0 + np.concatenate([xs for xs, _ in rules]))
+    shifted, weights = _near_rules(s)
+    nodes = 0.5 * r0 * shifted
     sums = pair_sums(u.value, x[None, :], nodes, dirs, dwts)[0]
     out = []
-    for (_, ws), part in zip(rules, (slice(_NEAR_NODES), slice(_NEAR_NODES, None))):
+    for ws, part in zip(weights, (slice(_NEAR_NODES), slice(_NEAR_NODES, None))):
         ts, pairs = nodes[part], sums[part]
         value = scale * float(np.dot(ws, (area * ux - pairs) / (ts * ts)))
         # the second differences cancel to O(t^2) from O(1) values, so the
@@ -250,51 +230,6 @@ def _near_band(
         out.append((value, floor))
     (main, floor), (check, _) = out
     return main, abs(main - check) + floor
-
-
-def _tail_band(
-    u: FunctionSpec,
-    x: np.ndarray,
-    ux: float,
-    s: float,
-    dirs: np.ndarray,
-    dwts: np.ndarray,
-    r0: float,
-    halves: Optional[tuple[np.ndarray, np.ndarray, int]],
-    rem_target: float,
-) -> tuple[float, float]:
-    area = 2.0 * float(dwts.sum())
-    env, ff = u.envelope, u.far_field
-    const = float(u.far_const(x[None, :])[0])
-    dc = area * (ux - const) * r0 ** (-2.0 * s) / (2.0 * s)
-
-    def panel_terms(ts: np.ndarray, ws: np.ndarray, lead: float = 0.0) -> np.ndarray:
-        # Gauss terms of t^{-1-2s} (area * (const + lead t^power) - pair
-        # sums), one row per panel
-        flat = ts.ravel()
-        sub = area * (const + lead * flat**ff.power) if lead else area * const
-        rest = sub - pair_sums(u.value, x[None, :], flat, dirs, dwts)[0]
-        return ws * (flat ** (-1.0 - 2.0 * s) * rest).reshape(ts.shape)
-
-    if halves is not None and env.slope == 0.0:
-        ts, ws, lead = halves
-        rest, rest_err = map(float, averaged_limit(np.cumsum(panel_terms(ts, ws).sum(axis=1))[lead:]))
-        return dc + rest, rest_err + 1e-16 * abs(dc)
-
-    # geometric panels out to where the far field certifies the leftover;
-    # past the cutoff, t^{-1-2s} integrates t^p to t^{p-2s} / (2s - p)
-    leftover = far_leftover(u, x[None, :], lambda t, p: t ** (p - 2.0 * s) / (2.0 * s - p))
-    ratio = 1.7 if env.slope > 0.0 else 1.4
-    edges = geometric_tail(r0, ratio, lambda t: area * float(leftover(t)[0][0]), rem_target)
-    edges = _insert_breaks(edges, _kink_radii(u, x) + _origin_radii(x))
-    left, lead = (float(v[0]) for v in leftover(float(edges[-1])))
-    if lead:
-        dc -= area * lead * r0 ** (ff.power - 2.0 * s) / (2.0 * s - ff.power)
-    # one pair_sums call for both rules; np.sum adds a flat run as its 2-D rule
-    rules = [panel_rule(edges, order) for order in (_GEO_ORDER, _GEO_CHECK)]
-    terms = panel_terms(*(np.concatenate([rule[i].ravel() for rule in rules]) for i in (0, 1)), lead)
-    rest, check = float(np.sum(terms[: rules[0][1].size])), float(np.sum(terms[rules[0][1].size :]))
-    return dc + rest, abs(rest - check) + area * left
 
 
 # ---------------------------------------------------------------------------
@@ -335,22 +270,21 @@ def frac_laplacian(
             "under it runs out of the float range"
         )
     pref = 0.5 * riesz_constant(u.dim, s)
-    halves = None if u.osc_scale is None else half_period_rule(r0, math.pi / u.osc_scale)
-    dirs, dwts, ang_err = _angular_rule(
-        u, xa, s, r0, 1e4 if halves is None else float(halves[0][-1, -1]), 0.25 * ABS_TOL / pref
-    )
+    reach = FarBand.reach(u, r0)
+    dirs, dwts, ang_err = _angular_rule(u, xa, s, r0, 1e4 if reach is None else reach, 0.25 * ABS_TOL / pref)
     ux = float(u.value(xa[None, :])[0])
-    near, near_err = _near_band(u, xa, ux, s, dirs, dwts, r0)
-    tail, tail_err = _tail_band(u, xa, ux, s, dirs, dwts, r0, halves, ABS_TOL / pref)
-    value = pref * (near + tail)
-    err = pref * (near_err + tail_err + ang_err) + 1e-15 * abs(value)
-    return FracLapResult(
-        value=value,
-        near_part=pref * near,
-        tail_part=pref * tail,
-        split_radius=r0,
-        error_estimate=err,
-    )
+    area = 2.0 * float(dwts.sum())
+    near, near_err = _near_band(u, xa, ux, s, dirs, dwts, area, r0)
+    band = FarBand(u, xa[None, :], s, r0, 1.0, lambda t: t ** (-1.0 - 2.0 * s), (1.0,), pref, 0.0, area,
+                   ABS_TOL, (_GEO_ORDER, _GEO_CHECK), kinks + _origin_radii(xa))
+    far, far_err = band.reduce(pair_sums(u.value, xa[None, :], band.rhos, dirs, dwts), slice(None))
+    # the u(x) term, 2u(x) on every sphere past r0 against t^(-1-2s), less
+    # the band's closed form
+    dc = pref * area * (ux * (r0 ** (-2.0 * s) / (2.0 * s))) - float(band.closed[0])
+    near_part, tail = pref * near, dc - float(far[0])
+    value = near_part + tail
+    err = pref * (near_err + ang_err) + float(far_err[0]) + 1e-16 * abs(dc) + 1e-15 * abs(value)
+    return FracLapResult(value=value, near_part=near_part, tail_part=tail, split_radius=r0, error_estimate=err)
 
 
 def second_difference_constants(u: FunctionSpec) -> tuple[float, float, float]:

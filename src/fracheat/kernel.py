@@ -26,8 +26,8 @@ and kernel_time_derivative are the one-point cases of kernel_derivatives.
 
 Past TAIL_CUT = 30 every route reads the large-radius series, which has
 one copy: tail_series sums it for f_radial, d_f_radial and the tables,
-and tail_integral integrates it, against a power of the radius, beyond
-TAIL_CUT for kernel_mass and for the solver's closed-form far field.
+and specfun.tail_integral integrates it beyond TAIL_CUT, against a power
+of the radius, for kernel_mass and for the solver's far band.
 Every table ends at TAIL_CUT, and its constructor requires the series
 there to match the last sample to _CONTINUATION_REL.
 """
@@ -58,6 +58,7 @@ from .specfun import (
     panel_rule,
     shared_cache,
     tail_bound,
+    tail_integral,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -71,6 +72,10 @@ _TAIL_TERMS = 14
 # for s >= 0.25, dim <= 7): tables end there, kernel_mass integrates the
 # series beyond it, and the solver's tail band starts there
 TAIL_CUT = 30.0
+# panel edges of the scaled radius up to TAIL_CUT: kernel_mass and every
+# solve's body band integrate on these 49 panels
+BODY_EDGES = np.concatenate([np.linspace(0.0, 2.0, 17), np.geomspace(2.25, TAIL_CUT, 33)])
+BODY_EDGES.setflags(write=False)
 # the table's first positive node and its count of positive nodes,
 # log-spaced from there to TAIL_CUT
 _TABLE_FIRST = 1e-3
@@ -219,25 +224,6 @@ def tail_series(dim: int, s: float, r: np.ndarray) -> np.ndarray:
         if a != 0.0:
             total += a * r ** (-dim - 2.0 * s * k)
     return total
-
-
-def tail_integral(coeffs: tuple[float, ...], s: float, radius: float, shift: float = 0.0) -> float:
-    """int_radius^inf sum_k c_k r^(shift-1-2sk) dr, term by term: the math.fsum
-    of c_k radius^(shift-2sk) / (2sk - shift) over the nonzero c_k.
-
-    With the coefficients of tail_coefficients this is the integral of
-    F(r) r^(dim-1) r^shift beyond the radius; the signed shift is a power
-    of the radius the series is integrated against, such as a datum's
-    declared growth, and must stay under 2s, where the first term stops
-    converging.
-    """
-    if not shift < 2.0 * s:
-        raise ValueError(f"the series integral needs shift < 2s = {2.0 * s:g}, got {shift:g}")
-    return math.fsum(
-        c * radius ** (shift - 2.0 * s * k) / (2.0 * s * k - shift)
-        for k, c in enumerate(coeffs, start=1)
-        if c != 0.0
-    )
 
 
 def _profile_array(dim: int, s: float, radii: np.ndarray) -> np.ndarray:
@@ -440,10 +426,6 @@ def kernel_time_derivative(params: KernelParams, x, t: float) -> float:
     return kernel_derivatives(params, [x], [t])[0][2]
 
 
-def _kernel_hessian(params: KernelParams, x, t: float) -> np.ndarray:
-    return kernel_derivatives(params, [x], [t], 2)[0][3]
-
-
 # ---------------------------------------------------------------------------
 # Fourier-side oracle
 
@@ -637,8 +619,7 @@ def kernel_mass(params: KernelParams, t: float) -> float:
     sphere = 2.0 * math.pi ** (0.5 * dim) / gamma(0.5 * dim)
     scale = t**sp
     # physical-variable panels whose images are fixed in the scaled variable
-    redges = np.concatenate([np.linspace(0.0, 2.0, 17), np.geomspace(2.25, TAIL_CUT, 32)])
-    xs, ws = panel_rule(redges * scale, 24)
+    xs, ws = panel_rule(BODY_EDGES * scale, 24)
     kernel_pref = t ** (-dim * sp) * _TWO_PI ** (-0.5 * dim)
     integrand = kernel_pref * table.evaluate(xs.ravel() / scale).reshape(xs.shape) * xs ** (dim - 1)
     bulk = sphere * float(np.sum(ws * integrand))
@@ -649,9 +630,14 @@ def kernel_mass(params: KernelParams, t: float) -> float:
 
 def kernel_envelope(params: KernelParams, nx: float, t: float, k: int = 0) -> float:
     """The scaling envelope min(t^(-(d+k)/(2s)), t |x|^(-(d+2s+k))) of the
-    order-k derivatives of the kernel at |x| = nx; its t-power at the origin."""
+    order-k derivatives of the kernel at |x| = nx: the t-power at the origin
+    and wherever the |x|-power leaves the float range (checked on its log,
+    with a unit of margin), as it does for 0 < |x| below about 1e-140."""
     first = t ** (-(params.dim + k) * params.scaling_power)
-    return first if nx == 0.0 else min(first, t * nx ** (-(params.dim + 2.0 * params.s + k)))
+    power = params.dim + 2.0 * params.s + k
+    if nx == 0.0 or -power * math.log(nx) > _LOG_FLOAT_MAX - 1.0:
+        return first
+    return min(first, t * nx**-power)
 
 
 def verify_kernel_bounds(params: KernelParams, points=None) -> VerificationReport:
@@ -664,7 +650,7 @@ def verify_kernel_bounds(params: KernelParams, points=None) -> VerificationRepor
     (_RATIO_FLOOR, _RATIO_CEILING) and every derivative ratio under
     _RATIO_CEILING: no vanishing and no blow-up anywhere on the grid.
     """
-    dim, s, sp = params.dim, params.s, params.scaling_power
+    dim = params.dim
     if points is None:
         dirs = np.eye(dim)
         radii = np.concatenate([[0.0], np.geomspace(0.05, 50.0, 13)])
@@ -677,13 +663,14 @@ def verify_kernel_bounds(params: KernelParams, points=None) -> VerificationRepor
     rows = []
     for (t, x), (p, grad, pt, hess) in zip(itertools.product(_BOUND_TIMES, points), samples):
         nx = float(np.linalg.norm(x))
-        env_t = t ** (-dim * sp - 1.0) if nx == 0.0 else min(t ** (-dim * sp - 1.0), nx ** (-(dim + 2.0 * s)))
+        env = kernel_envelope(params, nx, t, 0)
         rows.append((
             (*x, t),
-            p / kernel_envelope(params, nx, t, 0),
+            p / env,
             float(np.max(np.abs(grad))) / kernel_envelope(params, nx, t, 1),
             float(np.max(np.abs(hess))) / kernel_envelope(params, nx, t, 2),
-            abs(pt) / env_t,
+            # the time derivative scales as the kernel over t
+            abs(pt) / (env / t),
         ))
     # min and max keep the first of equal extremes, in the order sampled
     lowest = min(rows, key=lambda row: row[1])

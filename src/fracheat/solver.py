@@ -13,23 +13,11 @@ replaced by the profile of the kernel's t-derivative; the dimension
 shift identity F_N'(r) = -r F_{N+2}(r) turns that into a combination of
 two tabulated profiles, so no numerical differentiation happens.
 
-Beyond the tabulated range the tail band splits the datum as the
-pointwise operator does, through its declared far field (families.FarField):
-the constant term b(x) and the lead a rho^beta of the sphere means
-integrate in closed form against the profile's power series
-(kernel.tail_integral), and the rest takes one of two routes,
-specfun.half_period_rule's averaged panels for oscillatory bounded data
-and specfun.geometric_tail's panels for everything else.  There only a
-remainder that decays goes on panels, out to the cutoff where
-families.far_leftover certifies each point's leftover: the declared
-remainder bound where the cutoff reaches where it starts, else the growth
-envelope (the envelope alone for data without a declaration).  A decaying
-datum (gaussian) declares only a remainder, so its tail band stops where
-the datum has run out: 80 radii to 120 for gaussian:1 in 3-D at t = 1,
-where the envelope alone laid 528 out to 1.96e6.  What the
-datum declares about itself (far field, oscillation scale, growth
-envelope) decides the route.  An exact far field (affine data) has the
-datum itself as its solution at every time, with no quadrature.
+Beyond the tabulated range, r > TAIL_CUT, the tail band is a
+families.FarBand against the profile's large-radius series: the far tail
+of the pointwise operator, with its route, cutoff and closed form.  An
+exact far field (affine data) has the datum itself as its solution at
+every time, with no quadrature.
 
 In 2-D and 3-D the sphere integral P comes from a direction rule that is
 refined level by level, separately in two radial bands: the body
@@ -63,9 +51,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .families import FunctionSpec, as_integer, as_point, far_leftover, require_admissible
+from .families import FarBand, FunctionSpec, as_integer, as_point, require_admissible
 from .fraclap import riesz_constant, second_difference_constants
-from .kernel import TAIL_CUT, KernelParams, profile_table, tail_coefficients, tail_integral
+from .kernel import BODY_EDGES, TAIL_CUT, KernelParams, profile_table, tail_coefficients
 from .report import VerificationReport
 from .specfun import ABS_TOL, REL_TOL, averaged_limit, geometric_edges, geometric_tail, half_period_rule, nested_pair_sums, panel_rule, shared_cache, sphere_rule, split_panels
 
@@ -235,27 +223,15 @@ def _series(dim: int, s: float, kind: str) -> tuple[float, ...]:
     return tuple(k * a for k, a in enumerate(base, start=1))
 
 
-def _abs_tail(dim: int, s: float, kind: str, radius: float, shift: float = 0.0) -> float:
-    """Upper bound on the leftover integral weight beyond a radius."""
-    pref = _TWO_PI ** (-0.5 * dim)
-    total = 0.0
-    for k, c in enumerate(_series(dim, s, kind), start=1):
-        if 2.0 * s * k > shift and c != 0.0:
-            total += abs(c) * radius ** (shift - 2.0 * s * k) / (2.0 * s * k - shift)
-    return pref * total
-
-
 class _RadialBands:
     """Scaled radial integral pref * int factor(r) P(x, t^(1/2s) r) dr.
 
     The radial line splits at TAIL_CUT into a body band, tabulated profile
-    panels, and a tail band, whose route the datum's declarations pick.
-    The tables end at TAIL_CUT, so the tail band reads the large-radius
-    series, against which the declared far field's constant and lead
-    terms integrate in closed form (_const, one entry per point).  Both
-    bands start at the given angular level and sweep the points in blocks
-    of _NODE_BLOCK, keeping for each block what nested_pair_sums returns
-    to keep; the radial nodes never depend on the level.
+    panels on BODY_EDGES, and a FarBand, whose closed form is _const (one
+    entry per point).  Both bands start at the given angular level and
+    sweep the points in blocks of _NODE_BLOCK, keeping for each block what
+    nested_pair_sums returns to keep; the radial nodes never depend on the
+    level.
     """
 
     def __init__(
@@ -272,17 +248,9 @@ class _RadialBands:
         area = float(np.sum(sphere_rule(dim, level)[1]))
         factor, amp = _factor_tables(dim, s, kind)
         pref = _TWO_PI ** (-0.5 * dim)
-        env, ff = u0.envelope, u0.far_field
-        # the declared far field's constant term, and its lead's power and
-        # per-point coefficient (0 where a point keeps the envelope bound)
-        const = u0.far_const(pts)
-        power = ff.power if ff is not None else 0.0
-        lead = np.zeros(len(pts))
-
         osc = (u0.osc_scale or 0.0) * tsc
         cap = 2.2 * math.pi / osc if osc > 0.0 else math.inf
-        edges = np.concatenate([np.linspace(0.0, 2.0, 17), np.geomspace(2.25, TAIL_CUT, 33)])
-        rs, ws = map(np.ravel, panel_rule(split_panels(edges, cap), 24))
+        rs, ws = map(np.ravel, panel_rule(split_panels(BODY_EDGES, cap), 24))
         fac = factor(rs) * ws
 
         def body(surf: np.ndarray, sl: slice) -> tuple[np.ndarray, np.ndarray]:
@@ -300,43 +268,10 @@ class _RadialBands:
         # the accuracy target follows the smallest value scale present
         scale = 1.0 + float(np.min(np.abs(body_part[0])))
         target = 0.25 * (ABS_TOL + REL_TOL * scale)
-
-        if env.slope == 0.0 and osc > 0.0:
-            nodes, weights, first = half_period_rule(TAIL_CUT, math.pi / osc)
-            rs_t, ws_t = nodes.ravel(), weights.ravel()
-            fac_t = factor(rs_t) * ws_t
-
-            def tail(surf: np.ndarray, sl: slice) -> tuple[np.ndarray, np.ndarray]:
-                chunks = ((surf - area * const[sl, None]) * fac_t).reshape(len(surf), *nodes.shape).sum(axis=2)
-                tail_vals, tail_errs = averaged_limit(np.cumsum(chunks, axis=1)[:, first:])
-                return pref * tail_vals, pref * tail_errs
-
-        else:
-            # geometric panels out to the cutoff where the far field certifies
-            # the leftover.  Points share the panels but keep their own
-            # leftover bounds and their own choice of subtracting the lead,
-            # so a batch mixing near and far points stays honest everywhere.
-            leftover = far_leftover(u0, pts, lambda r, p: tsc**p * _abs_tail(dim, s, kind, r, p), tsc)
-            ratio = 1.7 if env.slope > 0.0 else 1.4
-            edges_t = geometric_tail(TAIL_CUT, ratio, lambda r: area * float(np.max(leftover(r)[0])), target, cap)
-            left, lead = leftover(float(edges_t[-1]))
-            left = area * left
-            rs_t, ws_t = map(np.ravel, panel_rule(edges_t, 16))
-            fac_t = factor(rs_t) * ws_t
-            grow = (tsc * rs_t) ** power
-
-            def tail(surf: np.ndarray, sl: slice) -> tuple[np.ndarray, np.ndarray]:
-                rest = surf - area * (const[sl, None] + lead[sl, None] * grow)
-                errs = _TABLE_REL * amp * pref * np.abs(rest) @ np.abs(fac_t)
-                return pref * rest @ fac_t, left[sl] + errs
-
-        # the constant term and the lead past TAIL_CUT, in closed form
-        series = _series(dim, s, kind)
-        lead_tail = tsc**power * tail_integral(series, s, TAIL_CUT, power)
-        self._const = pref * area * (tail_integral(series, s, TAIL_CUT) * const + lead_tail * lead)
-
-        self._rhos.append(tsc * rs_t)
-        self._reduce.append(tail)
+        far = FarBand(u0, pts, s, TAIL_CUT, tsc, factor, _series(dim, s, kind), pref, _TABLE_REL * amp, area, target, (16,))
+        self._const = far.closed
+        self._rhos.append(far.rhos)
+        self._reduce.append(far.reduce)
         self._parts = [body_part, self._sweep(1)]
         # each band's last refinement step, per point
         self.drifts = [0.0, 0.0]
@@ -579,7 +514,7 @@ def residual_with_estimate(
     # oscillation without growth: a few half-periods on geometric panels, then
     # averaged half-period panels as in the tail band, leaving no far field
     osc = u0.osc_scale or 0.0
-    halves = osc > 0.0 and u0.envelope.slope == 0.0
+    halves = u0.bounded_oscillation
     width = 4.4 * math.pi / osc if osc > 0.0 else math.inf
     if halves:
         mid_edges = geometric_edges(r_near, r_near + 4.0 * math.pi / osc, 1.5, width)

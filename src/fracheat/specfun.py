@@ -47,6 +47,7 @@ __all__ = [
     "geometric_tail",
     "half_period_rule",
     "averaged_limit",
+    "tail_integral",
     "sphere_rule",
     "pair_sums",
     "nested_pair_sums",
@@ -226,13 +227,15 @@ def geometric_tail(
     return geometric_edges(start, radius, ratio, width)
 
 
+@lru_cache(maxsize=64)
 def half_period_rule(start: float, half: float) -> tuple[np.ndarray, np.ndarray, int]:
     """Panel rule of an alternating tail from start, and its lead-in row count.
 
     Panels of ratio at most 1.4, on which a steep envelope varies slowly,
     lead in to max(start, 2 half); OSC_PANELS half-period panels follow.
     Each panel is a row of OSC_ORDER nodes, as in panel_rule, and
-    averaged_limit takes the partial row sums from row lead on.
+    averaged_limit takes the partial row sums from row lead on.  Cached
+    per (start, half): the arrays are shared and must not be modified.
     """
     stop = max(start, 2.0 * half)
     lead = math.ceil(math.log(stop / start) / math.log(1.4))
@@ -476,6 +479,23 @@ def tail_bound(decay_exponent: float, poly_power: float, radius: float) -> float
     """Closed form bound on int_radius^inf rho^p e^{-rho^d} drho."""
     q = (poly_power + 1.0) / decay_exponent
     return _sps.gamma(q) * _sps.gammaincc(q, radius ** decay_exponent) / decay_exponent
+
+
+def tail_integral(coeffs: tuple[float, ...], s: float, radius: float, shift: float = 0.0) -> float:
+    """int_radius^inf sum_k c_k r^(shift-1-2sk) dr: the math.fsum of
+    c_k radius^(shift-2sk) / (2sk - shift) over the nonzero c_k.
+
+    With kernel.tail_coefficients this integrates F(r) r^(dim-1) r^shift,
+    and with (1,) r^(shift-1-2s).  The shift, a power of the radius such as
+    a datum's declared growth, must stay under 2s.
+    """
+    two_s = 2.0 * s
+    if not shift < two_s:
+        raise ValueError(f"the series integral needs shift < 2s = {two_s:g}, got {shift:g}")
+    if len(coeffs) == 1:
+        # one power, such as the operator's r^(-1-2s): the fsum of one term
+        return coeffs[0] * radius ** (shift - two_s) / (two_s - shift)
+    return math.fsum([c * radius ** (shift - two_s * k) / (two_s * k - shift) for k, c in enumerate(coeffs, start=1) if c])
 
 
 def panel_edges(radius: float, step: float) -> np.ndarray:

@@ -294,6 +294,14 @@ class TestKernelCommand:
         assert main(["kernel", "eval", "--dim", str(dim), "--s", str(s), "--x", x, "--t", "0.1,1,10"]) == 0
         assert capsys.readouterr().out == expected
 
+    def test_eval_at_a_point_whose_space_power_overflows(self, capsys):
+        # |x|^(-(d+2s)) overflows at 1e-160: the envelope is the t-power there
+        assert main(["kernel", "eval", "--dim", "1", "--s", "0.6", "--x", "1e-160", "--t", "1"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 2
+        assert all(math.isfinite(float(v)) for v in rows[1])
+        assert float(rows[1][7]) == float(rows[1][8]) > 0.0
+
     def test_table_goes_to_file(self, tmp_path):
         path = tmp_path / "tab.csv"
         assert main(["kernel", "table", "--dim", "1", "--s", "0.75",

@@ -19,11 +19,11 @@ import numpy as np
 import pytest
 
 from fracheat import families as fam
-from fracheat import solver
-from fracheat.families import far_leftover
+from fracheat import fraclap, solver
+from fracheat.families import FarBand, far_leftover
 from fracheat.kernel import KernelParams
 from fracheat.solver import GridSpec, _RadialBands, _solve_batch, residual_with_estimate, solution_at, solve_canonical
-from fracheat.specfun import ABS_TOL, REL_TOL, RADIUS_CAP, gauss_legendre, pair_sums
+from fracheat.specfun import ABS_TOL, REL_TOL, RADIUS_CAP, gauss_legendre, pair_sums, sphere_rule
 
 RADII = 10.0 ** np.arange(1, 13)
 POINTS = (0.0, 0.7, -3.0, 40.0, -1e3, 1e6)
@@ -179,6 +179,99 @@ def test_undeclared_families_keep_the_envelope(u):
 def test_a_remainder_must_decay():
     with pytest.raises(ValueError, match="must decay"):
         fam.FarField(lambda p: np.zeros(len(p)), 1.0, 1.2, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the far band: one route, cutoff, subtraction and closed form
+
+
+def _operator_band(u, pts, s, orders=(24, 16), breaks=()):
+    """The operator's far band past r = 1, with its direction rule."""
+    dirs, dwts = sphere_rule(u.dim, 0)
+    area = 2.0 * float(dwts.sum())
+    band = FarBand(u, pts, s, 1.0, 1.0, lambda t: t ** (-1.0 - 2.0 * s), (1.0,), 1.0, 0.0, area, ABS_TOL, orders, breaks)
+    return band, dirs, dwts
+
+
+def _axis_points(dim, xs):
+    pts = np.zeros((len(xs), dim))
+    pts[:, 0] = xs
+    if dim > 1:
+        pts[:, 1] = 0.4
+    return pts
+
+
+EVERY_FAMILY = [
+    fam.constant(2.0), fam.affine(0.5, 1.0, dim=2), fam.cosine(1.0), fam.cosine(3.0, dim=2), fam.gaussian(1.0),
+    fam.abs_power(1.2), fam.abs_power(0.5, dim=3), fam.piecewise_linear_1d(0.5), fam.ruled(1.2), fam.ruled(0.8),
+]
+
+
+@pytest.mark.parametrize("u", EVERY_FAMILY, ids=[f"{u.label}-{u.dim}d" for u in EVERY_FAMILY])
+def test_only_bounded_oscillation_takes_the_averaged_route(u):
+    band, _, _ = _operator_band(u, _axis_points(u.dim, [0.3, -1.7]), 0.9)
+    assert u.bounded_oscillation == (u.family == "cosine")
+    assert band.route == ("averaged" if u.family == "cosine" else "geometric")
+    assert (FarBand.reach(u, 1.0) is not None) == (band.route == "averaged")
+    if band.route == "averaged":
+        assert band.edges is None and FarBand.reach(u, 1.0) == band.rhos[-1]
+
+
+def test_growing_oscillation_does_not_average():
+    # its tail does not settle by averaging, so the band would take the
+    # geometric route (not built here: its panels, no wider than 2.2
+    # half-periods, would run out to the envelope's far cutoff)
+    growing = dataclasses.replace(fam.cosine(1.0), envelope=fam.GrowthEnvelope(1.0, 1.0, 0.5))
+    assert fam.cosine(1.0).bounded_oscillation and not growing.bounded_oscillation
+
+
+@pytest.mark.parametrize("u", [fam.constant(2.0), fam.affine(0.5, 1.0), fam.affine(-1.0, 3.0, dim=2)])
+def test_an_exact_field_is_its_closed_form(u):
+    # no panels, no leftover: the band is area u(x) int_1^inf t^(-1-2s) dt
+    s = 0.7
+    pts = _axis_points(u.dim, [0.3, -1.7, 2.9])
+    band, dirs, dwts = _operator_band(u, pts, s)
+    assert band.rhos.size == 0
+    vals, errs = band.reduce(pair_sums(u.value, pts, band.rhos, dirs, dwts), slice(None))
+    assert np.all(vals == 0.0) and np.all(errs == 0.0)
+    assert np.array_equal(band.closed, band.area * (u.value(pts) * (1.0 / (2.0 * s))))
+
+
+BAND_CASES = [(u, d) for u, d in DECLARED if d < 3]
+
+
+@pytest.mark.parametrize("u, dim", BAND_CASES, ids=[f"{u.label}-{d}d" for u, d in BAND_CASES])
+def test_band_estimate_bounds_its_gap_to_a_finer_band(u, dim):
+    # the reference doubles both Gauss orders and halves every panel; it
+    # keeps the cutoff, so the leftover past it is no part of the gap.  The
+    # rounding of the panel sums is left to the caller (fraclap adds
+    # 1e-15 |value|), and so it is here
+    s = 0.85
+    for x1 in (0.3, -1.7, 2.9):
+        pts = _axis_points(dim, [x1])
+        breaks = fraclap._origin_radii(pts[0]) + fraclap._kink_radii(u, pts[0])
+        band, dirs, dwts = _operator_band(u, pts, s, breaks=breaks)
+        edges = band.edges
+        halves = list(np.sqrt(edges[1:] * edges[:-1])) + breaks
+        fine, _, _ = _operator_band(u, pts, s, orders=(48, 32), breaks=halves)
+        assert fine.edges[-1] == edges[-1] and fine.edges.size == 2 * edges.size - 1
+        assert np.array_equal(fine.closed, band.closed)
+        val, est = (v[0] for v in band.reduce(pair_sums(u.value, pts, band.rhos, dirs, dwts), slice(None)))
+        ref, _ = fine.reduce(pair_sums(u.value, pts, fine.rhos, dirs, dwts), slice(None))
+        assert abs(val - ref[0]) <= est + 1e-15 * (1.0 + abs(ref[0])), (x1, val, ref[0], est)
+
+
+def test_breaks_are_inserted_only_strictly_inside():
+    u = fam.abs_power(1.2)
+    pts = _axis_points(1, [0.3])
+    plain, _, _ = _operator_band(u, pts, 0.75)
+    edges = plain.edges
+    inside = [1.5, 0.5 * (edges[-2] + edges[-1])]
+    outside = [0.5, 1.0, float(edges[-1]), 2.0 * float(edges[-1]), -3.0]
+    band, _, _ = _operator_band(u, pts, 0.75, breaks=inside + outside + [1.5])
+    assert band.edges[0] == 1.0 and band.edges[-1] == edges[-1]
+    assert np.all(np.diff(band.edges) > 0.0)
+    assert np.array_equal(band.edges, np.unique(np.concatenate([edges, inside])))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from fracheat.kernel import (
     heat_kernel,
     heat_kernel_fourier,
     kernel_derivatives,
+    kernel_envelope,
     kernel_gradient,
     kernel_mass,
     kernel_time_derivative,
@@ -29,7 +30,6 @@ from fracheat.kernel import (
     tail_coefficients,
     tail_series,
     verify_kernel_bounds,
-    _kernel_hessian,
 )
 from fracheat.report import VerificationReport
 from fracheat.solver import _TABLE_REL
@@ -410,7 +410,7 @@ def test_hessian_matches_gradient_difference():
     par = KernelParams(dim=2, s=0.65)
     x = np.array([0.8, -1.1])
     t = 1.7
-    hess = _kernel_hessian(par, x, t)
+    hess = kernel_derivatives(par, [x], [t], 2)[0][3]
     h = 1e-4
     for i in range(2):
         e = np.zeros(2)
@@ -421,7 +421,7 @@ def test_hessian_matches_gradient_difference():
 
 def test_hessian_diagonal_at_origin():
     par = KernelParams(dim=2, s=0.75)
-    hess = _kernel_hessian(par, np.zeros(2), 1.0)
+    hess = kernel_derivatives(par, [np.zeros(2)], [1.0], 2)[0][3]
     assert hess[0, 0] == pytest.approx(hess[1, 1], rel=1e-12)
     assert hess[0, 1] == 0.0
     assert hess[0, 0] < 0.0  # concave cap at the peak
@@ -647,6 +647,26 @@ def test_array_with_a_bad_radius_is_refused_with_the_scalar_message(k, bad):
             f_radial(CAUCHY_1D, [0.5, bad])
 
 
+@pytest.mark.parametrize("nx", [1e-160, 1e-300, 5e-324])
+def test_envelope_is_the_time_power_where_the_space_power_overflows(nx):
+    # |x|^(-(d+2s+k)) leaves the float range below about 1e-140; the
+    # envelope is then the t-power, as at the origin, and the bound check
+    # reports finite ratios there
+    params = KernelParams(dim=1, s=0.6)
+    for t in (0.1, 1.0, 10.0):
+        for k in (0, 1, 2):
+            assert kernel_envelope(params, nx, t, k) == kernel_envelope(params, 0.0, t, k)
+    report = verify_kernel_bounds(params, points=[[nx], [-nx]])
+    assert report.records and all(math.isfinite(r.measured) for r in report.records)
+    assert report.overall_pass
+
+
+def test_envelope_takes_the_space_power_where_it_is_smaller():
+    params = KernelParams(dim=2, s=0.75)
+    assert kernel_envelope(params, 1e-100, 1.0) == 1.0
+    assert kernel_envelope(params, 10.0, 1.0) == 10.0**-3.5
+
+
 @pytest.mark.parametrize("dim, s", [(1, 0.55), (2, 0.75), (3, 0.6)])
 def test_batched_kernel_derivatives_match_one_point_calls_bit_for_bit(dim, s):
     params = KernelParams(dim=dim, s=s)
@@ -658,7 +678,7 @@ def test_batched_kernel_derivatives_match_one_point_calls_bit_for_bit(dim, s):
         assert _bits(p) == _bits(heat_kernel(params, x, t))
         assert _bits(grad) == _bits(kernel_gradient(params, x, t))
         assert _bits(pt) == _bits(kernel_time_derivative(params, x, t))
-        assert _bits(hess) == _bits(_kernel_hessian(params, x, t))
+        assert _bits(hess) == _bits(kernel_derivatives(params, [x], [t], 2)[0][3])
     assert [len(sample) for sample in kernel_derivatives(params, points[:2], times[:1], 0)] == [1, 1]
 
 
@@ -859,10 +879,9 @@ def _old_bounds(params, points):
             p_hi = (ratio, where) if ratio > p_hi[0] else p_hi
             ratio = float(np.max(np.abs(kernel_gradient(params, x, t)))) / envelope(nx, t, 1)
             g_hi = (ratio, where) if ratio > g_hi[0] else g_hi
-            ratio = float(np.max(np.abs(_kernel_hessian(params, x, t)))) / envelope(nx, t, 2)
+            ratio = float(np.max(np.abs(kernel_derivatives(params, [x], [t], 2)[0][3]))) / envelope(nx, t, 2)
             h_hi = (ratio, where) if ratio > h_hi[0] else h_hi
-            env_t = t ** (-dim * sp - 1.0) if nx == 0.0 else min(t ** (-dim * sp - 1.0), nx ** (-(dim + 2.0 * s)))
-            ratio = abs(kernel_time_derivative(params, x, t)) / env_t
+            ratio = abs(kernel_time_derivative(params, x, t)) / (envelope(nx, t, 0) / t)
             t_hi = (ratio, where) if ratio > t_hi[0] else t_hi
     return [
         ("kernel-ratio-lower", p_lo, 1e-8, p_lo[0] > 1e-8),
