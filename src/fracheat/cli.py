@@ -31,7 +31,7 @@ import numpy as np
 from . import families as fam
 from .families import as_integer
 from .fraclap import classify_definiteness, frac_laplacian, vanish_at_infinity_check
-from .kernel import KernelParams, kernel_derivatives, kernel_envelope, profile_table, verify_kernel_bounds
+from .kernel import KernelParams, kernel_derivatives, kernel_envelope, point_radius, profile_table, verify_kernel_bounds
 from .solver import (
     GridSpec,
     envelope_propagate,
@@ -224,7 +224,10 @@ def _cmd_kernel(args) -> int:
         lo_seen, hi_seen = math.inf, -math.inf
         samples = kernel_derivatives(params, pts, times)
         for (t, x), (p, grad, pt) in zip(itertools.product(times, pts), samples):
-            ratio = p / kernel_envelope(params, float(np.linalg.norm(x)), t)
+            try:
+                ratio = p / kernel_envelope(params, point_radius(x), t)
+            except ValueError as e:
+                raise ValueError(f"--x and --t: {e}") from None
             lo_seen, hi_seen = min(lo_seen, ratio), max(hi_seen, ratio)
             rows.append([args.dim, args.s, *x, t, p, *grad, pt, lo_seen, hi_seen])
         emit_table((headers, rows), args.out)

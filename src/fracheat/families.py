@@ -166,20 +166,23 @@ def far_leftover(
 
 
 class FarBand:
-    """The far tail of a batch of points past a start radius, for the operator and the solver.
+    """The far tail of a batch of points past a start radius, for the operator, the solver and the residual.
 
     For each point x of pts, a (count, dim) array, the band is
 
         scale * int_start^inf weight(r) S(x, unit r) dr,
 
-    with S(x, rho) the caller's sum of the datum over a direction rule of
-    total weight area on the sphere of radius rho about x, and weight(r) =
+    with S(x, rho) the caller's sum of u over a direction rule of total
+    weight area on the sphere of radius rho about x, and weight(r) =
     sum_k series[k-1] r^(-1-2sk) past start: r^(-1-2s), (1,) and unit 1 in
-    fraclap, the profile factor F(r) r^(N-1), its large-radius series and
-    unit t^(1/2s) in the solver.  The part area (const(x) + lead(x)
-    rho^power) of S that the far field declares integrates in closed form
-    (closed, per point); the rest goes on panels at the sphere radii rhos,
-    and reduce turns the caller's sums there into values and estimates.
+    fraclap and in the 1-D residual, whose u is the solution at time t
+    (solver._solution) and S the pair sums 2 (u(x + r) + u(x - r)) of area
+    4; the profile factor F(r) r^(N-1), its large-radius series and unit
+    t^(1/2s) in the solver.  The part area (const(x) + lead(x) rho^power)
+    of S that the far field declares integrates in closed form (closed, per
+    point); the rest goes on panels at the sphere radii rhos, of weights
+    weight(r) times the panel's (weights, read-only), and reduce turns the
+    caller's sums there into values and estimates.
 
       * Bounded oscillating data (FunctionSpec.bounded_oscillation) take
         the averaged route: half_period_rule's panels of half-period
@@ -231,7 +234,8 @@ class FarBand:
             self._cut = rules[0][0].size
             rs, ws = (np.concatenate([rule[i].ravel() for rule in rules]) for i in (0, 1))
         self.rhos = rs if unit == 1.0 else unit * rs
-        self._fac = weight(rs) * ws
+        self.weights = weight(rs) * ws
+        self.weights.flags.writeable = False
         closed = tail_integral(series, s, start) * self._const
         if ff is not None and ff.lead and lead.any():
             self._lead, self._grow = lead, self.rhos**ff.power
@@ -252,17 +256,17 @@ class FarBand:
         sub = self._const[sl, None]
         rest = sums - self.area * (sub if self._grow is None else sub + self._lead[sl, None] * self._grow)
         if self.route == "averaged":
-            rest *= self._fac
+            rest *= self.weights
             rows = rest.reshape(len(sums), *self._shape).sum(axis=2)
             vals, errs = averaged_limit(np.cumsum(rows, axis=1)[:, self._first :])
             return self.scale * vals, self.scale * errs
-        main, fac = rest[:, : self._cut], self._fac[: self._cut]
+        main, fac = rest[:, : self._cut], self.weights[: self._cut]
         vals = self.scale * main @ fac
         errs = self._left[sl]
         if self.rel:
             errs = errs + self.rel * self.scale * np.abs(main) @ np.abs(fac)
         if self._cut < rest.shape[1]:
-            errs = errs + np.abs(vals - self.scale * rest[:, self._cut :] @ self._fac[self._cut :])
+            errs = errs + np.abs(vals - self.scale * rest[:, self._cut :] @ self.weights[self._cut :])
         return vals, errs
 
 

@@ -387,7 +387,7 @@ def kernel_derivatives(params: KernelParams, points, times, order: int = 1) -> l
         if (dim + order) * sp * -math.log(t) >= _LOG_FLOAT_MAX - 1.0:
             raise ValueError(_small_time(params, t))
     points = [as_point(x, dim) for x in points]
-    cases = [(t, x, float(np.linalg.norm(x))) for t in times for x in points]
+    cases = [(t, x, point_radius(x)) for t in times for x in points]
     radii = [nx * t ** (-sp) for t, _, nx in cases]
     rungs = _ladder(params, range(order + 1), _checked_radii(radii, positive=False))
     out = []
@@ -628,16 +628,28 @@ def kernel_mass(params: KernelParams, t: float) -> float:
     return bulk + tail
 
 
+def point_radius(x: np.ndarray) -> float:
+    """|x| of one point, with np.linalg.norm's bits unless a coordinate
+    passes 1e150, where the sum of squares may overflow: x is then scaled."""
+    big = float(np.max(np.abs(x)))
+    return float(np.linalg.norm(x)) if big < 1e150 else big * float(np.linalg.norm(x / big))
+
+
 def kernel_envelope(params: KernelParams, nx: float, t: float, k: int = 0) -> float:
     """The scaling envelope min(t^(-(d+k)/(2s)), t |x|^(-(d+2s+k))) of the
     order-k derivatives of the kernel at |x| = nx: the t-power at the origin
     and wherever the |x|-power leaves the float range (checked on its log,
-    with a unit of margin), as it does for 0 < |x| below about 1e-140."""
+    with a unit of margin), as it does for 0 < |x| below about 1e-140.
+    Where the envelope falls below the normal floats, as past |x| of about
+    1e140 at t = 1 in 1-D, ratios to it mean nothing, and it is refused."""
     first = t ** (-(params.dim + k) * params.scaling_power)
     power = params.dim + 2.0 * params.s + k
-    if nx == 0.0 or -power * math.log(nx) > _LOG_FLOAT_MAX - 1.0:
-        return first
-    return min(first, t * nx**-power)
+    space_overflows = nx == 0.0 or -power * math.log(nx) > _LOG_FLOAT_MAX - 1.0
+    envelope = first if space_overflows else min(first, t * nx**-power)
+    if envelope < sys.float_info.min:
+        raise ValueError(f"the kernel envelope of order {k} in dim {params.dim} at s={params.s:g} falls below the "
+                         f"float range at |x|={nx:g}, t={t:g}, so ratios to it mean nothing there")
+    return envelope
 
 
 def verify_kernel_bounds(params: KernelParams, points=None) -> VerificationReport:
@@ -662,7 +674,7 @@ def verify_kernel_bounds(params: KernelParams, points=None) -> VerificationRepor
     samples = kernel_derivatives(params, points, _BOUND_TIMES, 2)
     rows = []
     for (t, x), (p, grad, pt, hess) in zip(itertools.product(_BOUND_TIMES, points), samples):
-        nx = float(np.linalg.norm(x))
+        nx = point_radius(x)
         env = kernel_envelope(params, nx, t, 0)
         rows.append((
             (*x, t),

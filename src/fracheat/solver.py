@@ -15,9 +15,11 @@ two tabulated profiles, so no numerical differentiation happens.
 
 Beyond the tabulated range, r > TAIL_CUT, the tail band is a
 families.FarBand against the profile's large-radius series: the far tail
-of the pointwise operator, with its route, cutoff and closed form.  An
-exact far field (affine data) has the datum itself as its solution at
-every time, with no quadrature.
+of the pointwise operator, with its route, cutoff and closed form.  The
+1-D residual (residual_with_estimate) ends its operator term in one too,
+over solve values and the solution's growth envelope.  An exact far
+field (affine data) has the datum itself as its solution at every time,
+with no quadrature.
 
 In 2-D and 3-D the sphere integral P comes from a direction rule that is
 refined level by level, separately in two radial bands: the body
@@ -45,17 +47,17 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .families import FarBand, FunctionSpec, as_integer, as_point, require_admissible
-from .fraclap import riesz_constant, second_difference_constants
+from .families import FarBand, FunctionSpec, GrowthEnvelope, as_integer, as_point, require_admissible
+from .fraclap import riesz_constant
 from .kernel import BODY_EDGES, TAIL_CUT, KernelParams, profile_table, tail_coefficients
 from .report import VerificationReport
-from .specfun import ABS_TOL, REL_TOL, averaged_limit, geometric_edges, geometric_tail, half_period_rule, nested_pair_sums, panel_rule, shared_cache, sphere_rule, split_panels
+from .specfun import ABS_TOL, REL_TOL, nested_pair_sums, panel_rule, shared_cache, sphere_rule, split_panels
 
 _TWO_PI = 2.0 * math.pi
 _CHUNK = 1_500_000
@@ -77,6 +79,8 @@ _HERMITE_NODES = 80
 # it for any datum with a nonzero gradient
 _CONTINUITY_STEPS = 10
 _CONTINUITY_TOL = 5e-3
+# the residual's certified far leftover, in the operator's units
+_RESIDUAL_FAR = 3e-6
 
 
 # ---------------------------------------------------------------------------
@@ -436,19 +440,49 @@ def _time_derivative_impl(
 
 
 def pde_residual(u0: FunctionSpec, x, t: float, params: KernelParams) -> float:
-    """u_t + (-Lap)^s u at a point of the computed solution.
+    """u_t + (-Lap)^s u at a point of the computed solution: the value of
+    residual_with_estimate, without its estimate."""
+    return residual_with_estimate(u0, x, t, params)[0]
 
-    The operator term re-evaluates the fractional Laplacian on the
-    solution itself: near second differences come from the degree-6
-    interpolant of a seven-point stencil (raw differences of quadrature
-    values would drown in cancellation noise under the t^(-1-2s) weight),
-    the rest from direct convolution values, on averaged half-period panels
-    past a few periods for data that oscillate without growth, else out to
-    where the datum's uniform second-difference bound, which convolution
-    preserves, certifies the far field.
+
+def _kernel_moment(dim: int, s: float, beta: float) -> float:
+    """E|X|^beta for X of density p(., 1) in R^N, for 0 <= beta < 2s:
+
+        m_beta = 2^beta Gamma((N+beta)/2) Gamma(1-beta/2s) / (Gamma(N/2) Gamma(1-beta/2)).
+
+    Proof for beta > 0 (beta = 0 gives 1): the normalization of
+    fraclap.riesz_constant, read at the origin for the datum exp(i xi.y)
+    with the names xi and y swapped, is |y|^beta = C int (1 - cos(xi.y))
+    |xi|^(-N-beta) dxi with C = riesz_constant(N, beta/2).  The integrand
+    is non-negative, so the mean may go under the integral, and E cos(xi.X)
+    = exp(-|xi|^(2s)) is the kernel's symbol at t = 1; so m_beta is
+    C |S^(N-1)| int_0^inf (1 - exp(-r^(2s))) r^(-1-beta) dr.  With v = r^(2s)
+    and a = beta/2s in (0, 1) the radial integral is (1/2s) int (1 - e^-v)
+    v^(-1-a) dv = Gamma(1-a) / (2s a), by one integration by parts, and
+    C |S^(N-1)| = 2^beta beta Gamma((N+beta)/2) / (Gamma(N/2) Gamma(1-beta/2)).
     """
-    value, _ = residual_with_estimate(u0, x, t, params)
-    return value
+    num = 2.0**beta * math.gamma(0.5 * (dim + beta)) * math.gamma(1.0 - beta / (2.0 * s))
+    return num / (math.gamma(0.5 * dim) * math.gamma(1.0 - 0.5 * beta))
+
+
+def _solution(u0: FunctionSpec, t: float, params: KernelParams) -> FunctionSpec:
+    """u0 with the growth envelope and far field of its solution u(., t).
+
+    u(x, t) = E u0(x + t^(1/2s) X) with X of density p(., 1), and
+    |x + y|^beta <= k (|x|^beta + |y|^beta) with k = max(1, 2^(beta-1)), so
+    |u0| <= A + B |x|^beta gives |u(x, t)| <= A + B k m_beta t^(beta/2s)
+    + B k |x|^beta (m_beta from _kernel_moment).  An exact far field stays,
+    since the flow leaves such a datum where it is; every other one is
+    dropped: a Gaussian's declared remainder does not hold for its
+    solution, whose tails are polynomial.  Only what FarBand reads of the
+    solution changes; value is still the datum's.
+    """
+    env = u0.envelope
+    if env.slope > 0.0:
+        beta, slope = env.power, env.slope * max(1.0, 2.0 ** (env.power - 1.0))
+        spread = _kernel_moment(params.dim, params.s, beta) * t ** (beta / (2.0 * params.s))
+        env = GrowthEnvelope(env.amplitude + slope * spread, slope, beta)
+    return replace(u0, envelope=env, far_field=u0.far_field if u0.is_affine else None)
 
 
 def residual_with_estimate(
@@ -456,93 +490,57 @@ def residual_with_estimate(
 ) -> tuple[float, float]:
     """The residual together with its accumulated error estimate.
 
-    Only 1-D is supported.  There the operator term is one batch of every
-    stencil and mid-range point (2,023 for cosine:1 at s = 0.6, on
-    specfun.half_period_rule's panels past the geometric ones), which the
-    convolution works through in blocks of _NODE_BLOCK points, so its
-    memory does not grow with the batch.  In 2-D and 3-D every mid-range
-    radius needs a whole sphere of points, each a full solve, so those
-    dimensions are refused before any work starts.
+    Only 1-D is supported: in 2-D and 3-D every far radius needs a whole
+    sphere of points, each a full solve, so those dimensions are refused
+    before any work starts, as are data with a corner other than the
+    straight line, where the solve estimates do not bound their error.
 
-    The mid-range runs on geometric panels of ratio 1.5 from r_near: for
-    oscillatory bounded data to a few half-periods, before the averaged
-    half-period panels; for other data to specfun.geometric_tail's cutoff,
-    where the datum's uniform second-difference bound, which convolution
-    preserves, certifies the far field to 3e-5 (or RADIUS_CAP is reached).
-    Under an exact far field the solution stays the datum, whose second
-    differences vanish, so the far bound is 0 and the cutoff is 4 r_near.
+    The operator term has the shape of fraclap.frac_laplacian, with split
+    radius r_near = 1/2 and the pair sums 2 (u(x + r) + u(x - r)) for the
+    sphere sums: the near part from the degree-6 interpolant of a
+    seven-point stencil, whose even part integrates in closed form (raw
+    differences of solve values would drown in cancellation noise); past
+    r_near the 4 u(x) term in closed form, less the band's, and a
+    families.FarBand of weight r^(-1-2s), area 4 and target _RESIDUAL_FAR
+    over the solution's envelope (_solution).  An exact far field lays no
+    far panels, so the batch is the stencil alone.  Every value comes
+    from one _solve_batch call, in blocks of _NODE_BLOCK points.
 
-    The estimate adds the time derivative's estimate, the value noise
-    carried through the near interpolant and the mid-range sum, and twice
-    the gap between the interpolant's near part and that of the quintic
-    least-squares fit to the same stencil (its truncation error).  On the
-    half-period route it adds the averaged limit's error and a rounding
-    floor on the closed-form 4 (u(x) - mean) term; on the other it adds
-    the far-field bound at the cutoff.
+    The estimate adds the time derivative's, the value noise carried
+    through the interpolant, twice the gap between its near part and the
+    quintic least-squares fit's (its truncation error), the band's, each
+    pair sum's estimate against |weight| (FarBand.weights), and u(x)'s
+    estimate and a rounding floor on the closed-form term.
     """
     dim, s = params.dim, params.s
     if dim > 1:
-        raise ValueError(
-            f"the residual is implemented for dim 1 only; in dim {dim} its operator "
-            "term needs a full solve at every point of a sphere around x for every "
-            "mid-range radius"
-        )
+        raise ValueError(f"the residual is implemented for dim 1 only; in dim {dim} its operator term needs "
+                         "a full solve at every point of a sphere around x for every far radius")
     require_admissible(u0, s)
+    if u0.kink_points and not u0.is_affine:
+        raise ValueError(f"the residual of {u0.label} is refused: its corner at x = {u0.kink_points[0]:g} falls "
+                         "between the solver's radial panels, whose estimates there do not bound the error")
     pt = as_point(x, dim)
     ut, ut_err = _time_derivative_impl(u0, pt, t, params)
 
     pref = 0.5 * riesz_constant(dim, s)
     r_near = 0.5
     h = r_near / 3.0
+    band = FarBand(_solution(u0, t, params), pt[None, :], s, r_near, 1.0, lambda r: r ** (-1.0 - 2.0 * s), (1.0,),
+                   pref, 0.0, 4.0, _RESIDUAL_FAR, (16,))
 
-    # far-field cutoff from a bound that survives convolution: the
-    # second differences of u(., t) obey the datum's own uniform bound.
-    # Under an exact far field the solution stays the datum, whose second
-    # differences vanish, so there is no far field at all
-    target = 3e-5
-    a, b, rate = (0.0, 0.0, 2.0) if u0.is_affine else second_difference_constants(u0)
-    p = 2.0 * s - 2.0 + rate
-    if b > 0.0 and not p > 0.0:
-        raise ValueError("declared curvature decay too weak for this order")
-
-    def far_bound(radius: float) -> float:
-        out = a * radius ** (-2.0 * s) / (2.0 * s)
-        if b > 0.0:
-            out += b * radius**-p / p
-        return 2.0 * pref * out
-
-    # oscillation without growth: a few half-periods on geometric panels, then
-    # averaged half-period panels as in the tail band, leaving no far field
-    osc = u0.osc_scale or 0.0
-    halves = u0.bounded_oscillation
-    width = 4.4 * math.pi / osc if osc > 0.0 else math.inf
-    if halves:
-        mid_edges = geometric_edges(r_near, r_near + 4.0 * math.pi / osc, 1.5, width)
-    else:
-        mid_edges = geometric_tail(r_near, 1.5, far_bound, target, width)
-    r_far = float(mid_edges[-1])
-
-    # one batch for everything the operator term needs: x, the rest of
-    # its stencil, then the pair points x + r and x - r
+    # one batch for everything the operator term needs: the stencil about
+    # x, then the pair points x + r and x - r
     taus = h * np.arange(-3, 4)
-    mid_rs, mid_ws = map(np.ravel, panel_rule(mid_edges, 16))
-    half_rs, half_ws, lead = half_period_rule(r_far, math.pi / osc) if halves else (np.empty(0), None, 0)
-
-    x0 = pt[0]
-    pair_rs = np.concatenate([mid_rs, half_rs.ravel()])
-    batch = np.concatenate([[x0], x0 + np.delete(taus, 3), x0 + pair_rs, x0 - pair_rs])
+    batch = np.concatenate([pt[0] + taus, pt[0] + band.rhos, pt[0] - band.rhos])
     values, value_errs = _solve_batch(u0, batch[:, None], t, params)
-    u_here = values[0]
-    noise = float(np.max(value_errs[:7]))
-    stencil_vals = np.insert(values[1:7], 3, u_here)
-    # u(x + r) + u(x - r) and its error at every pair radius
-    pairs, pairs_err = (v[7:].reshape(2, -1).sum(axis=0) for v in (values, value_errs))
-    m = len(mid_rs)
+    stencil, u_here, noise = values[:7], values[3], float(np.max(value_errs[:7]))
+    sums, sums_err = (2.0 * v[7:].reshape(2, -1).sum(axis=0) for v in (values, value_errs))
 
     def near_part(degree: int) -> float:
         # only the even part of the fit survives in the second difference,
         # and it integrates in closed form against t^(-1-2s)
-        coeffs = np.polyfit(taus, stencil_vals, degree)[::-1]
+        coeffs = np.polyfit(taus, stencil, degree)[::-1]
         even = (coeffs[k] * r_near ** (k - 2.0 * s) / (k - 2.0 * s) for k in range(2, degree + 1, 2))
         return -4.0 * float(sum(even))
 
@@ -552,23 +550,15 @@ def residual_with_estimate(
     fit_gap = 2.0 * abs(near - near_part(5))
     fit_noise = 8.0 * noise * ((r_near / h) ** 2 * r_near ** (-2.0 * s)) / (2.0 - 2.0 * s)
 
-    second = 4.0 * u_here - 2.0 * pairs[:m]
-    mid = float(np.dot(second * mid_rs ** (-1.0 - 2.0 * s), mid_ws))
-    mid_err = 2.0 * pairs_err[:m] + 4.0 * value_errs[0]
-    mid_noise = float(np.dot(mid_err * mid_rs ** (-1.0 - 2.0 * s), np.abs(mid_ws)))
-    if halves:
-        # past r_far: the 4 (u(x) - mean) term in closed form, the pair
-        # terms less their mean by averaging over the half-period panels
-        mean, dc = float(u0.far_const(pt[None, :])[0]), 4.0 * r_far ** (-2.0 * s) / (2.0 * s)
-        weight = half_rs ** (-1.0 - 2.0 * s) * half_ws
-        panels = np.sum((pairs[m:].reshape(weight.shape) - 2.0 * mean) * weight, axis=1)
-        rest, rest_err = averaged_limit(np.cumsum(panels)[lead:])
-        mid += dc * (u_here - mean) - 2.0 * rest
-        rest_noise = np.sum(pairs_err[m:].reshape(weight.shape) * np.abs(weight))
-        mid_noise += 2.0 * (rest_err + rest_noise) + dc * (value_errs[0] + 1e-16 * abs(u_here - mean))
-
-    flap = pref * (near + mid)
-    estimate = ut_err + pref * (fit_noise + fit_gap + mid_noise) + (0.0 if halves else far_bound(r_far))
+    far, far_err = band.reduce(sums[None, :], slice(None))
+    # the 4 u(x) term past r_near against t^(-1-2s), less the band's closed form
+    u_weight = pref * 4.0 * r_near ** (-2.0 * s) / (2.0 * s)
+    dc = u_weight * u_here - float(band.closed[0])
+    flap = pref * near + dc - float(far[0])
+    estimate = (
+        ut_err + pref * (fit_noise + fit_gap) + float(far_err[0]) + pref * float(sums_err @ np.abs(band.weights))
+        + u_weight * value_errs[3] + 1e-16 * abs(dc)
+    )
     return float(ut + flap), float(estimate)
 
 
@@ -581,7 +571,8 @@ def envelope_propagate(
 
     A(t) is the largest excess of |u(x, t)| over coeff * |x|^power on the
     rings of radii _RING_RADII, where power matches the datum's growth and
-    coeff carries a factor-four margin over the convolution bound; the
+    coeff carries a factor-four margin over the slope of the convolution
+    bound (_solution); the
     margin stands in for constants the theory leaves implicit, so the
     trace measures rather than asserts.
     """
@@ -591,11 +582,9 @@ def envelope_propagate(
         raise ValueError("need at least three times to fit an exponent")
     if any(t <= 0.0 for t in ts):
         raise ValueError("envelope samples need positive times")
-    env = u0.envelope
-    beta = env.power if env.slope > 0.0 else 0.0
-    coeff = (
-        4.0 * env.slope * max(1.0, 2.0 ** (beta - 1.0)) if env.slope > 0.0 else 0.0
-    )
+    # the slope of the convolution bound is the same at every time
+    env = _solution(u0, ts[0], params).envelope
+    beta, coeff = env.power, 4.0 * env.slope
     dim = params.dim
     pts = []
     for r in _RING_RADII:

@@ -43,7 +43,6 @@ __all__ = [
     "panel_rule",
     "RADIUS_CAP",
     "split_panels",
-    "geometric_edges",
     "geometric_tail",
     "half_period_rule",
     "averaged_limit",
@@ -196,16 +195,6 @@ def _geomspace(start: float, stop: float, num: int) -> np.ndarray:
     return out
 
 
-def geometric_edges(start: float, stop: float, ratio: float, width: float = math.inf) -> np.ndarray:
-    """At least four geometric panels from start to exactly stop, none wider than width.
-
-    The panel count is the smallest that keeps each panel's end-to-start
-    ratio at or under ratio; split_panels then applies the width.
-    """
-    n = max(4, int(math.ceil(math.log(stop / start) / math.log(ratio))))
-    return split_panels(_geomspace(start, stop, n + 1), width)
-
-
 def geometric_tail(
     start: float,
     ratio: float,
@@ -218,13 +207,15 @@ def geometric_tail(
     The cutoff is the first of 4 start, 16 start, ... at which the
     caller's bound leftover(radius) on the integral beyond it is at most
     target, or RADIUS_CAP when no radius under the cap gets there.  The
-    panels are geometric_edges(start, cutoff, ratio, width), so the last
+    panels are the fewest geometric ones, at least four, whose end-to-start
+    ratio stays at or under ratio, cut by split_panels to width; the last
     edge is the cutoff, where the caller evaluates its leftover.
     """
     radius = 4.0 * start
     while radius < RADIUS_CAP and leftover(radius) > target:
         radius = min(4.0 * radius, RADIUS_CAP)
-    return geometric_edges(start, radius, ratio, width)
+    n = max(4, int(math.ceil(math.log(radius / start) / math.log(ratio))))
+    return split_panels(_geomspace(start, radius, n + 1), width)
 
 
 @lru_cache(maxsize=64)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,26 @@ class TestKernelCommand:
         assert len(rows) == 2
         assert all(math.isfinite(float(v)) for v in rows[1])
         assert float(rows[1][7]) == float(rows[1][8]) > 0.0
+
+    def test_eval_far_out_where_the_envelope_stays_in_range(self, capsys):
+        params = KernelParams(dim=1, s=0.6)
+        assert main(["kernel", "eval", "--dim", "1", "--s", "0.6", "--x", "1e100", "--t", "1"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        p = heat_kernel(params, [1e100], 1.0)
+        assert float(rows[1][4]) == p > 0.0
+        assert float(rows[1][7]) == float(rows[1][8]) == p / 1e100**-2.2
+
+    @pytest.mark.parametrize("x", ["1e150", "1e200"])
+    def test_eval_where_the_envelope_underflows_is_refused_by_name(self, x, capsys):
+        # past about 1e140 the envelope t |x|^(-(d+2s)) falls below the
+        # float range (at 1e150 to 0, which the ratio divided by); past
+        # about 1e154 the sum of squares of |x| overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["kernel", "eval", "--dim", "1", "--s", "0.6", "--x", x, "--t", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --x and --t: ") and err.count("\n") == 1
+        assert f"|x|={float(x):g}, t=1" in err
 
     def test_table_goes_to_file(self, tmp_path):
         path = tmp_path / "tab.csv"

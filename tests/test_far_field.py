@@ -362,19 +362,21 @@ def test_declared_cutoffs_stay_under_the_cap(u0, s):
 
 
 def test_affine_residual_needs_no_far_field(monkeypatch):
-    # the envelope route ran this residual's batch out to RADIUS_CAP with
-    # an estimate of 0.025
-    radii = []
+    # an exact field lays no far panels: the batch is the seven-point
+    # stencil and nothing more (the envelope route once ran it out to
+    # RADIUS_CAP with an estimate of 0.025)
+    batches = []
 
     def spying(u0, pts, *args, **kwargs):
-        radii.append(float(np.max(np.abs(pts))))
+        batches.append(pts[:, 0].copy())
         return _solve_batch(u0, pts, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_solve_batch", spying)
     val, est = residual_with_estimate(fam.affine(0.5, 1.0), np.array([-0.587]), 1.01, KernelParams(dim=1, s=0.55))
-    assert est <= 3e-5
+    assert est <= 1e-13
     assert abs(val) <= est
-    assert max(radii) < 10.0
+    stencil = batches[-1]
+    assert np.array_equal(stencil, -0.587 + (0.5 / 3.0) * np.arange(-3, 4))
 
 
 @pytest.mark.parametrize("name", sorted(fam._FACTORIES))

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from fracheat.kernel import (
     kernel_gradient,
     kernel_mass,
     kernel_time_derivative,
+    point_radius,
     profile_table,
     tail_coefficients,
     tail_series,
@@ -659,6 +661,36 @@ def test_envelope_is_the_time_power_where_the_space_power_overflows(nx):
     report = verify_kernel_bounds(params, points=[[nx], [-nx]])
     assert report.records and all(math.isfinite(r.measured) for r in report.records)
     assert report.overall_pass
+
+
+@pytest.mark.parametrize("x", [[1e200], [3e200, -4e200], [1e308, 1e308, 1e308]])
+def test_point_radius_does_not_overflow(x):
+    # the sum of squares overflows past about 1e154; np.linalg.norm then
+    # warns and returns inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        nx = point_radius(np.array(x))
+    assert nx == pytest.approx(math.hypot(*x), rel=1e-15)
+
+
+def test_point_radius_keeps_the_norm_bits_below_the_scaling():
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 3):
+        for x in rng.uniform(-1.0, 1.0, size=(20, dim)) * 10.0 ** rng.uniform(-150, 149, size=(20, 1)):
+            assert _bits(point_radius(x)) == _bits(float(np.linalg.norm(x)))
+
+
+@pytest.mark.parametrize("nx", [1e150, 1e200])
+def test_envelope_is_refused_where_it_underflows(nx):
+    # t |x|^(-(d+2s)) falls below the normal floats past about 1e140, and
+    # the kernel value with it: a ratio of the two means nothing there
+    params = KernelParams(dim=1, s=0.6)
+    with pytest.raises(ValueError, match=re.escape(f"falls below the float range at |x|={nx:g}, t=1")):
+        kernel_envelope(params, nx, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        [(p, grad, pt)] = kernel_derivatives(params, [[nx]], [1.0])
+    assert p == 0.0 and grad[0] == 0.0
 
 
 def test_envelope_takes_the_space_power_where_it_is_smaller():

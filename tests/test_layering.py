@@ -56,3 +56,19 @@ def test_names_are_imported_from_their_defining_module():
                 if source in defined and alias.name not in defined[source]
             )
     assert relayed == []
+
+
+def test_only_the_far_band_lays_far_tails():
+    # families.FarBand is the one far tail of the operator, the solver and
+    # the residual: no other module lays half-period or geometric tail
+    # panels or averages partial sums itself
+    tail_names = {"half_period_rule", "averaged_limit", "geometric_tail"}
+    found = sorted(
+        f"{path.name} imports {alias.name}"
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in tail_names
+    )
+    assert found == [f"families.py imports {name}" for name in sorted(tail_names)]

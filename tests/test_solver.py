@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 from fracheat import families as fam
 from fracheat import kernel, solver
 from fracheat.fraclap import frac_laplacian
-from fracheat.kernel import KernelParams, profile_table
+from fracheat.kernel import BODY_EDGES, TAIL_CUT, KernelParams, profile_table, tail_coefficients
 from fracheat.solver import (
     _MAX_ANGULAR,
     _RadialBands,
+    _kernel_moment,
+    _solution,
     _solve_batch,
     EnvelopeTrace,
     GridSpec,
@@ -35,6 +37,7 @@ from fracheat.solver import (
     solve_classical,
     time_derivative,
 )
+from fracheat.specfun import panel_rule, tail_integral
 
 PAR_06 = KernelParams(dim=1, s=0.6)
 PAR_07 = KernelParams(dim=1, s=0.7)
@@ -513,6 +516,26 @@ class TestResidual:
             )
         assert calls == []
 
+    @pytest.mark.parametrize("lam", [0.5, -0.5, 2.0])
+    def test_kinked_data_are_refused_before_any_work(self, lam):
+        # the solve estimates near a corner do not bound their error, so a
+        # residual built on them would not either
+        u0 = fam.piecewise_linear_1d(lam)
+        calls = []
+
+        def counting(pts):
+            calls.append(len(pts))
+            return u0.value(pts)
+
+        with pytest.raises(ValueError, match="corner at x = 0"):
+            residual_with_estimate(dataclasses.replace(u0, value=counting), np.array([0.7]), 0.5, PAR_075)
+        assert calls == []
+
+    def test_the_straight_kinked_line_is_answered(self):
+        # at slope 1 on both sides the datum is the line u = x, whose field is exact
+        val, est = residual_with_estimate(fam.piecewise_linear_1d(1.0), np.array([0.7]), 0.5, PAR_075)
+        assert abs(val) <= est <= 1e-12
+
     @pytest.mark.parametrize("x", [0.0, 1.0])
     @pytest.mark.parametrize("t", [0.25, 0.5])
     @pytest.mark.parametrize("s", [0.55, 0.75, 0.9])
@@ -550,6 +573,38 @@ class TestResidual:
         assert pde_residual(*args) == residual_with_estimate(*args)[0]
 
 
+class TestSolutionEnvelope:
+    @pytest.mark.parametrize("s, beta", [(0.75, 1.2), (0.65, 1.2), (0.9, 1.0)])
+    def test_kernel_moment_matches_the_profile(self, s, beta):
+        # E|X|^beta = 2 (2 pi)^(-1/2) int_0^inf r^beta F(r) dr, on the body
+        # panels of the tabulated profile and the series past TAIL_CUT
+        rs, ws = map(np.ravel, panel_rule(BODY_EDGES, 24))
+        body = float(np.dot(profile_table(1, s).evaluate(rs) * rs**beta, ws))
+        tail = tail_integral(tail_coefficients(1, s), s, TAIL_CUT, beta)
+        moment = _kernel_moment(1, s, beta)
+        assert abs(moment - 2.0 * (2.0 * math.pi) ** -0.5 * (body + tail)) <= 1e-9 * moment
+
+    def test_moment_of_order_zero_is_the_mass(self):
+        assert _kernel_moment(1, 0.6, 0.0) == 1.0
+        assert _kernel_moment(3, 0.6, 0.0) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("s", [0.65, 0.75, 0.9])
+    def test_solution_stays_under_its_envelope(self, s):
+        u0, params = fam.abs_power(1.2), KernelParams(dim=1, s=s)
+        side = np.geomspace(1e-3, 1e6, 19)
+        ys = np.concatenate([-side, [0.0], side])
+        for t in (0.1, 0.5, 2.0, 10.0):
+            vals, errs = _solve_batch(u0, ys[:, None], t, params)
+            assert np.all(np.abs(vals) + errs <= _solution(u0, t, params).envelope.bound(ys))
+
+    @pytest.mark.parametrize("u0", [fam.gaussian(1.0), fam.abs_power(1.2), fam.cosine(1.0)])
+    def test_only_an_exact_far_field_carries_over(self, u0):
+        sol = _solution(u0, 0.5, PAR_075)
+        assert sol.far_field is None
+        assert sol.bounded_oscillation == u0.bounded_oscillation
+        assert _solution(fam.affine(0.5, 1.0), 0.5, PAR_075).is_affine
+
+
 class TestPointBlocks:
     # blocks of 32 points: a power of two like _NODE_BLOCK, so a block
     # boundary never splits the row groups of the matrix-vector products
@@ -584,8 +639,8 @@ class TestPointBlocks:
         assert np.allclose(whole[1], blocked[1], rtol=0.0, atol=1e-14 * scale)
 
     def test_residual_memory_stays_bounded(self):
-        # its operator term is one batch of 2,023 points; worked through in
-        # blocks it peaks at 11.3 MiB, held whole at 40.2 MiB
+        # its operator term is one batch of 1,927 points; worked through in
+        # blocks it peaks at 11.8 MiB, held whole at 34.7 MiB
         profile_table(1, 0.6)
         profile_table(3, 0.6)
         assert _traced_peak(
