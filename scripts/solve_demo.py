@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Small end-to-end tour: solve a cosine datum, show decay and residual.
+"""Small end-to-end tour: solve a cosine datum, show decay, residual and growth envelope.
 
 The cosine is an eigenfunction, so the exact solution is known and the
 printed error column is a genuine accuracy readout, not a residual proxy.
@@ -13,7 +13,7 @@ from fracheat import (
     GridSpec,
     KernelParams,
     cosine,
-    envelope_propagate,
+    envelope_check,
     pde_residual,
     solve_canonical,
 )
@@ -36,6 +36,5 @@ for k, t in enumerate(grid.times):
 res = pde_residual(cosine(1.0), np.array([0.7]), 0.5, par)
 print(f"\nPDE residual at x=0.7, t=0.5: {res:.2e}")
 
-trace = envelope_propagate(cosine(1.0), par, (0.5, 1.0, 2.0))
-print(f"amplitude trace {[round(a, 4) for a in trace.amplitudes]}"
-      f" -> fitted decay exponent {trace.fitted_exponent:.3f}")
+print()
+print("\n".join(envelope_check(field, par).summary_lines()))

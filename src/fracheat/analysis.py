@@ -3,15 +3,18 @@
 Everything here reads a finished :class:`~fracheat.solver.SolutionField`
 or probes the flow through the solver's pointwise operations; nothing
 re-derives kernel machinery.  The checks cover order bounds between a
-solution and its datum, preservation of convexity measured through
-lattice second differences, invariance along a ruling direction, and
-monotone heating of convex data, together with the same battery run
-against the order-one comparison flow.
+solution and its datum, the growth envelope it inherits from its datum,
+preservation of convexity measured through lattice second differences,
+invariance along a ruling direction, and monotone heating of convex
+data, together with the same battery run against the order-one
+comparison flow.
 
 Verdicts are absolute with the tolerance TOLERANCE = 1e-6, calibrated for
 data whose magnitude stays within about ten on the sampled box; that
 sits an order above the worst quadrature error the solver reports on
 such data, so a failed verdict reflects the field, not the quadrature.
+The growth envelope is the exception: its bound grows with the data, so
+it allows each node its own error estimate instead.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .families import FunctionSpec
+from .families import FunctionSpec, require_admissible
 from .kernel import KernelParams
 from .report import VerificationReport
 from .solver import (
@@ -172,6 +175,37 @@ def max_principle_check(field: SolutionField) -> VerificationReport:
         passed=float(field.values[lo]) >= u0.inf_value - TOLERANCE,
         worst_point=(*nodes[lo[1]], field.grid.times[lo[0]]),
     )
+    return report
+
+
+def envelope_check(field: SolutionField, params: KernelParams) -> VerificationReport:
+    """The growth bound of the existence theorem on a solved field.
+
+    A datum under |u0| <= A + B |x|^beta with beta < 2s has |u(x, t)| <=
+    its envelope flowed to t (GrowthEnvelope.flowed), a bound with every
+    constant explicit, so there is no margin.  One record per grid time,
+    passing when every node has |u| <= bound + err_est; it measures the
+    worst ratio (|u| - err_est) / bound, where a zero bound reads 0 when
+    |u| <= err_est and the largest float when not.
+    """
+    u0, grid = field.datum, field.grid
+    require_admissible(u0, params.s)
+    report = VerificationReport(suite="growth-envelope")
+    nodes = grid.nodes()
+    radii = np.linalg.norm(nodes, axis=1)
+    for ti, t in enumerate(grid.times):
+        bound = u0.envelope.flowed(params.dim, params.s, t).bound(radii)
+        excess = np.abs(field.values[ti]) - field.error_estimates[ti]
+        ratio = np.divide(excess, bound, out=np.where(excess > 0.0, np.inf, 0.0), where=bound > 0.0)
+        worst = int(np.argmax(ratio))
+        report.add(
+            name=f"t={t:g}",
+            measured=min(float(ratio[worst]), np.finfo(float).max),
+            bound=1.0,
+            tolerance=0.0,
+            passed=bool(np.all(excess <= bound)),
+            worst_point=(*nodes[worst], t),
+        )
     return report
 
 

@@ -29,15 +29,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import families as fam
+from .analysis import envelope_check
 from .families import as_integer
 from .fraclap import classify_definiteness, frac_laplacian, vanish_at_infinity_check
 from .kernel import KernelParams, kernel_derivatives, kernel_envelope, point_radius, profile_table, verify_kernel_bounds
-from .solver import (
-    GridSpec,
-    envelope_propagate,
-    residual_with_estimate,
-    solve_canonical,
-)
+from .solver import GridSpec, residual_with_estimate, solve_canonical
 
 DATUM_GRAMMAR = (
     "function specs are written family:param[,param] with families "
@@ -290,21 +286,8 @@ def _cmd_solve(args) -> int:
             )
     emit_table((headers, rows), os.path.join(args.out, "solution.csv"), "csv")
 
-    trace_times = [t for t in grid.times if t > 0.0]
-    if len(trace_times) < 3:
-        trace_times = [0.5, 1.0, 2.0]
-    try:
-        trace = envelope_propagate(u0, params, tuple(trace_times))
-        envelope = {
-            "amplitudes": list(trace.amplitudes),
-            "bound_coefficient": trace.bound_coefficient,
-            "fitted_exponent": trace.fitted_exponent,
-            "times": list(trace.times),
-        }
-    except ValueError as e:
-        envelope = {"unavailable": str(e)}
     mid = nodes[len(nodes) // 2]
-    t_res = next((t for t in grid.times if t > 0.0), trace_times[0])
+    t_res = next((t for t in grid.times if t > 0.0), 0.5)
     try:
         value, estimate = residual_with_estimate(u0, mid, t_res, params)
     except ValueError as e:
@@ -316,7 +299,7 @@ def _cmd_solve(args) -> int:
         }
     manifest = {
         "datum": args.datum,
-        "envelope": envelope,
+        "envelope": envelope_check(field, params).to_dict(),
         "grid": {
             "box": [list(b) for b in grid.box],
             "counts": list(grid.counts),
@@ -431,8 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="solve the initial-value problem on a grid and write artifacts",
         description=(
             "Writes solution.csv (t, x..., u, err_est) and manifest.json "
-            "(parameters, growth-envelope trace, residual summary) into "
-            "the output directory. " + DATUM_GRAMMAR + "."
+            "(parameters; envelope, the check at each time that every node "
+            "has |u| <= the datum's growth envelope flowed to that time + "
+            "err_est; residual summary) into the output directory. "
+            + DATUM_GRAMMAR + "."
         ),
     )
     solve.add_argument("--datum", required=True)

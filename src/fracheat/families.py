@@ -83,6 +83,42 @@ class GrowthEnvelope:
             return self.amplitude + 0.0 * r
         return self.amplitude + self.slope * r**self.power
 
+    @property
+    def shift(self) -> float:
+        """k = max(1, 2^(power-1)), with |x + y|^power <= k (|x|^power + |y|^power); 1 when bounded."""
+        return max(1.0, 2.0 ** (self.power - 1.0)) if self.slope > 0.0 else 1.0
+
+    def flowed(self, dim: int, s: float, t: float) -> GrowthEnvelope:
+        """The envelope of the flow u(., t) in R^dim of order s of any datum under this one.
+
+        u(x, t) = E u0(x + t^(1/2s) X) with X of density p(., 1), so
+        |u0| <= A + B |x|^beta gives |u(x, t)| <= A + B k m_beta t^(beta/2s)
+        + B k |x|^beta, with k the shift and, for 0 <= beta < 2s,
+
+            m_beta = E|X|^beta = 2^beta Gamma((N+beta)/2) Gamma(1-beta/2s) / (Gamma(N/2) Gamma(1-beta/2)).
+
+        Proof for beta > 0 (beta = 0 gives 1): the normalization of
+        fraclap.riesz_constant, read at the origin for the datum exp(i xi.y)
+        with the names xi and y swapped, is |y|^beta = C int (1 - cos(xi.y))
+        |xi|^(-N-beta) dxi with C = riesz_constant(N, beta/2).  The integrand
+        is non-negative, so the mean may go under the integral, and E cos(xi.X)
+        = exp(-|xi|^(2s)) is the kernel's symbol at t = 1; so m_beta is
+        C |S^(N-1)| int_0^inf (1 - exp(-r^(2s))) r^(-1-beta) dr.  With v = r^(2s)
+        and a = beta/2s in (0, 1) the radial integral is (1/2s) int (1 - e^-v)
+        v^(-1-a) dv = Gamma(1-a) / (2s a), by one integration by parts, and
+        C |S^(N-1)| = 2^beta beta Gamma((N+beta)/2) / (Gamma(N/2) Gamma(1-beta/2)).
+        A bounded envelope flows to itself; a growth power of 2s or more,
+        where m_beta diverges, is refused.
+        """
+        if self.slope == 0.0:
+            return self
+        if not self.admissible_for(s):
+            raise ValueError(f"the moment E|X|^{self.power:g} of the order-{s:g} kernel diverges unless {self.power:g} < 2s")
+        beta, slope = self.power, self.slope * self.shift
+        moment = 2.0**beta * math.gamma(0.5 * (dim + beta)) * math.gamma(1.0 - beta / (2.0 * s))
+        moment /= math.gamma(0.5 * dim) * math.gamma(1.0 - 0.5 * beta)
+        return GrowthEnvelope(self.amplitude + slope * (moment * t ** (beta / (2.0 * s))), slope, beta)
+
 
 @dataclass(frozen=True)
 class FarField:
@@ -133,7 +169,7 @@ def far_leftover(
         scale(x) tail(radius, decay) is the smaller bound;
       * otherwise sub = const(x), bounded through the envelope
         |u| <= A + B |y|^beta: |M - const| <= c0(x) + B k rho^beta with
-        c0(x) = A + B k |x|^beta + |const(x)| and k = max(1, 2^(beta-1)),
+        c0(x) = A + B k |x|^beta + |const(x)| and k the envelope's shift,
         since |x + rho w|^beta <= k (|x|^beta + rho^beta).
 
     So each point's leftover is never above the envelope one, and a batch
@@ -142,10 +178,9 @@ def far_leftover(
     """
     env, ff = u.envelope, u.far_field
     beta = env.power if env.slope > 0.0 else 0.0
-    bump = max(1.0, 2.0 ** (beta - 1.0))
     const = u.far_const(pts)
-    c0 = env.amplitude + env.slope * bump * np.sqrt(_sq_norm(pts)) ** beta + np.abs(const)
-    c1 = env.slope * bump
+    c0 = env.amplitude + env.slope * env.shift * np.sqrt(_sq_norm(pts)) ** beta + np.abs(const)
+    c1 = env.slope * env.shift
     declared = ff is not None and ff.remainder is not None
     scale, start = ff.remainder(pts) if declared else (np.zeros(len(pts)), np.zeros(len(pts)))
     # rho^p = unit^p r^p, with each power of the unit taken once
@@ -224,7 +259,8 @@ class FarBand:
                 ratio = 1.7 if u.envelope.slope > 0.0 else 1.4
                 # the batch's worst leftover; a single point reads its own
                 worst = np.max if len(pts) > 1 else (lambda b: b[0])
-                edges = geometric_tail(start, ratio, lambda r: area * float(worst(leftover(r)[0])), target, width)
+                edges = geometric_tail(start, ratio, lambda r: area * float(worst(leftover(r)[0])), target, width,
+                                       f"the far band of {u.label}")
                 inside = [b for b in breaks if edges[0] < b < edges[-1]]
                 if inside:
                     edges = np.unique(np.concatenate([edges, inside]))

@@ -309,14 +309,18 @@ def _ladder(params: KernelParams, orders, radii: np.ndarray) -> np.ndarray:
     # D^k F_d at every radius of a checked 1-D array, one row per k of
     # orders (k = 0: F_d), each F_{d+2j} one _profile_array call over the
     # distinct radii; terms keep the one-radius order and Python's pow,
-    # whose bits numpy's vectorized power does not always match
+    # whose bits numpy's vectorized power does not always match.  Where
+    # the power would overflow (r past about 1e154 for r^2) the profile,
+    # which decays faster, has underflowed to 0, and so has the term; its
+    # power is not formed there
     ladders = [alpha_coeffs(k).coefficients if k else {0: 1.0} for k in orders]
     distinct, where = np.unique(radii, return_inverse=True)
     profiles = {j: _profile_array(params.dim + 2 * j, params.s, distinct)[where] for j in sorted(set().union(*ladders))}
     out = np.zeros((len(ladders), radii.size))
     for row, k, coeffs in zip(out, orders, ladders):
         for j, c in sorted(coeffs.items()):
-            row += (-1.0) ** j * c * np.array([r ** (2 * j - k) for r in radii.tolist()]) * profiles[j]
+            powers = [r ** (2 * j - k) if f else 0.0 for r, f in zip(radii.tolist(), profiles[j].tolist())]
+            row += (-1.0) ** j * c * np.array(powers) * profiles[j]
     return out
 
 

@@ -53,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .families import FarBand, FunctionSpec, GrowthEnvelope, as_integer, as_point, require_admissible
+from .families import FarBand, FunctionSpec, as_integer, as_point, require_admissible
 from .fraclap import riesz_constant
 from .kernel import BODY_EDGES, TAIL_CUT, KernelParams, profile_table, tail_coefficients
 from .report import VerificationReport
@@ -70,8 +70,6 @@ _MAX_ANGULAR = {2: 6, 3: 3}
 # at the node midpoints of any table the suites and the benchmark read is
 # 1.17e-8, in (3, 0.8)
 _TABLE_REL = 1.5e-8
-# radii of the rings envelope_propagate samples
-_RING_RADII = (0.0, 2.0, 10.0, 40.0, 100.0)
 # Gauss-Hermite nodes per axis of solve_classical up to 2-D (32 above)
 _HERMITE_NODES = 80
 # initial_continuity_check's refinement steps and the final gap it allows;
@@ -165,34 +163,6 @@ class SolutionField:
         return self.values[index]
 
 
-@dataclass(frozen=True)
-class EnvelopeTrace:
-    """Measured growth amplitude A(t) with its fitted time exponent."""
-
-    times: tuple[float, ...]
-    amplitudes: tuple[float, ...]
-    bound_coefficient: float
-    fitted_exponent: float
-
-    def __post_init__(self) -> None:
-        ts = tuple(float(t) for t in self.times)
-        amps = tuple(float(a) for a in self.amplitudes)
-        object.__setattr__(self, "times", ts)
-        object.__setattr__(self, "amplitudes", amps)
-        if len(ts) != len(amps) or len(ts) < 3:
-            raise ValueError("need matching times and amplitudes, at least three")
-        if any(t <= 0.0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("times must be positive and strictly increasing")
-        if any(a <= 0.0 for a in amps):
-            raise ValueError("amplitudes must stay positive")
-        ratios = [a / t for a, t in zip(amps, ts)]
-        for a, b in zip(ratios, ratios[1:]):
-            if b > a * (1.0 + 1e-9):
-                raise ValueError("A(t)/t must trend downward on the sampled range")
-        if self.bound_coefficient < 0.0:
-            raise ValueError("bound coefficient must be non-negative")
-
-
 # ---------------------------------------------------------------------------
 # radial machinery
 
@@ -254,7 +224,8 @@ class _RadialBands:
         pref = _TWO_PI ** (-0.5 * dim)
         osc = (u0.osc_scale or 0.0) * tsc
         cap = 2.2 * math.pi / osc if osc > 0.0 else math.inf
-        rs, ws = map(np.ravel, panel_rule(split_panels(BODY_EDGES, cap), 24))
+        edges = split_panels(BODY_EDGES, cap, f"the body band of {u0.label} at t = {t:g}")
+        rs, ws = map(np.ravel, panel_rule(edges, 24))
         fac = factor(rs) * ws
 
         def body(surf: np.ndarray, sl: slice) -> tuple[np.ndarray, np.ndarray]:
@@ -445,43 +416,16 @@ def pde_residual(u0: FunctionSpec, x, t: float, params: KernelParams) -> float:
     return residual_with_estimate(u0, x, t, params)[0]
 
 
-def _kernel_moment(dim: int, s: float, beta: float) -> float:
-    """E|X|^beta for X of density p(., 1) in R^N, for 0 <= beta < 2s:
-
-        m_beta = 2^beta Gamma((N+beta)/2) Gamma(1-beta/2s) / (Gamma(N/2) Gamma(1-beta/2)).
-
-    Proof for beta > 0 (beta = 0 gives 1): the normalization of
-    fraclap.riesz_constant, read at the origin for the datum exp(i xi.y)
-    with the names xi and y swapped, is |y|^beta = C int (1 - cos(xi.y))
-    |xi|^(-N-beta) dxi with C = riesz_constant(N, beta/2).  The integrand
-    is non-negative, so the mean may go under the integral, and E cos(xi.X)
-    = exp(-|xi|^(2s)) is the kernel's symbol at t = 1; so m_beta is
-    C |S^(N-1)| int_0^inf (1 - exp(-r^(2s))) r^(-1-beta) dr.  With v = r^(2s)
-    and a = beta/2s in (0, 1) the radial integral is (1/2s) int (1 - e^-v)
-    v^(-1-a) dv = Gamma(1-a) / (2s a), by one integration by parts, and
-    C |S^(N-1)| = 2^beta beta Gamma((N+beta)/2) / (Gamma(N/2) Gamma(1-beta/2)).
-    """
-    num = 2.0**beta * math.gamma(0.5 * (dim + beta)) * math.gamma(1.0 - beta / (2.0 * s))
-    return num / (math.gamma(0.5 * dim) * math.gamma(1.0 - 0.5 * beta))
-
-
 def _solution(u0: FunctionSpec, t: float, params: KernelParams) -> FunctionSpec:
     """u0 with the growth envelope and far field of its solution u(., t).
 
-    u(x, t) = E u0(x + t^(1/2s) X) with X of density p(., 1), and
-    |x + y|^beta <= k (|x|^beta + |y|^beta) with k = max(1, 2^(beta-1)), so
-    |u0| <= A + B |x|^beta gives |u(x, t)| <= A + B k m_beta t^(beta/2s)
-    + B k |x|^beta (m_beta from _kernel_moment).  An exact far field stays,
-    since the flow leaves such a datum where it is; every other one is
-    dropped: a Gaussian's declared remainder does not hold for its
-    solution, whose tails are polynomial.  Only what FarBand reads of the
-    solution changes; value is still the datum's.
+    The envelope is the datum's flowed to t (GrowthEnvelope.flowed).  An
+    exact far field stays, since the flow leaves such a datum where it is;
+    every other one is dropped: a Gaussian's declared remainder does not
+    hold for its solution, whose tails are polynomial.  Only what FarBand
+    reads of the solution changes; value is still the datum's.
     """
-    env = u0.envelope
-    if env.slope > 0.0:
-        beta, slope = env.power, env.slope * max(1.0, 2.0 ** (env.power - 1.0))
-        spread = _kernel_moment(params.dim, params.s, beta) * t ** (beta / (2.0 * params.s))
-        env = GrowthEnvelope(env.amplitude + slope * spread, slope, beta)
+    env = u0.envelope.flowed(params.dim, params.s, t)
     return replace(u0, envelope=env, far_field=u0.far_field if u0.is_affine else None)
 
 
@@ -560,56 +504,6 @@ def residual_with_estimate(
         + u_weight * value_errs[3] + 1e-16 * abs(dc)
     )
     return float(ut + flap), float(estimate)
-
-
-def envelope_propagate(
-    u0: FunctionSpec,
-    params: KernelParams,
-    times,
-) -> EnvelopeTrace:
-    """Measured growth amplitude of the solution over sample rings.
-
-    A(t) is the largest excess of |u(x, t)| over coeff * |x|^power on the
-    rings of radii _RING_RADII, where power matches the datum's growth and
-    coeff carries a factor-four margin over the slope of the convolution
-    bound (_solution); the
-    margin stands in for constants the theory leaves implicit, so the
-    trace measures rather than asserts.
-    """
-    require_admissible(u0, params.s)
-    ts = tuple(float(t) for t in times)
-    if len(ts) < 3:
-        raise ValueError("need at least three times to fit an exponent")
-    if any(t <= 0.0 for t in ts):
-        raise ValueError("envelope samples need positive times")
-    # the slope of the convolution bound is the same at every time
-    env = _solution(u0, ts[0], params).envelope
-    beta, coeff = env.power, 4.0 * env.slope
-    dim = params.dim
-    pts = []
-    for r in _RING_RADII:
-        if r == 0.0:
-            pts.append(np.zeros(dim))
-            continue
-        for axis in range(dim):
-            for sign in (1.0, -1.0):
-                p = np.zeros(dim)
-                p[axis] = sign * r
-                pts.append(p)
-    pts = np.asarray(pts)
-    excess = coeff * np.linalg.norm(pts, axis=1) ** beta if coeff > 0.0 else 0.0
-
-    amps = []
-    for t in ts:
-        vals, _ = _solve_batch(u0, pts, t, params)
-        amps.append(float(np.max(np.abs(vals) - excess)))
-    slope, _ = np.polyfit(np.log(ts), np.log(np.maximum(amps, 1e-300)), 1)
-    return EnvelopeTrace(
-        times=ts,
-        amplitudes=tuple(amps),
-        bound_coefficient=coeff,
-        fitted_exponent=float(slope),
-    )
 
 
 def initial_continuity_check(

@@ -161,13 +161,21 @@ def panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return mid[:, None] + half[:, None] * x[None, :], half[:, None] * w[None, :]
 
 
-def split_panels(edges: np.ndarray, width: float) -> np.ndarray:
+def split_panels(edges: np.ndarray, width: float, label: str) -> np.ndarray:
     """The edges with every panel wider than width cut into equal parts.
 
     Each original edge is kept exactly; an infinite width changes nothing.
+    The parts are counted from the edges first, and a split into more than
+    _PANEL_ENTRIES / 32 panels, whose rule of up to 32 nodes a panel could
+    pass _PANEL_ENTRIES entries, is refused with ValueError, naming label,
+    before any array is made.
     """
     if not math.isfinite(width):
         return edges
+    with np.errstate(divide="ignore", over="ignore"):
+        count = float(np.sum(np.ceil(np.diff(edges) / width)))
+    if count > _PANEL_ENTRIES // 32:
+        raise ValueError(f"{label} needs {count:.3g} panels of width {width:.3g}, over the cap of {_PANEL_ENTRIES // 32}")
     out = [edges[0]]
     for a, b in zip(edges[:-1], edges[1:]):
         k = max(1, int(math.ceil((b - a) / width)))
@@ -200,7 +208,8 @@ def geometric_tail(
     ratio: float,
     leftover: Callable[[float], float],
     target: float,
-    width: float = math.inf,
+    width: float,
+    label: str,
 ) -> np.ndarray:
     """Panel edges from start out to an envelope-certified cutoff.
 
@@ -208,14 +217,15 @@ def geometric_tail(
     caller's bound leftover(radius) on the integral beyond it is at most
     target, or RADIUS_CAP when no radius under the cap gets there.  The
     panels are the fewest geometric ones, at least four, whose end-to-start
-    ratio stays at or under ratio, cut by split_panels to width; the last
-    edge is the cutoff, where the caller evaluates its leftover.
+    ratio stays at or under ratio, cut by split_panels to width (which
+    names label when it refuses); the last edge is the cutoff, where the
+    caller evaluates its leftover.
     """
     radius = 4.0 * start
     while radius < RADIUS_CAP and leftover(radius) > target:
         radius = min(4.0 * radius, RADIUS_CAP)
     n = max(4, int(math.ceil(math.log(radius / start) / math.log(ratio))))
-    return split_panels(_geomspace(start, radius, n + 1), width)
+    return split_panels(_geomspace(start, radius, n + 1), width, label)
 
 
 @lru_cache(maxsize=64)

@@ -1,5 +1,6 @@
 """Tests for the geometric verifiers layered on solution fields."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from fracheat.analysis import (
     RuledReport,
     classical_dichotomy_check,
     convexity_check,
+    envelope_check,
     max_principle_check,
     monotonicity_check,
     ruled_check,
@@ -101,6 +103,75 @@ class TestMaxPrinciple:
     def test_unbounded_datum_rejected(self, field_abs):
         with pytest.raises(ValueError, match="range metadata"):
             max_principle_check(field_abs)
+
+
+ENVELOPE_TIMES = (0.0, 0.5, 1.0, 2.0)
+
+
+def _envelope_field(spec, s, dim=1):
+    box = ((-3.0, 3.0),) + ((-1.0, 1.0),) * (dim - 1)
+    grid = GridSpec(dim=dim, box=box, counts=(13,) + (3,) * (dim - 1), times=ENVELOPE_TIMES)
+    params = KernelParams(dim=dim, s=s)
+    return solve_canonical(fam.parse_spec(spec, dim), grid, params), params
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize(
+        "spec, s, dim, least",
+        [
+            ("ruled:1.2", 0.75, 2, 0.5),
+            ("abs_power:1.2", 0.75, 1, 0.75),
+            ("affine:0,1", 0.75, 1, 0.7),
+            ("cosine:1", 0.6, 1, 0.6),
+            ("gaussian:1", 0.7, 1, 0.55),
+            ("piecewise_linear_1d:0.5", 0.75, 1, 0.7),
+            ("constant:0", 0.6, 1, 0.0),
+        ],
+    )
+    def test_solutions_stay_under_the_flowed_envelope(self, spec, s, dim, least):
+        field, params = _envelope_field(spec, s, dim)
+        report = envelope_check(field, params)
+        assert report.overall_pass
+        assert [r.name for r in report.records] == ["t=0", "t=0.5", "t=1", "t=2"]
+        assert all(r.bound == 1.0 and r.tolerance == 0.0 for r in report.records)
+        # the bound has no slack to spare: after t = 0, where the datum
+        # meets its own envelope, some node still comes this close to it
+        assert max(r.measured for r in report.records[1:]) >= least
+
+    def test_the_worst_ratio_and_its_point(self):
+        field, params = _envelope_field("abs_power:1.2", 0.75)
+        rec = envelope_check(field, params).records[2]
+        env = fam.abs_power(1.2).envelope.flowed(1, 0.75, 1.0)
+        nodes = field.grid.nodes()[:, 0]
+        ratios = (np.abs(field.values[2]) - field.error_estimates[2]) / env.bound(nodes)
+        assert rec.measured == float(np.max(ratios))
+        assert rec.worst_point == (float(nodes[np.argmax(ratios)]), 1.0)
+
+    def test_a_doctored_field_fails_where_it_was_doctored(self, field_abs):
+        values = np.array(field_abs.values)
+        values[2] *= 3.0
+        doctored = dataclasses.replace(field_abs, values=values)
+        report = envelope_check(doctored, KernelParams(dim=1, s=0.75))
+        assert [r.passed for r in report.records] == [True, True, False]
+        assert report.records[2].measured > 1.0
+        assert not report.overall_pass
+
+    def test_a_zero_bound_is_met_only_by_zero(self):
+        grid = GridSpec(dim=1, box=((-1.0, 1.0),), counts=(3,), times=(0.5, 1.0))
+        params = KernelParams(dim=1, s=0.6)
+        field = SolutionField(grid, np.array([[0.0, 1e-9, 0.0], [0.0, 1e-9, 0.0]]),
+                              np.array([[0.0, 1e-9, 0.0], [0.0, 0.0, 0.0]]), fam.constant(0.0))
+        report = envelope_check(field, params)
+        assert report.records[0].passed and report.records[0].measured == 0.0
+        assert not report.records[1].passed
+        assert report.records[1].measured == np.finfo(float).max
+        assert report.records[1].worst_point == (0.0, 1.0)
+        # the report still serializes: JSON has no infinity
+        assert '"overall_pass": false' in report.to_json()
+
+    def test_fast_growth_is_refused(self, field_abs):
+        with pytest.raises(ValueError, match="not integrable against order s=0.55"):
+            envelope_check(field_abs, KernelParams(dim=1, s=0.55))
 
 
 class TestConvexity:

@@ -456,7 +456,46 @@ class TestSolveCommand:
         sample = manifest["residual"]["samples"][0]
         assert sample["t"] == 0.5
         assert abs(sample["residual"]) <= sample["estimate"]
-        assert "amplitudes" in manifest["envelope"]
+        envelope = manifest["envelope"]
+        assert envelope["suite"] == "growth-envelope" and envelope["overall_pass"]
+        assert [r["name"] for r in envelope["records"]] == ["t=0.5"]
+
+    @pytest.mark.parametrize("datum", ["affine:0,1", "constant:0"])
+    def test_the_envelope_of_an_exact_solution_passes(self, datum, tmp_path):
+        # the flow leaves these data where they are; at t = 0 and at the
+        # origin the bound is met with equality or is zero
+        code = main(["solve", "--datum", datum, "--s", "0.75", "--grid=-2:2:5",
+                     "--times", "0,0.5,2", "--out", str(tmp_path)])
+        assert code == 0
+        envelope = json.loads((tmp_path / "manifest.json").read_text())["envelope"]
+        assert envelope["overall_pass"]
+        assert [r["name"] for r in envelope["records"]] == ["t=0", "t=0.5", "t=2"]
+
+    def test_the_envelope_is_checked_on_the_solved_grid_alone(self, tmp_path, monkeypatch):
+        from fracheat import solver
+
+        calls, solve_batch = [], solver._solve_batch
+
+        def counting(u0, pts, *args, **kwargs):
+            calls.append(len(pts))
+            return solve_batch(u0, pts, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_solve_batch", counting)
+        code = main(["solve", "--datum", "ruled:1.2", "--s", "0.75", "--grid=-2:2:5,-1:1:2",
+                     "--times", "0.5,2", "--out", str(tmp_path)])
+        assert code == 0
+        # one block of the 10 nodes per time, and nothing else
+        assert calls == [10, 10]
+        assert json.loads((tmp_path / "manifest.json").read_text())["envelope"]["overall_pass"]
+
+    def test_a_large_time_is_refused_before_its_panels_are_laid(self, tmp_path, capsys):
+        # the body band resolves the cosine's period at the kernel's scale
+        # t^(1/2s) = 1e10: 4.3e10 panels, which the split refuses by name
+        code = main(["solve", "--datum", "cosine:1", "--s", "0.6", "--grid=-1:1:3",
+                     "--times", "1e12", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the body band of cosine:1 at t = 1e+12 needs 4.34e+10 panels") and err.count("\n") == 1
 
     def test_grid_syntax_error_exits_two(self, tmp_path, capsys):
         code = main(["solve", "--datum", "cosine:1", "--s", "0.6",

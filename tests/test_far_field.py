@@ -201,6 +201,15 @@ def _axis_points(dim, xs):
     return pts
 
 
+def test_a_growing_oscillation_is_refused_before_its_split():
+    # 2.2 half-periods of 1e6 out to a cutoff of hundreds: the panel count
+    # passes split_panels' cap, so no edge array is made
+    u = dataclasses.replace(fam.abs_power(1.2), osc_scale=1e6)
+    assert not u.bounded_oscillation
+    with pytest.raises(ValueError, match=r"the far band of abs_power:1\.2 needs .* panels of width 6\.91e-06"):
+        _operator_band(u, _axis_points(1, [0.3]), 0.9)
+
+
 EVERY_FAMILY = [
     fam.constant(2.0), fam.affine(0.5, 1.0, dim=2), fam.cosine(1.0), fam.cosine(3.0, dim=2), fam.gaussian(1.0),
     fam.abs_power(1.2), fam.abs_power(0.5, dim=3), fam.piecewise_linear_1d(0.5), fam.ruled(1.2), fam.ruled(0.8),

@@ -693,6 +693,24 @@ def test_envelope_is_refused_where_it_underflows(nx):
     assert p == 0.0 and grad[0] == 0.0
 
 
+@pytest.mark.parametrize("nx", [1e155, 1e200, 1e300])
+def test_second_order_ladder_past_the_power_overflow(nx):
+    # r^2 overflows past about 1e154, where F_3 has long underflowed to 0:
+    # the term is 0 and the power is never formed
+    params = KernelParams(dim=1, s=0.6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        [(p, grad, pt, hess)] = kernel_derivatives(params, [[nx]], [1.0], 2)
+        assert d_f_radial(params, [2, 4], nx).tolist() == [0.0, 0.0]
+    assert p == 0.0 and grad[0] == 0.0 and pt == 0.0 and hess[0, 0] == 0.0
+
+
+def test_bound_check_at_a_caller_point_past_the_power_overflow():
+    # the ladder answers, so the check reaches the envelope's refusal
+    with pytest.raises(ValueError, match=re.escape("falls below the float range at |x|=1e+200, t=0.1")):
+        verify_kernel_bounds(KernelParams(dim=1, s=0.6), [[1e200]])
+
+
 def test_envelope_takes_the_space_power_where_it_is_smaller():
     params = KernelParams(dim=2, s=0.75)
     assert kernel_envelope(params, 1e-100, 1.0) == 1.0

@@ -21,14 +21,11 @@ from fracheat.kernel import BODY_EDGES, TAIL_CUT, KernelParams, profile_table, t
 from fracheat.solver import (
     _MAX_ANGULAR,
     _RadialBands,
-    _kernel_moment,
     _solution,
     _solve_batch,
-    EnvelopeTrace,
     GridSpec,
     SolutionField,
     classical_lifespan,
-    envelope_propagate,
     initial_continuity_check,
     pde_residual,
     residual_with_estimate,
@@ -152,33 +149,6 @@ class TestSolutionField:
             grid=g, values=np.full((2, 5), 2.0), error_estimates=np.zeros((2, 5)), datum=u0
         )
         assert np.array_equal(sol.at_time(1), np.full(5, 2.0))
-
-
-class TestEnvelopeTraceType:
-    def test_valid_trace(self):
-        tr = EnvelopeTrace(
-            times=(1.0, 2.0, 4.0),
-            amplitudes=(1.0, 1.5, 2.0),
-            bound_coefficient=3.0,
-            fitted_exponent=0.5,
-        )
-        assert tr.amplitudes == (1.0, 1.5, 2.0)
-
-    @pytest.mark.parametrize(
-        "times, amps, match",
-        [
-            ((1.0, 2.0), (1.0, 1.0), "at least three"),
-            ((0.0, 1.0, 2.0), (1.0, 1.0, 1.0), "positive"),
-            ((1.0, 2.0, 4.0), (1.0, -1.0, 1.0), "positive"),
-            # A(t)/t rising over the whole range contradicts sublinear growth
-            ((1.0, 2.0, 4.0), (1.0, 3.0, 10.0), "trend downward"),
-        ],
-    )
-    def test_validation(self, times, amps, match):
-        with pytest.raises(ValueError, match=match):
-            EnvelopeTrace(
-                times=times, amplitudes=amps, bound_coefficient=0.0, fitted_exponent=0.0
-            )
 
 
 class TestCanonicalSolve:
@@ -573,6 +543,13 @@ class TestResidual:
         assert pde_residual(*args) == residual_with_estimate(*args)[0]
 
 
+def _kernel_moment(dim, s, beta):
+    # m_beta as GrowthEnvelope.flowed spends it: the growth a slope-one
+    # envelope picks up by t = 1, over its shift constant
+    env = fam.GrowthEnvelope(0.0, 1.0, beta)
+    return env.flowed(dim, s, 1.0).amplitude / env.shift
+
+
 class TestSolutionEnvelope:
     @pytest.mark.parametrize("s, beta", [(0.75, 1.2), (0.65, 1.2), (0.9, 1.0)])
     def test_kernel_moment_matches_the_profile(self, s, beta):
@@ -725,29 +702,35 @@ class TestConcurrentMisses:
 
 
 class TestEnvelopePropagation:
+    # a datum's envelope carried by the flow to time t (GrowthEnvelope.flowed)
     def test_growing_datum_exponent_stays_sublinear(self):
-        u0 = fam.abs_power(1.2)
-        tr = envelope_propagate(u0, PAR_075, (0.5, 1.0, 2.0, 4.0, 8.0))
-        assert tr.fitted_exponent <= 0.9
-        assert tr.bound_coefficient == pytest.approx(4.0 * 2.0**0.2)
-        assert all(a > 0.0 for a in tr.amplitudes)
+        env = fam.abs_power(1.2).envelope
+        assert env.shift == pytest.approx(2.0**0.2, rel=1e-15)
+        ts = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
+        flowed = [env.flowed(1, 0.75, t) for t in ts]
+        assert all(f.slope == env.shift and f.power == 1.2 for f in flowed)
+        # A(t) - A(0) grows like t^(beta/2s) = t^0.8
+        growth = [f.amplitude - env.amplitude for f in flowed]
+        slope, _ = np.polyfit(np.log(ts), np.log(growth), 1)
+        assert slope == pytest.approx(0.8, abs=1e-12)
 
     def test_decaying_datum(self):
-        tr = envelope_propagate(fam.cosine(1.0), PAR_06, (0.5, 1.0, 2.0, 4.0))
-        assert tr.fitted_exponent < 0.0
-        assert all(b < a for a, b in zip(tr.amplitudes, tr.amplitudes[1:]))
+        # the flow of a bounded datum keeps its envelope; the cosine's
+        # solution decays under it
+        env = fam.cosine(1.0).envelope
+        assert env.flowed(1, 0.6, 4.0) is env
+        times = (0.5, 1.0, 2.0, 4.0)
+        field = solve_canonical(fam.cosine(1.0), GridSpec(1, ((-3.0, 3.0),), (7,), times), PAR_06)
+        peaks = [float(np.max(np.abs(row))) for row in field.values]
+        assert all(b < a < 1.0 for a, b in zip(peaks, peaks[1:]))
 
     def test_bounded_datum_stays_bounded(self):
-        tr = envelope_propagate(fam.gaussian(1.0), PAR_07, (0.5, 1.0, 2.0))
-        assert max(tr.amplitudes) <= 1.0 + 1e-9
+        env = fam.gaussian(1.0).envelope
+        assert env.flowed(1, 0.7, 2.0) == env == fam.GrowthEnvelope(1.0, 0.0, 0.0)
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError, match="three times"):
-            envelope_propagate(fam.cosine(1.0), PAR_06, (0.5, 1.0))
-        with pytest.raises(ValueError, match="positive"):
-            envelope_propagate(fam.cosine(1.0), PAR_06, (0.0, 1.0, 2.0))
-        with pytest.raises(ValueError, match="does not converge"):
-            envelope_propagate(fam.abs_power(1.6), PAR_075, (0.5, 1.0, 2.0))
+        with pytest.raises(ValueError, match="diverges unless 1.6 < 2s"):
+            fam.abs_power(1.6).envelope.flowed(1, 0.75, 0.5)
 
 
 class TestInitialContinuity:

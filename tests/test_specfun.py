@@ -77,7 +77,7 @@ def test_geometric_tail_layout(start, ratio, width, power, target):
     def leftover(radius):
         return radius ** (-power) / power
 
-    edges = geometric_tail(start, ratio, leftover, target, width)
+    edges = geometric_tail(start, ratio, leftover, target, width, "a test tail")
     assert edges[0] == start
     assert np.all(np.diff(edges) > 0.0)
     assert len(edges) >= 5
@@ -87,6 +87,21 @@ def test_geometric_tail_layout(start, ratio, width, power, target):
     assert cutoff == specfun.RADIUS_CAP or leftover(cutoff) <= target
     # the cutoff is the first of 4 start, 16 start, ... that qualifies
     assert cutoff == specfun.RADIUS_CAP or cutoff == 4.0 * start or leftover(cutoff / 4.0) > target
+
+
+def test_split_panels_cuts_each_panel_to_width():
+    edges = np.array([0.0, 1.0, 1.5, 4.0])
+    out = specfun.split_panels(edges, 0.5, "a test split")
+    np.testing.assert_array_equal(out, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0])
+    assert specfun.split_panels(edges, math.inf, "a test split") is edges
+
+
+@pytest.mark.parametrize("width", [1e-7, 1e-300, 0.0])
+def test_split_panels_refuses_by_name_before_allocating(width):
+    # a million and more panels: refused from the count alone
+    cap = specfun._PANEL_ENTRIES // 32
+    with pytest.raises(ValueError, match=rf"a test split needs .* panels of width .*, over the cap of {cap}"):
+        specfun.split_panels(np.array([0.0, 1.0]), width, "a test split")
 
 
 @pytest.mark.parametrize(
