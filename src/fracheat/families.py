@@ -209,15 +209,17 @@ class FarBand:
 
     with S(x, rho) the caller's sum of u over a direction rule of total
     weight area on the sphere of radius rho about x, and weight(r) =
-    sum_k series[k-1] r^(-1-2sk) past start: r^(-1-2s), (1,) and unit 1 in
-    fraclap and in the 1-D residual, whose u is the solution at time t
-    (solver._solution) and S the pair sums 2 (u(x + r) + u(x - r)) of area
-    4; the profile factor F(r) r^(N-1), its large-radius series and unit
-    t^(1/2s) in the solver.  The part area (const(x) + lead(x) rho^power)
-    of S that the far field declares integrates in closed form (closed, per
-    point); the rest goes on panels at the sphere radii rhos, of weights
-    weight(r) times the panel's (weights, read-only), and reduce turns the
-    caller's sums there into values and estimates.
+    sum_k series[k-1] r^(-1-2sk) past start: r^(-1-2s), (1,) and unit 1
+    in fraclap.far_band (the operator's band, and the 1-D residual's over
+    its datum) and in the residual's band of w = u(., t) - u0 (u the
+    stand-in solver._increment, S the pair sums 2 (w(x + r) + w(x - r)) of
+    area 4); the profile factor F(r) r^(N-1), its large-radius series and
+    unit t^(1/2s) in the solver.  The part area (const(x) +
+    lead(x) rho^power) of S that the far field declares integrates in
+    closed form (closed, per point); the rest goes on panels at the sphere
+    radii rhos, of weights weight(r) times the panel's (weights,
+    read-only), and reduce turns the caller's sums there into values and
+    estimates.
 
       * Bounded oscillating data (FunctionSpec.bounded_oscillation) take
         the averaged route: half_period_rule's panels of half-period

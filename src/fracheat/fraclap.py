@@ -44,6 +44,7 @@ __all__ = [
     "FracLapResult",
     "riesz_constant",
     "frac_laplacian",
+    "far_band",
     "second_difference_constants",
     "classify_definiteness",
     "vanish_at_infinity_check",
@@ -186,8 +187,13 @@ def _origin_radii(x: np.ndarray) -> list[float]:
     # the families centre their structure on the origin, within about a
     # unit of it, and the spheres about x cross it near radius |x|: breaks
     # at |x| and |x| +- 4^k grade the panels toward that crossing, which
-    # a geometric panel many units wide would not resolve
+    # a geometric panel many units wide would not resolve.  FarBand's
+    # panel about the crossing is at most 0.4 |x| wide (ratio 1.4; 0.7 |x|
+    # at 1.7 for growing data), so up to |x| = 2.5 it is about a unit wide
+    # at most and resolves the crossing unaided
     c = float(np.linalg.norm(x))
+    if c <= 2.5:
+        return []
     out = [c]
     step = 1.0
     while step <= c:
@@ -275,8 +281,7 @@ def frac_laplacian(
     ux = float(u.value(xa[None, :])[0])
     area = 2.0 * float(dwts.sum())
     near, near_err = _near_band(u, xa, ux, s, dirs, dwts, area, r0)
-    band = FarBand(u, xa[None, :], s, r0, 1.0, lambda t: t ** (-1.0 - 2.0 * s), (1.0,), pref, 0.0, area,
-                   ABS_TOL, (_GEO_ORDER, _GEO_CHECK), kinks + _origin_radii(xa))
+    band = far_band(u, xa, s, r0, area, ABS_TOL)
     far, far_err = band.reduce(pair_sums(u.value, xa[None, :], band.rhos, dirs, dwts), slice(None))
     # the u(x) term, 2u(x) on every sphere past r0 against t^(-1-2s), less
     # the band's closed form
@@ -285,6 +290,17 @@ def frac_laplacian(
     value = near_part + tail
     err = pref * (near_err + ang_err) + float(far_err[0]) + 1e-16 * abs(dc) + 1e-15 * abs(value)
     return FracLapResult(value=value, near_part=near_part, tail_part=tail, split_radius=r0, error_estimate=err)
+
+
+def far_band(u: FunctionSpec, x: np.ndarray, s: float, r0: float, area: float, target: float) -> FarBand:
+    """The operator's far band of u about x past r0, for a direction rule of total weight area.
+
+    Weight r^(-1-2s) at scale riesz_constant / 2, with breaks at u's kinks and toward the origin crossing;
+    laid by frac_laplacian, and by the 1-D residual over its datum (solver.residual_with_estimate).
+    """
+    pref = 0.5 * riesz_constant(u.dim, s)
+    return FarBand(u, x[None, :], s, r0, 1.0, lambda t: t ** (-1.0 - 2.0 * s), (1.0,), pref, 0.0, area, target,
+                   (_GEO_ORDER, _GEO_CHECK), _kink_radii(u, x) + _origin_radii(x))
 
 
 def second_difference_constants(u: FunctionSpec) -> tuple[float, float, float]:

@@ -16,8 +16,8 @@ two tabulated profiles, so no numerical differentiation happens.
 Beyond the tabulated range, r > TAIL_CUT, the tail band is a
 families.FarBand against the profile's large-radius series: the far tail
 of the pointwise operator, with its route, cutoff and closed form.  The
-1-D residual (residual_with_estimate) ends its operator term in one too,
-over solve values and the solution's growth envelope.  An exact far
+1-D residual (residual_with_estimate) ends its operator term in two, the
+datum's and the increment u(., t) - u0's (_increment).  An exact far
 field (affine data) has the datum itself as its solution at every time,
 with no quadrature.
 
@@ -32,10 +32,11 @@ level's sphere sums from the kept sums of the level before where the
 rule nests (2-D), evaluating only the new directions.  The 3-D product
 rule does not nest and is evaluated whole at every level.
 
-Each band works through a batch in blocks of _NODE_BLOCK points: a
-block's sphere sums are evaluated and reduced to values and estimates
-before the next block's are formed, so the points x radii sums never
-exist for the whole batch at once.  Only a 2-D band keeps each block's
+Each band works through a batch in blocks of _NODE_BLOCK points, halved
+while they would pass specfun's entry cap (row_block): a block's sphere
+sums are evaluated and reduced to values and estimates before the next
+block's are formed, so the points x radii sums never exist for the
+whole batch at once.  Only a 2-D band keeps each block's
 sums for the next level: 1-D never refines, and in 3-D nested_pair_sums
 keeps nothing.  What serves the whole batch (the accuracy target from
 its smallest body value, the growth constant of its farthest point) is
@@ -53,11 +54,12 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .families import FarBand, FunctionSpec, as_integer, as_point, require_admissible
-from .fraclap import riesz_constant
+from .families import FarBand, FarField, FunctionSpec, GrowthEnvelope, as_integer, as_point, require_admissible
+from .fraclap import far_band, riesz_constant, second_difference_constants
 from .kernel import BODY_EDGES, TAIL_CUT, KernelParams, profile_table, tail_coefficients
 from .report import VerificationReport
-from .specfun import ABS_TOL, REL_TOL, nested_pair_sums, panel_rule, shared_cache, sphere_rule, split_panels
+from .specfun import (ABS_TOL, REL_TOL, nested_pair_sums, pair_sums, panel_rule, row_block, shared_cache, sphere_rule,
+                      split_panels)
 
 _TWO_PI = 2.0 * math.pi
 _CHUNK = 1_500_000
@@ -232,8 +234,8 @@ class _RadialBands:
             return pref * surf @ fac, _TABLE_REL * amp * pref * np.abs(surf) @ np.abs(fac)
 
         self._u0, self._pts, self._dim = u0, pts, dim
-        self._blocks = [slice(lo, lo + _NODE_BLOCK) for lo in range(0, len(pts), _NODE_BLOCK)]
-        self._kept = [[None] * len(self._blocks) for _ in range(2)]
+        # each band's kept sums, by the first point of their block
+        self._kept = [{}, {}]
         self._rhos = [tsc * rs]
         self._reduce = [body]
         self.levels = [level, level]
@@ -258,9 +260,11 @@ class _RadialBands:
         # exact, so it commutes with every rounding
         half = 0.5 * dwts
         value, rhos, kept = self._u0.value, self._rhos[band], self._kept[band]
+        block = row_block(_NODE_BLOCK, rhos.size)
         vals, errs = [], []
-        for i, sl in enumerate(self._blocks):
-            surf, kept[i] = nested_pair_sums(value, self._pts[sl], rhos, dirs, half, kept[i])
+        for lo in range(0, len(self._pts), block):
+            sl = slice(lo, lo + block)
+            surf, kept[lo] = nested_pair_sums(value, self._pts[sl], rhos, dirs, half, kept.get(lo))
             v, e = self._reduce[band](surf, sl)
             vals.append(v)
             errs.append(e)
@@ -416,17 +420,55 @@ def pde_residual(u0: FunctionSpec, x, t: float, params: KernelParams) -> float:
     return residual_with_estimate(u0, x, t, params)[0]
 
 
-def _solution(u0: FunctionSpec, t: float, params: KernelParams) -> FunctionSpec:
-    """u0 with the growth envelope and far field of its solution u(., t).
+def _increment(u0: FunctionSpec, t: float, s: float) -> FunctionSpec:
+    """u0 with the growth envelope and far field of the 1-D increment w = u(., t) - u0.
 
-    The envelope is the datum's flowed to t (GrowthEnvelope.flowed).  An
-    exact far field stays, since the flow leaves such a datum where it is;
-    every other one is dropped: a Gaussian's declared remainder does not
-    hold for its solution, whose tails are polynomial.  Only what FarBand
-    reads of the solution changes; value is still the datum's.
+    The envelope is u(., t)'s (GrowthEnvelope.flowed) plus u0's.  An exact
+    far field has w = 0, which the stand-in declares exactly.  A curvature
+    decay |u0''(y)| <= coeff |y|^(-rate) on |y| >= 1 gives w a far field
+    with no lead and no constant, and a remainder scale rho^(p - gamma)
+    from rho0(x) = max(2|x|, 4), with p = max(0, 2 - rate) < 2s,
+    gamma = (p + 2s) / 2 and scale = E|Z|^gamma (coeff + a + b) 4^(gamma-p) / 2,
+    where (a, b) are fraclap.second_difference_constants and E|Z|^gamma =
+    m_gamma t^(gamma/2s) for Z = t^(1/2s) X (GrowthEnvelope.flowed).
+
+    Proof: Z is symmetric, so w(y) = E[u0(y + Z) + u0(y - Z) - 2 u0(y)] / 2.
+    Put R = |y| / 2 >= 1.  Where |Z| < R, the second difference is at most
+    Z^2 times |u0''| on [y - |Z|, y + |Z|], which lies in |xi| >= R >= 1, so
+    at most coeff R^(-rate) Z^2, and E[Z^2; |Z| < R] <= R^(2-gamma) E|Z|^gamma.
+    Where |Z| >= R it is at most a + b |Z|^(2-rate), and Markov's inequality
+    gives P(|Z| >= R) <= R^(-gamma) E|Z|^gamma and, as 2 - rate < gamma,
+    E[|Z|^(2-rate); |Z| >= R] <= R^(2-rate-gamma) E|Z|^gamma.  Each of the
+    three powers of R is at most R^(p-gamma), so |w(y)| <= E|Z|^gamma
+    (coeff + a + b) (|y|/2)^(p-gamma) / 2 for |y| >= 2.  For rho >= rho0 both
+    x + rho and x - rho have |y| >= rho - |x| >= rho/2 >= 2, so their mean
+    is at most scale rho^(p-gamma).  Data without curvature decay (cosine),
+    or whose p reaches 2s, declare nothing.  Only what FarBand reads
+    changes; value is still the datum's.
     """
-    env = u0.envelope.flowed(params.dim, params.s, t)
-    return replace(u0, envelope=env, far_field=u0.far_field if u0.is_affine else None)
+    env = u0.envelope
+    flowed = env.flowed(1, s, t)
+    far = FarField(const=_zeros) if u0.is_affine else None
+    if far is None and u0.hessian_decay is not None:
+        coeff = u0.hessian_decay[0]
+        a, b, rate = second_difference_constants(u0)
+        p = max(0.0, 2.0 - rate)
+        if p < 2.0 * s:
+            gamma = 0.5 * (p + 2.0 * s)
+            probe = GrowthEnvelope(0.0, 1.0, gamma)
+            moment = probe.flowed(1, s, t).amplitude / probe.shift
+            scale = 0.5 * moment * (coeff + a + b) * 4.0 ** (gamma - p)
+
+            def remainder(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                return np.full(len(pts), scale), np.maximum(2.0 * np.abs(pts[:, 0]), 4.0)
+
+            far = FarField(_zeros, decay=p - gamma, remainder=remainder)
+    envelope = GrowthEnvelope(flowed.amplitude + env.amplitude, flowed.slope + env.slope, env.power)
+    return replace(u0, envelope=envelope, far_field=far)
+
+
+def _zeros(pts: np.ndarray) -> np.ndarray:
+    return np.zeros(len(pts))
 
 
 def residual_with_estimate(
@@ -442,18 +484,23 @@ def residual_with_estimate(
     The operator term has the shape of fraclap.frac_laplacian, with split
     radius r_near = 1/2 and the pair sums 2 (u(x + r) + u(x - r)) for the
     sphere sums: the near part from the degree-6 interpolant of a
-    seven-point stencil, whose even part integrates in closed form (raw
-    differences of solve values would drown in cancellation noise); past
-    r_near the 4 u(x) term in closed form, less the band's, and a
-    families.FarBand of weight r^(-1-2s), area 4 and target _RESIDUAL_FAR
-    over the solution's envelope (_solution).  An exact far field lays no
-    far panels, so the batch is the stencil alone.  Every value comes
+    seven-point stencil of u, whose even part integrates in closed form
+    (raw differences of solve values would drown in cancellation noise;
+    a stencil of w = u(., t) - u0 would not do, as u0 is less smooth than
+    its flow); past r_near, with u = u0 + w, the 4 u(x) term in closed
+    form, less two families.FarBand of weight r^(-1-2s) and area 4: the
+    datum's (fraclap.far_band at target ABS_TOL, on datum values alone)
+    and the increment's (at target _RESIDUAL_FAR over the stand-in
+    _increment, on solve values less datum values), whose declared decay
+    stops the solves where w has run out.  An exact far field lays no far
+    panels, so the batch is the stencil alone.  Every solve value comes
     from one _solve_batch call, in blocks of _NODE_BLOCK points.
 
     The estimate adds the time derivative's, the value noise carried
     through the interpolant, twice the gap between its near part and the
-    quintic least-squares fit's (its truncation error), the band's, each
-    pair sum's estimate against |weight| (FarBand.weights), and u(x)'s
+    quintic least-squares fit's (its truncation error), both bands', each
+    increment pair sum's estimate against |weight| (FarBand.weights), the
+    datum band's rounding as frac_laplacian charges it, and u(x)'s
     estimate and a rounding floor on the closed-form term.
     """
     dim, s = params.dim, params.s
@@ -470,7 +517,8 @@ def residual_with_estimate(
     pref = 0.5 * riesz_constant(dim, s)
     r_near = 0.5
     h = r_near / 3.0
-    band = FarBand(_solution(u0, t, params), pt[None, :], s, r_near, 1.0, lambda r: r ** (-1.0 - 2.0 * s), (1.0,),
+    datum = far_band(u0, pt, s, r_near, 4.0, ABS_TOL)
+    band = FarBand(_increment(u0, t, s), pt[None, :], s, r_near, 1.0, lambda r: r ** (-1.0 - 2.0 * s), (1.0,),
                    pref, 0.0, 4.0, _RESIDUAL_FAR, (16,))
 
     # one batch for everything the operator term needs: the stencil about
@@ -479,7 +527,8 @@ def residual_with_estimate(
     batch = np.concatenate([pt[0] + taus, pt[0] + band.rhos, pt[0] - band.rhos])
     values, value_errs = _solve_batch(u0, batch[:, None], t, params)
     stencil, u_here, noise = values[:7], values[3], float(np.max(value_errs[:7]))
-    sums, sums_err = (2.0 * v[7:].reshape(2, -1).sum(axis=0) for v in (values, value_errs))
+    increments = values[7:] - u0.value(batch[7:, None])
+    sums, sums_err = (2.0 * v.reshape(2, -1).sum(axis=0) for v in (increments, value_errs[7:]))
 
     def near_part(degree: int) -> float:
         # only the even part of the fit survives in the second difference,
@@ -495,13 +544,15 @@ def residual_with_estimate(
     fit_noise = 8.0 * noise * ((r_near / h) ** 2 * r_near ** (-2.0 * s)) / (2.0 - 2.0 * s)
 
     far, far_err = band.reduce(sums[None, :], slice(None))
-    # the 4 u(x) term past r_near against t^(-1-2s), less the band's closed form
+    datum_far, datum_err = datum.reduce(pair_sums(u0.value, pt[None, :], datum.rhos, *sphere_rule(1, 0)), slice(None))
+    # the 4 u(x) term past r_near against t^(-1-2s), less the datum band's
+    # closed form; the increment's declares no constant and no lead
     u_weight = pref * 4.0 * r_near ** (-2.0 * s) / (2.0 * s)
-    dc = u_weight * u_here - float(band.closed[0])
-    flap = pref * near + dc - float(far[0])
+    dc = u_weight * u_here - float(datum.closed[0])
+    flap = pref * near + dc - float(datum_far[0]) - float(far[0])
     estimate = (
         ut_err + pref * (fit_noise + fit_gap) + float(far_err[0]) + pref * float(sums_err @ np.abs(band.weights))
-        + u_weight * value_errs[3] + 1e-16 * abs(dc)
+        + float(datum_err[0]) + 1e-15 * abs(float(datum_far[0])) + u_weight * value_errs[3] + 1e-16 * abs(dc)
     )
     return float(ut + flap), float(estimate)
 

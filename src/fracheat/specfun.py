@@ -43,6 +43,7 @@ __all__ = [
     "panel_rule",
     "RADIUS_CAP",
     "split_panels",
+    "row_block",
     "geometric_tail",
     "half_period_rule",
     "averaged_limit",
@@ -182,6 +183,13 @@ def split_panels(edges: np.ndarray, width: float, label: str) -> np.ndarray:
         out.extend(a + (b - a) * (np.arange(1, k) / k))
         out.append(b)
     return np.asarray(out)
+
+
+def row_block(rows: int, columns: int) -> int:
+    """rows halved until rows x columns entries stay within _PANEL_ENTRIES, or 1; a power of two stays one."""
+    while rows > 1 and rows * columns > _PANEL_ENTRIES:
+        rows //= 2
+    return rows
 
 
 def _geomspace(start: float, stop: float, num: int) -> np.ndarray:

@@ -15,13 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracheat import families as fam
-from fracheat import kernel, solver
+from fracheat import kernel, solver, specfun
 from fracheat.fraclap import frac_laplacian
 from fracheat.kernel import BODY_EDGES, TAIL_CUT, KernelParams, profile_table, tail_coefficients
 from fracheat.solver import (
     _MAX_ANGULAR,
     _RadialBands,
-    _solution,
+    _increment,
     _solve_batch,
     GridSpec,
     SolutionField,
@@ -572,14 +572,76 @@ class TestSolutionEnvelope:
         ys = np.concatenate([-side, [0.0], side])
         for t in (0.1, 0.5, 2.0, 10.0):
             vals, errs = _solve_batch(u0, ys[:, None], t, params)
-            assert np.all(np.abs(vals) + errs <= _solution(u0, t, params).envelope.bound(ys))
+            assert np.all(np.abs(vals) + errs <= u0.envelope.flowed(1, s, t).bound(ys))
 
     @pytest.mark.parametrize("u0", [fam.gaussian(1.0), fam.abs_power(1.2), fam.cosine(1.0)])
     def test_only_an_exact_far_field_carries_over(self, u0):
-        sol = _solution(u0, 0.5, PAR_075)
-        assert sol.far_field is None
-        assert sol.bounded_oscillation == u0.bounded_oscillation
-        assert _solution(fam.affine(0.5, 1.0), 0.5, PAR_075).is_affine
+        # the increment declares its own decaying field, with no lead and
+        # no constant, or none at all without a curvature decay (cosine);
+        # only an exact field (w = 0) stays exact
+        inc = _increment(u0, 0.5, 0.75)
+        assert (inc.far_field is None) == (u0.hessian_decay is None)
+        if inc.far_field is not None:
+            assert inc.far_field.lead == 0.0 and not inc.is_affine
+            assert np.all(inc.far_const(np.array([[0.3], [-2.0]])) == 0.0)
+        assert inc.bounded_oscillation == u0.bounded_oscillation
+        assert _increment(fam.affine(0.5, 1.0), 0.5, 0.75).is_affine
+
+
+class TestIncrement:
+    """w = u(., t) - u0, whose declared far field ends the residual's solves."""
+
+    @pytest.mark.parametrize(
+        "u0, s",
+        [(fam.abs_power(1.2), 0.65), (fam.abs_power(1.2), 0.75), (fam.abs_power(1.2), 0.9), (fam.gaussian(1.0), 0.75)],
+        ids=["abs_power-0.65", "abs_power-0.75", "abs_power-0.9", "gaussian-0.75"],
+    )
+    def test_declared_remainder_bounds_the_computed_increment(self, u0, s):
+        # the pair means of w = solve - datum about x, from the declared
+        # start out to |x +- rho| = 1e6, stay within their solve estimates
+        # of scale rho^decay (far out at s = 0.9 the estimates, 1.5e-8 of
+        # |u|, outgrow the bound itself)
+        params = KernelParams(dim=1, s=s)
+        for t in (0.1, 0.5, 2.0, 10.0):
+            ff = _increment(u0, t, s).far_field
+            for x in (0.0, 0.7, -1.5, 3.0):
+                scale, start = (float(v[0]) for v in ff.remainder(np.array([[x]])))
+                rhos = np.geomspace(start, 1e6 - abs(x), 25)
+                ys = np.concatenate([x + rhos, x - rhos])
+                vals, errs = _solve_batch(u0, ys[:, None], t, params)
+                w = (vals - u0.value(ys[:, None])).reshape(2, -1)
+                means, mean_errs = 0.5 * w.sum(axis=0), 0.5 * errs.reshape(2, -1).sum(axis=0)
+                assert np.all(np.abs(means) <= scale * rhos**ff.decay + mean_errs), (t, x)
+
+    @pytest.mark.parametrize("s, cap", [(0.75, 1e-5), (0.65, 1e-4)])
+    def test_growing_residual_batch_stays_small(self, s, cap, monkeypatch):
+        # abs_power:1.2 at x = 0.7, t = 1: the solution's envelope ran the
+        # far band out to 1.5e20 (2,855 points) at s = 0.75 and to the
+        # radius cap (5,607 points, residual 6.6e-4) at s = 0.65
+        batches = _counted_batches(monkeypatch)
+        val, est = residual_with_estimate(fam.abs_power(1.2), np.array([0.7]), 1.0, KernelParams(dim=1, s=s))
+        assert [n for n, kind in batches if kind == "mass"] == [max(n for n, _ in batches)]
+        assert max(n for n, _ in batches) <= 1000
+        assert abs(val) <= est <= cap
+
+    def test_gaussian_residual_batch_shrinks(self, monkeypatch):
+        # the solution's envelope needed 935 points out to 8,192
+        batches = _counted_batches(monkeypatch)
+        val, est = residual_with_estimate(fam.gaussian(1.0), np.array([0.7]), 1.0, PAR_075)
+        assert max(n for n, _ in batches) < 935
+        assert abs(val) <= est
+
+
+def _counted_batches(monkeypatch) -> list:
+    # route solver._solve_batch through a recorder of (points, kind)
+    batches = []
+
+    def counting(u0, pts, t, params, kind="mass"):
+        batches.append((len(pts), kind))
+        return _solve_batch(u0, pts, t, params, kind)
+
+    monkeypatch.setattr(solver, "_solve_batch", counting)
+    return batches
 
 
 class TestPointBlocks:
@@ -599,6 +661,33 @@ class TestPointBlocks:
         blocked = _solve_batch(u0, pts, 0.7, PAR_075, kind)
         assert np.array_equal(whole[0], blocked[0])
         assert np.array_equal(whole[1], blocked[1])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_blocks_shrink_under_the_entry_cap(self, dim, monkeypatch):
+        # a block's (points x radii) sums stay within specfun's entry cap:
+        # with the cap at 32 (2-D: 16) times the longer band's radii, that
+        # band goes in blocks of 32 (16) points and gives the same bits as
+        # one whole block
+        u0, params = fam.cosine(1.0, dim=dim), KernelParams(dim=dim, s=0.75)
+        pts = np.linspace(-40.0, 40.0, 101 * dim).reshape(101, dim)
+        monkeypatch.setattr(solver, "_NODE_BLOCK", len(pts) + 1)
+        whole = _solve_batch(u0, pts, 0.7, params)
+        monkeypatch.setattr(solver, "_NODE_BLOCK", 512)
+        radii = max(r.size for r in _RadialBands(u0, pts, 0.7, params, "mass", 1)._rhos)
+        cap = (32 if dim == 1 else 16) * radii
+        monkeypatch.setattr(specfun, "_PANEL_ENTRIES", cap)
+        blocks = []
+
+        def recording(value, block, rhos, *args):
+            blocks.append((len(block), rhos.size))
+            return specfun.nested_pair_sums(value, block, rhos, *args)
+
+        monkeypatch.setattr(solver, "nested_pair_sums", recording)
+        capped = _solve_batch(u0, pts, 0.7, params)
+        assert all(n * r <= cap for n, r in blocks)
+        assert max(n for n, r in blocks if r == radii) == cap // radii
+        assert np.array_equal(whole[0], capped[0])
+        assert np.array_equal(whole[1], capped[1])
 
     def test_refined_bands_agree_across_blocks(self, monkeypatch):
         # the sphere sums do not depend on the block's point count, but
