@@ -209,6 +209,28 @@ def envelope_check(field: SolutionField, params: KernelParams) -> VerificationRe
     return report
 
 
+def _spacings(grid) -> np.ndarray:
+    return np.array([(hi - lo) / (c - 1) for (lo, hi), c in zip(grid.box, grid.counts)])
+
+
+def _step_extremes(field: SolutionField, d: Sequence[int], steps, pick):
+    """(k, value, (point, step vector, time)) per lattice step k along d.
+
+    value is the second difference that pick (an argmin or argmax over
+    the flattened differences of every row) chooses, and the triple says
+    where it sits.
+    """
+    grid = field.grid
+    arr = field.values.reshape((len(grid.times),) + grid.counts)
+    spacings, axes = _spacings(grid), grid.axes()
+    for k in steps:
+        sd, ctr = _second_differences(arr, d, k)
+        idx = np.unravel_index(pick(sd), sd.shape)
+        point = tuple(float(axes[a][idx[a + 1] + ctr[a + 1].start]) for a in range(grid.dim))
+        y = tuple(float(k * sp * da) for sp, da in zip(spacings, d))
+        yield k, float(sd[idx]), (point, y, grid.times[idx[0]])
+
+
 def convexity_check(field: SolutionField) -> ConvexityReport:
     """Lattice second differences of every row of a solution field.
 
@@ -218,36 +240,22 @@ def convexity_check(field: SolutionField) -> ConvexityReport:
     sampled too, so a non-convex datum is caught directly.
     """
     grid = field.grid
-    counts = grid.counts
-    arr = field.values.reshape((len(grid.times),) + counts)
-    spacings = np.array(
-        [(hi - lo) / (c - 1) for (lo, hi), c in zip(grid.box, counts)]
-    )
-
+    spacings = _spacings(grid)
     best = math.inf
     margin = math.inf
     worst: tuple[tuple[float, ...], tuple[float, ...], float] = ((), (), 0.0)
-    axes = grid.axes()
     for d in _lattice_directions(grid.dim):
-        kmax = _max_step(counts, d)
+        kmax = _max_step(grid.counts, d)
         if kmax < 1:
             raise ValueError("grid too small for a second difference along " + str(d))
         step_len = float(np.linalg.norm(spacings * np.asarray(d)))
         k_unit = min(max(1, round(1.0 / step_len)), kmax)
-        for k in sorted({k for k in (1, 2, k_unit) if k <= kmax}):
-            sd, ctr = _second_differences(arr, d, k)
-            local = float(np.min(sd))
+        steps = sorted({k for k in (1, 2, k_unit) if k <= kmax})
+        for k, local, triple in _step_extremes(field, d, steps, np.argmin):
             if k == k_unit and local < margin:
                 margin = local
             if local < best:
-                best = local
-                idx = np.unravel_index(np.argmin(sd), sd.shape)
-                point = tuple(
-                    float(axes[a][idx[a + 1] + ctr[a + 1].start])
-                    for a in range(grid.dim)
-                )
-                y = tuple(float(k * sp * da) for sp, da in zip(spacings, d))
-                worst = (point, y, grid.times[idx[0]])
+                best, worst = local, triple
     verdict: Literal["Convex", "NotConvex"] = (
         "Convex" if best >= -TOLERANCE else "NotConvex"
     )
@@ -269,28 +277,15 @@ def ruled_check(field: SolutionField, xi) -> RuledReport:
     """
     grid = field.grid
     d = _snap_direction(xi, grid.dim)
-    counts = grid.counts
-    arr = field.values.reshape((len(grid.times),) + counts)
-    spacings = np.array(
-        [(hi - lo) / (c - 1) for (lo, hi), c in zip(grid.box, counts)]
-    )
-    kmax = _max_step(counts, d)
+    kmax = _max_step(grid.counts, d)
     if kmax < 1:
         raise ValueError("grid too small to test ruling along " + str(d))
     worst_val = -math.inf
     worst: tuple[tuple[float, ...], tuple[float, ...], float] = ((), (), 0.0)
-    axes = grid.axes()
-    for k in range(1, kmax + 1):
-        sd, ctr = _second_differences(arr, d, k)
-        local = float(np.max(np.abs(sd)))
-        if local > worst_val:
-            worst_val = local
-            idx = np.unravel_index(np.argmax(np.abs(sd)), sd.shape)
-            point = tuple(
-                float(axes[a][idx[a + 1] + ctr[a + 1].start]) for a in range(grid.dim)
-            )
-            y = tuple(float(k * sp * da) for sp, da in zip(spacings, d))
-            worst = (point, y, grid.times[idx[0]])
+    steps = range(1, kmax + 1)
+    for _, local, triple in _step_extremes(field, d, steps, lambda sd: np.argmax(np.abs(sd))):
+        if abs(local) > worst_val:
+            worst_val, worst = abs(local), triple
     verdict: Literal["Ruled", "NotRuled"] = (
         "Ruled" if worst_val <= TOLERANCE else "NotRuled"
     )

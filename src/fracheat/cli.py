@@ -182,7 +182,12 @@ def _parse_grid(text: str, times: Sequence[float]) -> GridSpec:
             raise ValueError(
                 f"grid axis {axis!r} must be lo:hi:count (axes separated by commas)"
             )
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        try:
+            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError:
+            raise ValueError(
+                f"--grid axis {axis!r} needs numeric bounds and an integer count, as lo:hi:count"
+            ) from None
         box.append((lo, hi))
         counts.append(count)
     return GridSpec(

@@ -219,7 +219,8 @@ class FarBand:
     closed form (closed, per point); the rest goes on panels at the sphere
     radii rhos, of weights weight(r) times the panel's (weights,
     read-only), and reduce turns the caller's sums there into values and
-    estimates.
+    estimates: in the operator and the solver, the sums of one level of
+    the direction rule at a time, as specfun.SphereSweep refines the band.
 
       * Bounded oscillating data (FunctionSpec.bounded_oscillation) take
         the averaged route: half_period_rule's panels of half-period
@@ -279,14 +280,6 @@ class FarBand:
             self._lead, self._grow = lead, self.rhos**ff.power
             closed = closed + unit**ff.power * tail_integral(series, s, start, ff.power) * lead
         self.closed = scale * area * closed
-
-    @staticmethod
-    def reach(u: FunctionSpec, start: float) -> Optional[float]:
-        """The averaged route's last radius from start at unit 1; None on the
-        geometric route, whose cutoff depends on the rule's area."""
-        if not u.bounded_oscillation:
-            return None
-        return float(half_period_rule(start, math.pi / u.osc_scale)[0][-1, -1])
 
     def reduce(self, sums: np.ndarray, sl: slice) -> tuple[np.ndarray, np.ndarray]:
         """Panel values and estimates of the points pts[sl] from their sums at rhos."""

@@ -9,14 +9,20 @@ with c the constant that matches the Fourier symbol |xi|^{2s}.  A sphere
 rule reduces everything to a radial integral of t^{-1-2s} * S(t), where
 S(t) is the spherical sum of second differences at radius t.  On the near
 zone [0, r0], S(t)/t^2 extends continuously to t = 0 for C^2 data, so a
-Gauss-Jacobi rule with weight t^{1-2s} absorbs the singularity exactly;
-its estimate adds the rounding of the values whose differences cancel,
-divided by t^2, which dominates as s nears 1: half an ulp of each pair
-sum, and the rounding the datum declares for u(x) (FunctionSpec.rounding),
-which every node shares.  Beyond r0 the 2u(x) term integrates in closed
-form, and the pair sums go to families.FarBand, the far tail this module
-shares with the solver, with breaks at the kinks and graded toward the
-radius where the spheres cross the origin.
+Gauss-Jacobi rule with weight t^{1-2s} absorbs the singularity exactly.
+The near band sums the differences u(x) - u(x +- t d) per direction, so
+they cancel to O(t^2) before the weights add them; its estimate adds the
+rounding of the values whose differences cancel, divided by t^2, which
+dominates as s nears 1: half an ulp of each datum value and of each
+difference, and the rounding the datum declares for u(x)
+(FunctionSpec.rounding), which every node shares.  Beyond r0 the 2u(x)
+term integrates in closed form, and the pair sums go to families.FarBand,
+the far tail this module shares with the solver, with breaks at the kinks
+and graded toward the radius where the spheres cross the origin.  Both
+bands refine their direction rules through specfun.SphereSweep, the
+solver's own level loop, whose estimate adds each band's last drift.  An
+exact far field (constant and affine data) has every second difference
+0, and so the value 0.
 
 Classification of definiteness is symbolic, keyed on family structure, and
 never touches quadrature.  All entry points are pure functions.
@@ -28,14 +34,14 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import roots_jacobi
 
 from .families import FarBand, FunctionSpec, as_point, require_admissible
 from .report import VerificationReport
-from .specfun import ABS_TOL, gamma, nested_pair_sums, pair_sums, sphere_rule
+from .specfun import ABS_TOL, SphereSweep, gamma
 
 __all__ = [
     "Definiteness",
@@ -125,48 +131,6 @@ class FracLapResult:
 
 
 # ---------------------------------------------------------------------------
-# Angular refinement
-
-
-_MAX_LEVEL = {1: 0, 2: 6, 3: 4}
-
-
-def _angular_rule(
-    u: FunctionSpec,
-    x: np.ndarray,
-    s: float,
-    r0: float,
-    r_active: float,
-    tol: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Pick an angular resolution by probing successive refinements.
-
-    Compares the de-singularized radial contribution of two consecutive
-    rules on a log grid of probe radii and refines until the difference is
-    under tol or the level cap is hit.  Returns the finer rule and the last
-    measured angular defect, which the caller folds into its error budget.
-    Where the rules nest (2-D), a finer probe sum reuses the coarser one
-    and evaluates only the new directions.
-    """
-    dirs, dwts = sphere_rule(u.dim, 0)  # refuses dim > 3 before the cap lookup
-    cap = _MAX_LEVEL[u.dim]
-    if cap == 0:
-        return dirs, dwts, 0.0
-    probes = np.geomspace(r0, max(r_active, 2.0 * r0), 24)
-    dlog = math.log(probes[-1] / probes[0]) / (probes.size - 1)
-    coarse, kept = nested_pair_sums(u.value, x[None, :], probes, dirs, dwts, None)
-    level = 0
-    while True:
-        dirs, dwts = sphere_rule(u.dim, level + 1)
-        fine, kept = nested_pair_sums(u.value, x[None, :], probes, dirs, dwts, kept)
-        defect = float(np.sum(np.abs(fine[0] - coarse[0]) * probes ** (-2.0 * s)) * dlog)
-        if defect <= tol or level + 1 >= cap:
-            return dirs, dwts, defect
-        coarse = fine
-        level += 1
-
-
-# ---------------------------------------------------------------------------
 # Panel plumbing
 
 
@@ -208,34 +172,34 @@ def _origin_radii(x: np.ndarray) -> list[float]:
 
 
 def _near_band(
-    u: FunctionSpec,
-    x: np.ndarray,
-    ux: float,
-    s: float,
-    dirs: np.ndarray,
-    dwts: np.ndarray,
-    area: float,
-    r0: float,
-) -> tuple[float, float]:
-    scale = (0.5 * r0) ** (2.0 - 2.0 * s)
-    # u(x)'s rounding in units of 2^-53: |u(x)| unless the datum declares more
-    ux_units = abs(ux) if u.rounding is None else 2.0**53 * float(u.rounding(x[None, :], np.array([ux]))[0])
-    # both rules' nodes in one pair_sums call, whose columns are independent
+    u: FunctionSpec, x: np.ndarray, ux: float, s: float, r0: float, pref: float, area: float,
+) -> tuple[np.ndarray, Callable]:
+    """The near band's radii, both rules' nodes, and its reduce of the differences u(x) - u(x +- t d).
+
+    Twice their sphere integral is the pair sum of second differences at
+    t; summed per direction, they cancel to O(t^2) before the weights add
+    them.  The sums go on with those of the differences' magnitudes, and
+    area is the sphere's.
+    """
+    fac = 2.0 * pref * (0.5 * r0) ** (2.0 - 2.0 * s)
     shifted, weights = _near_rules(s)
     nodes = 0.5 * r0 * shifted
-    sums = pair_sums(u.value, x[None, :], nodes, dirs, dwts)[0]
-    out = []
-    for ws, part in zip(weights, (slice(_NEAR_NODES), slice(_NEAR_NODES, None))):
-        ts, pairs = nodes[part], sums[part]
-        value = scale * float(np.dot(ws, (area * ux - pairs) / (ts * ts)))
-        # the second differences cancel to O(t^2) from O(1) values, so the
-        # rounding of those values, divided by t^2, can dominate: half an
-        # ulp of each pair sum, and u(x)'s own rounding, which every node
-        # shares
-        floor = 2.0**-53 * scale * float(np.dot(ws, (area * ux_units + np.abs(pairs)) / (ts * ts)))
-        out.append((value, floor))
-    (main, floor), (check, _) = out
-    return main, abs(main - check) + floor
+    main, check = (ws / (ts * ts) for ws, ts in zip(weights, (nodes[:_NEAR_NODES], nodes[_NEAR_NODES:])))
+    # u(x)'s rounding in units of 2^-53: |u(x)| unless the datum declares more
+    ux_units = abs(ux) if u.rounding is None else 2.0**53 * float(u.rounding(x[None, :], np.array([ux]))[0])
+    n = nodes.size
+
+    def reduce(sums: np.ndarray, sl: slice) -> tuple[np.ndarray, np.ndarray]:
+        value = fac * (sums[:, :_NEAR_NODES] @ main)
+        gap = np.abs(value - fac * (sums[:, _NEAR_NODES:n] @ check))
+        # divided by t^2, the rounding of the O(1) values whose differences
+        # cancel can dominate: half an ulp of each datum value, at most
+        # |u(x)| + |u(x) - u(y)|, and of each difference, and u(x)'s own
+        # rounding, which every node shares
+        floor = 2.0**-53 * fac * ((area * (ux_units + abs(ux)) + 2.0 * sums[:, n : n + _NEAR_NODES]) @ main)
+        return value, gap + floor
+
+    return nodes, reduce
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +214,9 @@ def frac_laplacian(
     """Evaluate the operator at one point.
 
     The result records the split radius and the near/tail decomposition so
-    callers can see where the value came from.  The angular rule and the
-    tail cutoff aim at specfun's ABS_TOL on the value.  Families whose
+    callers can see where the value came from.  The tail cutoff aims at
+    specfun's ABS_TOL on the value, and the angular rules at half the
+    budget of SphereSweep, whose drift the estimate adds.  Families whose
     declared growth beats the order are rejected before any quadrature
     runs, as is evaluation exactly on a corner of a piecewise family, and
     data that vary on a scale finer than _MIN_SPLIT.
@@ -275,21 +240,31 @@ def frac_laplacian(
             f"{r0:.3g} is below {_MIN_SPLIT:g}, and the near band's weight 1/t^2 on radii "
             "under it runs out of the float range"
         )
+    if u.is_affine:
+        # every sphere mean is u(x), so every second difference vanishes:
+        # the operator is 0, where summed data would leave their rounding
+        return FracLapResult(value=0.0, near_part=0.0, tail_part=0.0, split_radius=r0, error_estimate=0.0)
     pref = 0.5 * riesz_constant(u.dim, s)
-    reach = FarBand.reach(u, r0)
-    dirs, dwts, ang_err = _angular_rule(u, xa, s, r0, 1e4 if reach is None else reach, 0.25 * ABS_TOL / pref)
     ux = float(u.value(xa[None, :])[0])
-    area = 2.0 * float(dwts.sum())
-    near, near_err = _near_band(u, xa, ux, s, dirs, dwts, area, r0)
+    sweep = SphereSweep(xa[None, :], 1)
+    area = 2.0 * sweep.area
+    nodes, near = _near_band(u, xa, ux, s, r0, pref, sweep.area)
+    sweep.add(lambda y: ux - u.value(y), nodes, near, magnitudes=True)
     band = far_band(u, xa, s, r0, area, ABS_TOL)
-    far, far_err = band.reduce(pair_sums(u.value, xa[None, :], band.rhos, dirs, dwts), slice(None))
+
+    def tail(sums: np.ndarray, sl: slice) -> tuple[np.ndarray, np.ndarray]:
+        far, err = band.reduce(2.0 * sums, sl)
+        return -far, err
+
+    sweep.add(u.value, band.rhos, tail)
     # the u(x) term, 2u(x) on every sphere past r0 against t^(-1-2s), less
     # the band's closed form
     dc = pref * area * (ux * (r0 ** (-2.0 * s) / (2.0 * s))) - float(band.closed[0])
-    near_part, tail = pref * near, dc - float(far[0])
-    value = near_part + tail
-    err = pref * (near_err + ang_err) + float(far_err[0]) + 1e-16 * abs(dc) + 1e-15 * abs(value)
-    return FracLapResult(value=value, near_part=near_part, tail_part=tail, split_radius=r0, error_estimate=err)
+    _, errs = sweep.refine(dc)
+    near_part, tail_part = float(sweep.parts[0][0][0]), dc + float(sweep.parts[1][0][0])
+    value = near_part + tail_part
+    err = float(errs[0]) + 1e-16 * abs(dc) + 1e-15 * abs(value)
+    return FracLapResult(value=value, near_part=near_part, tail_part=tail_part, split_radius=r0, error_estimate=err)
 
 
 def far_band(u: FunctionSpec, x: np.ndarray, s: float, r0: float, area: float, target: float) -> FarBand:

@@ -21,26 +21,17 @@ datum's and the increment u(., t) - u0's (_increment).  An exact far
 field (affine data) has the datum itself as its solution at every time,
 with no quadrature.
 
-In 2-D and 3-D the sphere integral P comes from a direction rule that is
-refined level by level, separately in two radial bands: the body
-r <= TAIL_CUT and the tail beyond it.  Each band refines until its own
-drift between consecutive levels falls under half of specfun's budget
-ABS_TOL + REL_TOL (1 + max |u|), or the level cap is reached, and the
-error estimate adds each band's last drift per point.  The radial nodes
-do not depend on the level, so specfun.nested_pair_sums can build a
-level's sphere sums from the kept sums of the level before where the
-rule nests (2-D), evaluating only the new directions.  The 3-D product
-rule does not nest and is evaluated whole at every level.
-
-Each band works through a batch in blocks of _NODE_BLOCK points, halved
-while they would pass specfun's entry cap (row_block): a block's sphere
-sums are evaluated and reduced to values and estimates before the next
-block's are formed, so the points x radii sums never exist for the
-whole batch at once.  Only a 2-D band keeps each block's
-sums for the next level: 1-D never refines, and in 3-D nested_pair_sums
-keeps nothing.  What serves the whole batch (the accuracy target from
-its smallest body value, the growth constant of its farthest point) is
-still decided over the whole batch, so the block size changes no number.
+The sphere integral P comes from the direction rules of a
+specfun.SphereSweep, the angular refinement the operator shares, over two
+radial bands, the body r <= TAIL_CUT and the tail beyond it: from the one
+start level, each band refines until its drift is at most half of
+specfun's budget ABS_TOL + REL_TOL (1 + max |u|) or it reaches the one
+cap, and the error estimate adds each band's last drift per point.  The
+sweep works through a batch in blocks of _NODE_BLOCK points, so the
+points x radii sums never exist for the whole batch at once.  What serves
+the whole batch (the accuracy target from its smallest body value, the
+growth constant of its farthest point) is still decided over the whole
+batch, so the block size changes no number.
 """
 
 from __future__ import annotations
@@ -58,7 +49,7 @@ from .families import FarBand, FarField, FunctionSpec, GrowthEnvelope, as_intege
 from .fraclap import far_band, riesz_constant, second_difference_constants
 from .kernel import BODY_EDGES, TAIL_CUT, KernelParams, profile_table, tail_coefficients
 from .report import VerificationReport
-from .specfun import (ABS_TOL, REL_TOL, nested_pair_sums, pair_sums, panel_rule, row_block, shared_cache, sphere_rule,
+from .specfun import (ABS_TOL, REL_TOL, SphereSweep, pair_sums, panel_rule, shared_cache, sphere_rule,
                       split_panels)
 
 _TWO_PI = 2.0 * math.pi
@@ -67,7 +58,6 @@ _CHUNK = 1_500_000
 # so block edges fall on the row groups of the matrix-vector kernels and
 # each row's reduction is bit for bit the one of the unblocked product
 _NODE_BLOCK = 512
-_MAX_ANGULAR = {2: 6, 3: 3}
 # relative accuracy envelope of the tabulated profiles: the largest error
 # at the node midpoints of any table the suites and the benchmark read is
 # 1.17e-8, in (3, 0.8)
@@ -199,89 +189,42 @@ def _series(dim: int, s: float, kind: str) -> tuple[float, ...]:
     return tuple(k * a for k, a in enumerate(base, start=1))
 
 
-class _RadialBands:
-    """Scaled radial integral pref * int factor(r) P(x, t^(1/2s) r) dr.
+def _radial_bands(
+    u0: FunctionSpec,
+    pts: np.ndarray,
+    t: float,
+    params: KernelParams,
+    kind: str,
+) -> tuple[SphereSweep, np.ndarray]:
+    """The sweep of the scaled radial integral pref * int factor(r) P(x, t^(1/2s) r) dr, and its closed form.
 
     The radial line splits at TAIL_CUT into a body band, tabulated profile
-    panels on BODY_EDGES, and a FarBand, whose closed form is _const (one
-    entry per point).  Both bands start at the given angular level and
-    sweep the points in blocks of _NODE_BLOCK, keeping for each block what
-    nested_pair_sums returns to keep; the radial nodes never depend on the
-    level.
+    panels on BODY_EDGES, and a FarBand, whose closed form is returned (one
+    entry per point).  Both bands are swept at the start level.
     """
+    dim, s = params.dim, params.s
+    # first, so that the sphere rule refuses dim > 3 before any table is read
+    sweep = SphereSweep(pts, _NODE_BLOCK)
+    tsc = t ** (1.0 / (2.0 * s))
+    factor, amp = _factor_tables(dim, s, kind)
+    pref = _TWO_PI ** (-0.5 * dim)
+    osc = (u0.osc_scale or 0.0) * tsc
+    cap = 2.2 * math.pi / osc if osc > 0.0 else math.inf
+    edges = split_panels(BODY_EDGES, cap, f"the body band of {u0.label} at t = {t:g}")
+    rs, ws = map(np.ravel, panel_rule(edges, 24))
+    fac = factor(rs) * ws
 
-    def __init__(
-        self,
-        u0: FunctionSpec,
-        pts: np.ndarray,
-        t: float,
-        params: KernelParams,
-        kind: str,
-        level: int,
-    ) -> None:
-        dim, s = params.dim, params.s
-        tsc = t ** (1.0 / (2.0 * s))
-        area = float(np.sum(sphere_rule(dim, level)[1]))
-        factor, amp = _factor_tables(dim, s, kind)
-        pref = _TWO_PI ** (-0.5 * dim)
-        osc = (u0.osc_scale or 0.0) * tsc
-        cap = 2.2 * math.pi / osc if osc > 0.0 else math.inf
-        edges = split_panels(BODY_EDGES, cap, f"the body band of {u0.label} at t = {t:g}")
-        rs, ws = map(np.ravel, panel_rule(edges, 24))
-        fac = factor(rs) * ws
+    def body(surf: np.ndarray, sl: slice) -> tuple[np.ndarray, np.ndarray]:
+        return pref * surf @ fac, _TABLE_REL * amp * pref * np.abs(surf) @ np.abs(fac)
 
-        def body(surf: np.ndarray, sl: slice) -> tuple[np.ndarray, np.ndarray]:
-            return pref * surf @ fac, _TABLE_REL * amp * pref * np.abs(surf) @ np.abs(fac)
-
-        self._u0, self._pts, self._dim = u0, pts, dim
-        # each band's kept sums, by the first point of their block
-        self._kept = [{}, {}]
-        self._rhos = [tsc * rs]
-        self._reduce = [body]
-        self.levels = [level, level]
-        body_part = self._sweep(0)
-
-        # truncation must serve the least forgiving point of the batch, so
-        # the accuracy target follows the smallest value scale present
-        scale = 1.0 + float(np.min(np.abs(body_part[0])))
-        target = 0.25 * (ABS_TOL + REL_TOL * scale)
-        far = FarBand(u0, pts, s, TAIL_CUT, tsc, factor, _series(dim, s, kind), pref, _TABLE_REL * amp, area, target, (16,))
-        self._const = far.closed
-        self._rhos.append(far.rhos)
-        self._reduce.append(far.reduce)
-        self._parts = [body_part, self._sweep(1)]
-        # each band's last refinement step, per point
-        self.drifts = [0.0, 0.0]
-
-    def _sweep(self, band: int) -> tuple[np.ndarray, np.ndarray]:
-        """One band's values and estimates at its level, block by block."""
-        dirs, dwts = sphere_rule(self._dim, self.levels[band])
-        # halved weights make the pair sums sphere averages; the scaling is
-        # exact, so it commutes with every rounding
-        half = 0.5 * dwts
-        value, rhos, kept = self._u0.value, self._rhos[band], self._kept[band]
-        block = row_block(_NODE_BLOCK, rhos.size)
-        vals, errs = [], []
-        for lo in range(0, len(self._pts), block):
-            sl = slice(lo, lo + block)
-            surf, kept[lo] = nested_pair_sums(value, self._pts[sl], rhos, dirs, half, kept.get(lo))
-            v, e = self._reduce[band](surf, sl)
-            vals.append(v)
-            errs.append(e)
-        return np.concatenate(vals), np.concatenate(errs)
-
-    def refine(self, band: int) -> None:
-        """Move one band to the next angular level and record its drift."""
-        self.levels[band] += 1
-        new = self._sweep(band)
-        self.drifts[band] = np.abs(new[0] - self._parts[band][0])
-        self._parts[band] = new
-
-    def values(self) -> tuple[np.ndarray, np.ndarray]:
-        """Values and error estimates, the bands' last drifts included."""
-        (body_v, body_e), (tail_v, tail_e) = self._parts
-        errs = body_e + tail_e + self.drifts[0] + self.drifts[1]
-        return body_v + self._const + tail_v, errs
+    body_vals, _ = sweep.add(u0.value, tsc * rs, body)
+    # truncation must serve the least forgiving point of the batch, so
+    # the accuracy target follows the smallest value scale present
+    target = 0.25 * (ABS_TOL + REL_TOL * (1.0 + float(np.min(np.abs(body_vals)))))
+    far = FarBand(u0, pts, s, TAIL_CUT, tsc, factor, _series(dim, s, kind), pref, _TABLE_REL * amp, sweep.area,
+                  target, (16,))
+    sweep.add(u0.value, far.rhos, far.reduce)
+    return sweep, far.closed
 
 
 def _solve_batch(
@@ -299,24 +242,8 @@ def _solve_batch(
         # at every time, so the flow leaves the datum where it is
         vals = u0.far_const(pts) if kind == "mass" else np.zeros(len(pts))
         return vals, 2.0**-53 * np.abs(vals)
-    if params.dim == 1:
-        vals, errs = _RadialBands(u0, pts, t, params, kind, 0).values()
-    else:
-        # the sphere rule refuses dim > 3 before the cap lookup
-        bands = _RadialBands(u0, pts, t, params, kind, 2 if params.dim == 2 else 1)
-        top = _MAX_ANGULAR[params.dim]
-        active = [0, 1]
-        while active:
-            for band in active:
-                bands.refine(band)
-            vals, _ = bands.values()
-            half_budget = 0.5 * (ABS_TOL + REL_TOL * (1.0 + float(np.max(np.abs(vals)))))
-            active = [
-                band
-                for band in active
-                if bands.levels[band] < top and float(np.max(bands.drifts[band])) > half_budget
-            ]
-        vals, errs = bands.values()
+    sweep, closed = _radial_bands(u0, pts, t, params, kind)
+    vals, errs = sweep.refine(closed)
     if kind == "rate":
         return vals / t, errs / t
     return vals, errs

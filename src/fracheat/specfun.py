@@ -6,9 +6,11 @@ Gauss-Legendre rule, its per-panel copy over an edge array, the one
 geometric panel layout out to an envelope-certified cutoff, the one
 half-period rule of alternating tails, pairwise averaging of partial sums,
 half-sphere direction rules, and the sums of point pairs x +- rho d over
-such a rule, level by level where the rule nests); and an integrator for
-semi-infinite integrands whose decay is controlled by an envelope rho^p *
-exp(-rho^d).  Each caller keeps its own reduction of the panel values.
+such a rule); SphereSweep, the one angular refinement of the operator and
+the solver, which refines each band of radii from the one start level to
+the one cap; and an integrator for semi-infinite integrands whose decay is
+controlled by an envelope rho^p * exp(-rho^d).  Each caller keeps its own
+reduction of the panel values.
 
 Every half-line integral has one routine, half_line_sums, a batch of
 half-period Gauss panel sums checked against a 12-point rule:
@@ -50,7 +52,7 @@ __all__ = [
     "tail_integral",
     "sphere_rule",
     "pair_sums",
-    "nested_pair_sums",
+    "SphereSweep",
     "shared_cache",
     "integrate_semi_infinite",
 ]
@@ -280,9 +282,9 @@ def sphere_rule(dim: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     which nests: the directions of level L are the even-indexed
     directions of level L + 1, each with twice the weight, so the sums
     of level L + 1 are half those of level L plus the sums over its
-    odd-indexed directions.  nested_pair_sums is the one place that
-    builds them so.  The 3-D product rule (Gauss-Legendre in the polar
-    cosine, midpoint in the azimuth) does not nest.
+    odd-indexed directions.  SphereSweep is the one place that builds
+    them so.  The 3-D product rule (Gauss-Legendre in the polar cosine,
+    midpoint in the azimuth) does not nest.
     """
     if dim == 1:
         return np.array([[1.0]]), np.array([2.0])
@@ -319,6 +321,7 @@ def pair_sums(
     rhos: np.ndarray,
     dirs: np.ndarray,
     dwts: np.ndarray,
+    magnitudes: bool = False,
 ) -> np.ndarray:
     """Weighted sums of value(x + rho d) + value(x - rho d) over a direction rule.
 
@@ -348,10 +351,14 @@ def pair_sums(
     direction (1-D) each pair is reduced as v+ w + v- w, the order of that
     einsum's two-term sum, and then + 0.0, which turns a -0.0 sum into the
     einsum's +0.0 and moves no other bit.
+
+    With magnitudes, each row goes on with the same sums of |value| at the
+    same radii, from the same evaluations (the weights are non-negative),
+    so the result has 2 rhos.size columns.
     """
     count, dim = pts.shape
-    nd = len(dirs)
-    out = np.empty((count, rhos.size))
+    nd, r = len(dirs), rhos.size
+    out = np.empty((count, 2 * r if magnitudes else r))
     block = max(1, _PAIR_CHUNK // (2 * nd * count))
     width = min(block, rhos.size)
     buf = np.empty(dim * count * width * 2 * nd)
@@ -371,42 +378,130 @@ def pair_sums(
                 np.negative(step[:, :nd], out=step[:, nd:])
                 np.add(pts[:, k, None, None], step, out=cloud[k])
         vals = value(cloud.reshape(dim, -1).T).reshape(count, sub.size, -1)
-        if nd > 1:
-            out[:, lo : lo + block] = np.einsum("ijk,k->ij", vals, w2)
-        else:
-            scaled = vals * dwts[0]
-            sums = out[:, lo : lo + block]
-            np.add(scaled[..., 0], scaled[..., 1], out=sums)
-            sums += 0.0
+        parts = [(lo, vals), (r + lo, np.abs(vals))] if magnitudes else [(lo, vals)]
+        for at, v in parts:
+            if nd > 1:
+                out[:, at : at + sub.size] = np.einsum("ijk,k->ij", v, w2)
+            else:
+                scaled = v * dwts[0]
+                sums = out[:, at : at + sub.size]
+                np.add(scaled[..., 0], scaled[..., 1], out=sums)
+                sums += 0.0
     return out
 
 
-def nested_pair_sums(
-    value: Callable[[np.ndarray], np.ndarray],
-    pts: np.ndarray,
-    rhos: np.ndarray,
-    dirs: np.ndarray,
-    dwts: np.ndarray,
-    kept: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """pair_sums over one level of sphere_rule, and what to keep for the next.
+# the angular level every sweep starts at and the level it refines to at
+# most, by dimension; 1-D has its one direction and never refines
+_START_ANGULAR = {1: 0, 2: 2, 3: 1}
+_MAX_ANGULAR = {1: 0, 2: 6, 3: 3}
 
-    dirs and dwts are the level's rule, whose weights may carry a constant
-    factor.  kept is what this function returned for the level before,
-    with the same points, radii and factor, or None at the first level.
-    Only the 2-D rule nests: given kept, its sums are half the kept ones
-    plus the sums over the new, odd-indexed directions, so each direction
-    is evaluated once over all levels.  The halving is exact, so it
-    commutes with every rounding.  Returns the sums and what to keep: the
-    sums themselves in 2-D, and None in 1-D and 3-D, so those callers
-    store nothing.
+
+class SphereSweep:
+    """Sphere integrals of bands of radii about a batch of points, refined level by level.
+
+    The one angular refinement of the operator and the solver.  pts is a
+    (count, dim) array.  A band is a value function, its radii and
+    reduce(sums, sl), which turns the sphere integrals sum (w/2) (value(x +
+    rho d) + value(x - rho d)) over sphere_rule(dim, level) of the points
+    pts[sl], one row per point and one column per radius, into the band's
+    values and estimates for those points.  add sweeps a band at the start
+    level _START_ANGULAR[dim], working through the points in blocks of
+    block points, halved by row_block while a block's sums would pass the
+    entry cap; each block's sums are reduced before the next block's are
+    formed, so the points x radii sums never exist for the whole batch.
+    refine then takes every band up a level at a time, until its drift (the
+    largest change of its values at its last step) is at most half the
+    budget ABS_TOL + REL_TOL (1 + max |value|) of the batch's total values,
+    or it reaches _MAX_ANGULAR[dim].
+
+    Where the rule nests (2-D) a band keeps each block's sums, and the next
+    level's are half of them plus the sums over the new, odd-indexed
+    directions, so each direction is evaluated once over all levels; the
+    halving is exact, so it commutes with every rounding.  The 3-D product
+    rule does not nest and is evaluated whole at every level, and 1-D never
+    refines, so neither keeps anything.
     """
-    nests = dirs.shape[1] == 2
-    if nests and kept is not None:
-        sums = 0.5 * kept + pair_sums(value, pts, rhos, dirs[1::2], dwts[1::2])
-    else:
-        sums = pair_sums(value, pts, rhos, dirs, dwts)
-    return sums, sums if nests else None
+
+    def __init__(self, pts: np.ndarray, block: int) -> None:
+        self._pts, self._block = pts, block
+        self._dim = pts.shape[1]
+        self._start = _START_ANGULAR.get(self._dim, 0)
+        # the sphere's area as the start rule sums it; refuses dim > 3
+        self.area = float(sphere_rule(self._dim, self._start)[1].sum())
+        self._bands: list[tuple[Callable, Callable, bool]] = []
+        self._kept: list[dict] = []
+        self.radii: list[np.ndarray] = []
+        self.levels: list[int] = []
+        self.parts: list[tuple[np.ndarray, np.ndarray]] = []
+        self._drifts: list = []
+
+    def add(
+        self,
+        value: Callable[[np.ndarray], np.ndarray],
+        rhos: np.ndarray,
+        reduce: Callable[[np.ndarray, slice], tuple[np.ndarray, np.ndarray]],
+        magnitudes: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sweep a new band at the start level; returns its values and estimates.
+
+        With magnitudes, reduce's sums go on with those of |value| (pair_sums).
+        """
+        self._bands.append((value, reduce, magnitudes))
+        self._kept.append({})
+        self.radii.append(rhos)
+        self.levels.append(self._start)
+        self._drifts.append(0.0)
+        self.parts.append(self._sweep(len(self._bands) - 1))
+        return self.parts[-1]
+
+    def _sweep(self, band: int) -> tuple[np.ndarray, np.ndarray]:
+        value, reduce, magnitudes = self._bands[band]
+        rhos, kept = self.radii[band], self._kept[band]
+        dirs, dwts = sphere_rule(self._dim, self.levels[band])
+        half = 0.5 * dwts
+        nests = self._dim == 2
+        block = row_block(self._block, 2 * rhos.size if magnitudes else rhos.size)
+        vals, errs = [], []
+        for lo in range(0, len(self._pts), block):
+            sl = slice(lo, lo + block)
+            if lo in kept:
+                sums = 0.5 * kept[lo] + pair_sums(value, self._pts[sl], rhos, dirs[1::2], half[1::2], magnitudes)
+            else:
+                sums = pair_sums(value, self._pts[sl], rhos, dirs, half, magnitudes)
+            if nests:
+                kept[lo] = sums
+            v, e = reduce(sums, sl)
+            vals.append(v)
+            errs.append(e)
+        if len(vals) == 1:
+            return vals[0], errs[0]
+        return np.concatenate(vals), np.concatenate(errs)
+
+    def _totals(self, offset) -> tuple[np.ndarray, np.ndarray]:
+        vals, errs = offset + self.parts[0][0], self.parts[0][1]
+        for v, e in self.parts[1:]:
+            vals, errs = vals + v, errs + e
+        for drift in self._drifts:
+            errs = errs + drift
+        return vals, errs
+
+    def refine(self, offset=0.0) -> tuple[np.ndarray, np.ndarray]:
+        """Refine every band, then return offset plus the bands' values, and their estimates with each last drift."""
+        cap = _MAX_ANGULAR[self._dim]
+        active = [band for band, level in enumerate(self.levels) if level < cap]
+        while active:
+            for band in active:
+                self.levels[band] += 1
+                new = self._sweep(band)
+                self._drifts[band] = np.abs(new[0] - self.parts[band][0])
+                self.parts[band] = new
+            vals, _ = self._totals(offset)
+            half_budget = 0.5 * (ABS_TOL + REL_TOL * (1.0 + float(np.max(np.abs(vals)))))
+            active = [
+                band for band in active
+                if self.levels[band] < cap and float(np.max(self._drifts[band])) > half_budget
+            ]
+        return self._totals(offset)
 
 
 # ---------------------------------------------------------------------------

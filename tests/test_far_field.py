@@ -22,7 +22,7 @@ from fracheat import families as fam
 from fracheat import fraclap, solver
 from fracheat.families import FarBand, far_leftover
 from fracheat.kernel import KernelParams
-from fracheat.solver import GridSpec, _RadialBands, _solve_batch, residual_with_estimate, solution_at, solve_canonical
+from fracheat.solver import GridSpec, _radial_bands, _solve_batch, residual_with_estimate, solution_at, solve_canonical
 from fracheat.specfun import ABS_TOL, REL_TOL, RADIUS_CAP, gauss_legendre, pair_sums, sphere_rule
 
 RADII = 10.0 ** np.arange(1, 13)
@@ -221,9 +221,8 @@ def test_only_bounded_oscillation_takes_the_averaged_route(u):
     band, _, _ = _operator_band(u, _axis_points(u.dim, [0.3, -1.7]), 0.9)
     assert u.bounded_oscillation == (u.family == "cosine")
     assert band.route == ("averaged" if u.family == "cosine" else "geometric")
-    assert (FarBand.reach(u, 1.0) is not None) == (band.route == "averaged")
     if band.route == "averaged":
-        assert band.edges is None and FarBand.reach(u, 1.0) == band.rhos[-1]
+        assert band.edges is None
 
 
 def test_growing_oscillation_does_not_average():
@@ -304,16 +303,16 @@ def test_ruled_2d_equals_its_1d_profile():
 def test_ruled_2d_tail_band_is_short():
     # the envelope alone laid 1,936 tail radii out to 1.5e29 here
     grid = GridSpec(2, ((-2.0, 2.0), (-2.0, 2.0)), (3, 3), (1.0,))
-    bands = _RadialBands(fam.ruled(1.2, dim=2), grid.nodes(), 1.0, KernelParams(dim=2, s=0.75), "mass", 2)
-    assert bands._rhos[1].size < 300
+    sweep, _ = _radial_bands(fam.ruled(1.2, dim=2), grid.nodes(), 1.0, KernelParams(dim=2, s=0.75), "mass")
+    assert sweep.radii[1].size < 300
 
 
 def test_gaussian_3d_tail_band_is_short():
     # the envelope alone laid 528 tail radii out to 1.96e6 here, every term
     # an exact zero past |y| = 27.3
     grid = GridSpec(3, ((-1.0, 1.0),) * 3, (2, 2, 2), (1.0,))
-    bands = _RadialBands(fam.gaussian(1.0, dim=3), grid.nodes(), 1.0, KernelParams(dim=3, s=0.75), "mass", 1)
-    assert bands._rhos[1].size <= 80
+    sweep, _ = _radial_bands(fam.gaussian(1.0, dim=3), grid.nodes(), 1.0, KernelParams(dim=3, s=0.75), "mass")
+    assert sweep.radii[1].size <= 80
 
 
 def test_straight_kinked_line_is_affine():
@@ -344,9 +343,9 @@ def test_abs_power_near_the_integrability_edge():
     # under 1e-8; the solve's estimate is then the body's table envelope,
     # inside the package target REL_TOL (1 + |u|)
     u0, params = fam.abs_power(1.2), KernelParams(dim=1, s=0.65)
-    bands = _RadialBands(u0, np.array([[0.3]]), 1.0, params, "mass", 0)
-    assert float(bands._parts[1][1][0]) <= 1e-8
-    assert float(bands._rhos[1].max()) < RADIUS_CAP
+    sweep, _ = _radial_bands(u0, np.array([[0.3]]), 1.0, params, "mass")
+    assert float(sweep.parts[1][1][0]) <= 1e-8
+    assert float(sweep.radii[1].max()) < RADIUS_CAP
     val, est = solution_at(u0, 0.3, 1.0, params)
     assert est <= REL_TOL * (1.0 + abs(val))
 
@@ -366,8 +365,8 @@ def test_abs_power_estimate_bounds_a_tighter_solve(monkeypatch):
 )
 def test_declared_cutoffs_stay_under_the_cap(u0, s):
     pts = np.linspace(-3.0, 3.0, 7)[:, None] * np.eye(u0.dim)[0]
-    bands = _RadialBands(u0, pts, 1.0, KernelParams(dim=u0.dim, s=s), "mass", 1 if u0.dim == 3 else 0)
-    assert float(bands._rhos[1].max()) < 1e-10 * RADIUS_CAP
+    sweep, _ = _radial_bands(u0, pts, 1.0, KernelParams(dim=u0.dim, s=s), "mass")
+    assert float(sweep.radii[1].max()) < 1e-10 * RADIUS_CAP
 
 
 def test_affine_residual_needs_no_far_field(monkeypatch):

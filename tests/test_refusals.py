@@ -118,6 +118,18 @@ def test_overflowing_scales_are_refused_by_name(argv, message, capsys):
     assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("axis", ["-1:1:x", "-1:1:3.5", "a:1:3"])
+def test_a_bad_grid_axis_is_refused_by_name(axis, capsys, tmp_path):
+    # each once left as int()'s or float()'s own message, naming neither the
+    # flag nor the axis
+    argv = ["solve", "--datum", "cosine:1", "--s", "0.6", f"--grid={axis}", "--times", "1", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert lines == [f"error: --grid axis {axis!r} needs numeric bounds and an integer count, as lo:hi:count"]
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_kernel_derivatives_refuse_a_time_whose_scale_overflows(order):
     # the order-k scale factor t^(-(1 + k)/1.2) overflows below about

@@ -19,9 +19,8 @@ from fracheat import kernel, solver, specfun
 from fracheat.fraclap import frac_laplacian
 from fracheat.kernel import BODY_EDGES, TAIL_CUT, KernelParams, profile_table, tail_coefficients
 from fracheat.solver import (
-    _MAX_ANGULAR,
-    _RadialBands,
     _increment,
+    _radial_bands,
     _solve_batch,
     GridSpec,
     SolutionField,
@@ -395,11 +394,13 @@ class TestAngularRefinement:
         ],
         ids=["ruled", "cosine"],
     )
-    def test_error_estimate_bounds_gap_to_finest_rule(self, u0, grid):
+    def test_error_estimate_bounds_gap_to_finest_rule(self, u0, grid, monkeypatch):
         sol = solve_canonical(u0, grid, self.PAR_2D)
         pts = grid.nodes()
+        # every band starts, and so stays, at the cap
+        monkeypatch.setitem(specfun._START_ANGULAR, 2, specfun._MAX_ANGULAR[2])
         for ti, t in enumerate(grid.times):
-            ref, _ = _RadialBands(u0, pts, t, self.PAR_2D, "mass", _MAX_ANGULAR[2]).values()
+            ref, _ = _solve_batch(u0, pts, t, self.PAR_2D)
             gap = np.abs(sol.values[ti] - ref)
             assert np.all(gap <= sol.error_estimates[ti])
 
@@ -673,16 +674,17 @@ class TestPointBlocks:
         monkeypatch.setattr(solver, "_NODE_BLOCK", len(pts) + 1)
         whole = _solve_batch(u0, pts, 0.7, params)
         monkeypatch.setattr(solver, "_NODE_BLOCK", 512)
-        radii = max(r.size for r in _RadialBands(u0, pts, 0.7, params, "mass", 1)._rhos)
+        radii = max(r.size for r in _radial_bands(u0, pts, 0.7, params, "mass")[0].radii)
         cap = (32 if dim == 1 else 16) * radii
         monkeypatch.setattr(specfun, "_PANEL_ENTRIES", cap)
         blocks = []
+        real = specfun.pair_sums
 
         def recording(value, block, rhos, *args):
             blocks.append((len(block), rhos.size))
-            return specfun.nested_pair_sums(value, block, rhos, *args)
+            return real(value, block, rhos, *args)
 
-        monkeypatch.setattr(solver, "nested_pair_sums", recording)
+        monkeypatch.setattr(specfun, "pair_sums", recording)
         capped = _solve_batch(u0, pts, 0.7, params)
         assert all(n * r <= cap for n, r in blocks)
         assert max(n for n, r in blocks if r == radii) == cap // radii

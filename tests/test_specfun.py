@@ -24,7 +24,7 @@ from fracheat.specfun import (
     gauss_legendre,
     geometric_tail,
     integrate_semi_infinite,
-    nested_pair_sums,
+    SphereSweep,
     pair_sums,
     panel_rule,
     sphere_rule,
@@ -339,18 +339,52 @@ def test_pair_sums_do_not_depend_on_the_chunk_size(monkeypatch, dim, count):
         assert np.array_equal(got, runs[0])
 
 
-def test_nested_pair_sums_do_not_depend_on_the_chunk_size(monkeypatch):
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pair_sums_magnitudes_come_from_the_same_evaluations(monkeypatch, dim):
+    # the appended columns are the sums of |value|, bit for bit, from one
+    # evaluation of each point, across chunk edges
+    u = fam.cosine(0.7, dim=dim)
+    pts, rhos, dirs, dwts = _pair_case(dim, 3)
+    monkeypatch.setattr(specfun, "_PAIR_CHUNK", 1 << 8)
+    calls = []
+
+    def counting(x):
+        calls.append(len(x))
+        return u.value(x)
+
+    both = pair_sums(counting, pts, rhos, dirs, dwts, magnitudes=True)
+    assert sum(calls) == len(pts) * rhos.size * 2 * len(dirs)
+    assert np.array_equal(both[:, : rhos.size], pair_sums(u.value, pts, rhos, dirs, dwts))
+    assert np.array_equal(both[:, rhos.size :], pair_sums(lambda x: np.abs(u.value(x)), pts, rhos, dirs, dwts))
+
+
+def _swept_levels(value, pts, rhos):
+    # the sums a SphereSweep hands its one band's reduce at every level from
+    # the start to the cap; the band's values change by one at each level,
+    # so no drift settles before the cap
+    seen = []
+
+    def reduce(sums, sl):
+        seen.append(sums.copy())
+        return np.full(len(sums), float(len(seen))), np.zeros(len(sums))
+
+    sweep = SphereSweep(pts, len(pts))
+    sweep.add(value, rhos, reduce)
+    sweep.refine()
+    dim = pts.shape[1]
+    assert sweep.levels == [specfun._MAX_ANGULAR[dim]]
+    return seen, range(specfun._START_ANGULAR[dim], specfun._MAX_ANGULAR[dim] + 1)
+
+
+def test_sphere_sweep_sums_do_not_depend_on_the_chunk_size(monkeypatch):
     u = fam.parse_spec("ruled:1.2", dim=2)
     pts, rhos, _, _ = _pair_case(2, 9)
     runs = []
     for chunk in _CHUNKS:
         monkeypatch.setattr(specfun, "_PAIR_CHUNK", chunk)
-        kept, levels = None, []
-        for level in range(3):
-            got, kept = nested_pair_sums(u.value, pts, rhos, *sphere_rule(2, level), kept)
-            levels.append(got)
-        runs.append(levels)
+        runs.append(_swept_levels(u.value, pts, rhos)[0])
     for levels in runs[1:]:
+        assert len(levels) == len(runs[0])
         for got, first in zip(levels, runs[0]):
             assert np.array_equal(got, first)
 
@@ -380,7 +414,7 @@ def test_pair_sums_concurrent_calls_match_serial(monkeypatch):
         assert np.array_equal(a, b)
 
 
-def test_nested_pair_sums_evaluates_each_direction_once():
+def test_sphere_sweep_evaluates_each_direction_once():
     u = fam.gaussian(0.7, dim=2)
     pts = np.random.default_rng(2).uniform(-2.0, 2.0, (3, 2))
     rhos = np.geomspace(1e-2, 5.0, 7)
@@ -390,29 +424,42 @@ def test_nested_pair_sums_evaluates_each_direction_once():
         seen.append(np.array(x))
         return u.value(x)
 
-    kept = None
-    for level in range(5):
+    sums, levels = _swept_levels(counting, pts, rhos)
+    for got, level in zip(sums, levels):
         dirs, dwts = sphere_rule(2, level)
-        got, kept = nested_pair_sums(counting, pts, rhos, dirs, dwts, kept)
-        assert kept is got
-        whole = pair_sums(u.value, pts, rhos, dirs, dwts)
+        whole = pair_sums(u.value, pts, rhos, dirs, 0.5 * dwts)
         assert np.allclose(got, whole, rtol=1e-13, atol=0.0)
-    # level 4's directions, each as x + rho d and x - rho d, and no more
+    # the cap's directions, each as x + rho d and x - rho d, and no more
     rows = np.concatenate(seen)
-    assert len(rows) == len(pts) * rhos.size * 2 * len(sphere_rule(2, 4)[0])
+    assert len(rows) == len(pts) * rhos.size * 2 * len(sphere_rule(2, levels[-1])[0])
     assert len(np.unique(rows, axis=0)) == len(rows)
 
 
 @pytest.mark.parametrize("dim", [1, 3])
-def test_nested_pair_sums_keeps_nothing_where_the_rule_does_not_nest(dim):
+def test_sphere_sweep_keeps_nothing_where_the_rule_does_not_nest(dim):
+    # every level is evaluated whole, from the datum, and gives the bits of
+    # the whole rule's pair sums
     u = fam.gaussian(0.7, dim=dim)
     pts = np.random.default_rng(3).uniform(-2.0, 2.0, (2, dim))
     rhos = np.geomspace(1e-2, 5.0, 4)
-    for level in range(5 if dim == 3 else 1):
+    counts = []
+
+    def counting(x):
+        counts.append(len(x))
+        return u.value(x)
+
+    sums, levels = _swept_levels(counting, pts, rhos)
+    assert len(sums) == len(levels)
+    evaluated = iter(counts)
+    for got, level in zip(sums, levels):
         dirs, dwts = sphere_rule(dim, level)
-        got, kept = nested_pair_sums(u.value, pts, rhos, dirs, dwts, None)
-        assert kept is None
-        assert np.array_equal(got, pair_sums(u.value, pts, rhos, dirs, dwts))
+        assert np.array_equal(got, pair_sums(u.value, pts, rhos, dirs, 0.5 * dwts))
+        want = len(pts) * rhos.size * 2 * len(dirs)
+        done = 0
+        while done < want:
+            done += next(evaluated)
+        assert done == want
+    assert next(evaluated, None) is None
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
